@@ -17,7 +17,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy import integrate, special
 
 from .errors import InvalidArgumentError
 
@@ -44,6 +43,10 @@ GAUSS_TRUNC_SD = 10.0
 # an 8-term asymptotic series is accurate to ~1e-21 there.
 _SERIES_CUTOFF = 1.0 / 600.0
 
+# Terms per explog_exp1 call in the 1/f bulk sums: large enough to amortise
+# the call, small enough that the temporaries stay a few hundred kB at n ~ 1e6.
+_BULK_CHUNK = 1 << 15
+
 
 @dataclass(frozen=True)
 class PredictionResult:
@@ -62,27 +65,39 @@ class PredictionResult:
     est_abs_error: float = 0.0
 
 
-def explog_exp1(c: float) -> float:
-    """E[log(c*Y + 1)] for Y ~ Exp(1), c >= 0.
+def explog_exp1(c: float | np.ndarray) -> float | np.ndarray:
+    """E[log(c*Y + 1)] for Y ~ Exp(1), c >= 0, elementwise over an array.
 
     Uses the exponential-integral identity e^(1/c) E1(1/c); for c below
     ~1/600 the product is numerically degenerate and an asymptotic series
     c - c^2 + 2c^3 - ... (truncation error <= 9! c^10) takes over.
     Absolute error is far below EXPLOG_ABS_TOL everywhere.
+
+    A scalar argument returns a Python float, an array argument a float
+    array of the same shape.  Each element is computed with the same
+    operations in the same order whatever the shape, so an element of an
+    array result is bitwise equal to the scalar result.
     """
-    if not np.isfinite(c) or c < 0:
-        raise InvalidArgumentError(f"need finite c >= 0, got {c}")
-    if c == 0.0:
-        return 0.0
-    if c < _SERIES_CUTOFF:
-        acc = 0.0
-        term = c
-        for k in range(1, 9):
-            acc += term
-            term *= -k * c
-        return acc
-    x = 1.0 / c
-    return float(math.exp(x) * special.exp1(x))
+    from scipy import special
+
+    arr = np.asarray(c, dtype=float)
+    bad = ~np.isfinite(arr) | (arr < 0)
+    if bad.any():
+        raise InvalidArgumentError(f"need finite c >= 0, got {arr[bad].flat[0]}")
+    out = np.zeros(arr.shape)
+    series = (arr > 0) & (arr < _SERIES_CUTOFF)
+    small = arr[series]
+    acc = np.zeros(small.shape)
+    term = small.copy()
+    for k in range(1, 9):
+        acc += term
+        term *= -k * small
+    out[series] = acc
+    identity = arr >= _SERIES_CUTOFF
+    x = 1.0 / arr[identity]
+    # math.exp, not np.exp: numpy's SIMD exp differs by 1 ulp on some inputs.
+    out[identity] = np.array([math.exp(v) for v in x.tolist()]) * special.exp1(x)
+    return float(out) if arr.ndim == 0 else out
 
 
 def _check_noise(W: float, J: float) -> None:
@@ -201,6 +216,8 @@ def _normal_expect_log(gamma_: float, sd: float, mean: float,
                        abs_tol: float = GAUSS_QUAD_ABS_TOL) -> tuple[float, float]:
     """E_G[log(gamma*(sd*G + mean)^2 + 1)] over G ~ N(0,1), truncated at
     +-GAUSS_TRUNC_SD standard deviations (tail contribution < 1e-20)."""
+    from scipy import integrate
+
     norm = 1.0 / math.sqrt(2.0 * math.pi)
 
     def integrand(g):
@@ -209,6 +226,22 @@ def _normal_expect_log(gamma_: float, sd: float, mean: float,
     val, err = integrate.quad(integrand, -GAUSS_TRUNC_SD, GAUSS_TRUNC_SD,
                               epsabs=abs_tol, epsrel=1e-10, limit=200)
     return float(val), float(err)
+
+
+def _explog_bulk_sum(scale: float, n: int) -> float:
+    """Correctly rounded sum of explog_exp1(scale / k) over k = 2..(n-1)/2.
+
+    math.fsum is exact up to the final rounding, so evaluating the terms in
+    chunks of _BULK_CHUNK changes neither the value nor its last bit.
+    """
+    top = (n - 1) // 2
+
+    def terms():
+        for start in range(2, top + 1, _BULK_CHUNK):
+            ks = np.arange(start, min(start + _BULK_CHUNK, top + 1))
+            yield from explog_exp1(scale / ks).tolist()
+
+    return math.fsum(terms())
 
 
 def predict_gaussian_onef(n: int, W: float, rho_j_product: float) -> PredictionResult:
@@ -226,9 +259,8 @@ def predict_gaussian_onef(n: int, W: float, rho_j_product: float) -> PredictionR
         raise InvalidArgumentError("W + rho_j_product must be positive")
     g = 1.0 / (W + rho_j_product)
     dc, dc_err = _normal_expect_log(g, sd=1.0, mean=0.0)
-    ks = range(2, (n - 1) // 2 + 1)
-    bulk = 2.0 * math.fsum(explog_exp1(g / k) for k in ks)
-    err = dc_err + 2 * len(ks) * EXPLOG_ABS_TOL
+    bulk = 2.0 * _explog_bulk_sum(g, n)
+    err = dc_err + 2 * ((n - 1) // 2 - 1) * EXPLOG_ABS_TOL
     return PredictionResult(dc + bulk, "total", "quadrature", est_abs_error=err)
 
 
@@ -248,9 +280,8 @@ def predict_bernoulli_onef(n: int, p: float, W: float, J: float) -> PredictionRe
         raise InvalidArgumentError("W + p*J must be positive")
     g = 1.0 / (W + p * J)
     dc, dc_err = _normal_expect_log(g, sd=math.sqrt(p * (1.0 - p)), mean=p * math.sqrt(n))
-    ks = range(2, (n - 1) // 2 + 1)
-    bulk = 2.0 * math.fsum(explog_exp1(p * (1.0 - p) * g / k) for k in ks)
-    err = dc_err + 2 * len(ks) * EXPLOG_ABS_TOL
+    bulk = 2.0 * _explog_bulk_sum(p * (1.0 - p) * g, n)
+    err = dc_err + 2 * ((n - 1) // 2 - 1) * EXPLOG_ABS_TOL
     return PredictionResult(dc + bulk, "total", "quadrature", est_abs_error=err)
 
 

@@ -108,7 +108,11 @@ def _require(condition: bool, message: str) -> None:
         raise InvalidArgumentError(message)
 
 
-def _workers_default() -> int:
+def _resolve_workers(args) -> int:
+    """--workers if given, else APMI_WORKERS, else 1.  Read only by the
+    commands that run ensembles, so a bad APMI_WORKERS breaks no other."""
+    if args.workers is not None:
+        return args.workers
     raw = os.environ.get("APMI_WORKERS", "").strip()
     if not raw:
         return 1
@@ -142,6 +146,13 @@ def _resolve_onef_n(n: int) -> int:
     return n
 
 
+def _grid_floats(parts: list[str], text: str) -> list[float]:
+    try:
+        return [float(x) for x in parts]
+    except ValueError:
+        raise InvalidArgumentError(f"grid values must be numbers, got {text!r}") from None
+
+
 def _parse_p_grid(text: str) -> list[float]:
     """Parse 'start:stop:step' or a comma list; every p must lie in (0,1)."""
     text = text.strip()
@@ -152,12 +163,12 @@ def _parse_p_grid(text: str) -> list[float]:
         if len(parts) != 3:
             raise InvalidArgumentError(
                 f"grid must be start:stop:step or a comma list, got {text!r}")
-        start, stop, step = (float(x) for x in parts)
+        start, stop, step = _grid_floats(parts, text)
         _require(step > 0, f"grid step must be positive, got {step}")
         count = int(math.floor((stop - start) / step + 1e-9)) + 1
         grid = [round(start + k * step, 12) for k in range(max(count, 0))]
     else:
-        grid = [float(x) for x in text.split(",") if x.strip()]
+        grid = _grid_floats([x for x in text.split(",") if x.strip()], text)
     for p in grid:
         _require(0.0 < p < 1.0, f"grid p values must lie in (0, 1), got {p}")
     return grid
@@ -349,7 +360,7 @@ def _build_parser() -> argparse.ArgumentParser:
     sweep.add_argument("--metric", choices=list(METRICS), default=None)
     sweep.add_argument("--rho-mode", dest="rho_mode", choices=list(RHO_MODES),
                        default="realized")
-    sweep.add_argument("--workers", type=int, default=_workers_default())
+    sweep.add_argument("--workers", type=int, default=None)
     sweep.add_argument("--out", default="sweep.csv", metavar="CSV")
     _add_common(sweep)
 
@@ -365,7 +376,7 @@ def _build_parser() -> argparse.ArgumentParser:
     rep.add_argument("--metric", choices=list(METRICS), default=None)
     rep.add_argument("--rho-mode", dest="rho_mode", choices=list(RHO_MODES),
                      default="realized")
-    rep.add_argument("--workers", type=int, default=_workers_default())
+    rep.add_argument("--workers", type=int, default=None)
     rep.add_argument("--out", default=None, metavar="CSV")
     _add_common(rep)
 
@@ -594,7 +605,7 @@ def _cmd_sweep(args) -> int:
         master_seed=args.seed,
         metric=args.metric,
         rho_mode=args.rho_mode,
-        workers=args.workers,
+        workers=_resolve_workers(args),
         log_base=args.log_base,
         out_path=args.out,
     )
@@ -654,7 +665,7 @@ def _cmd_fig3(args) -> int:
         master_seed=args.seed,
         metric=args.metric,
         rho_mode=args.rho_mode,
-        workers=args.workers,
+        workers=_resolve_workers(args),
         log_base=args.log_base,
         out_path=args.out or "fig3.csv",
     )

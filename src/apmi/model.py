@@ -100,10 +100,10 @@ def spectral_weights(prior: ScenePrior, n: int) -> np.ndarray:
             d[:half] = 1.0 / np.arange(1, half + 1)
             d[half:] = d[:half]
         else:
+            ks = np.arange(2, (n + 1) // 2 + 1)
             d[0] = 1.0
-            for k in range(2, (n + 1) // 2 + 1):
-                d[k - 1] = 1.0 / k
-                d[n + 1 - k] = 1.0 / k
+            d[ks - 1] = 1.0 / ks
+            d[n + 1 - ks] = 1.0 / ks
         return d
     raise InvalidArgumentError(f"unknown prior {prior!r}")
 

@@ -11,8 +11,9 @@ import math
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
-from scipy import integrate
+from scipy import integrate, special
 
+from apmi import asymptotic
 from apmi import (
     InvalidArgumentError,
     NoiseModel,
@@ -52,6 +53,24 @@ def normal_log_oracle(gamma_, mean, sd):
                               epsabs=1e-11, epsrel=1e-11, limit=400)
     assert err < 1e-8
     return val
+
+
+def explog_scalar_reference(c):
+    """Scalar reference kernel in plain Python floats, one value per call;
+    explog_exp1 must reproduce it bit for bit, on scalars and arrays."""
+    if not np.isfinite(c) or c < 0:
+        raise InvalidArgumentError(f"need finite c >= 0, got {c}")
+    if c == 0.0:
+        return 0.0
+    if c < 1.0 / 600.0:
+        acc = 0.0
+        term = c
+        for k in range(1, 9):
+            acc += term
+            term *= -k * c
+        return acc
+    x = 1.0 / c
+    return float(math.exp(x) * special.exp1(x))
 
 
 class TestExplogKernel:
@@ -106,6 +125,38 @@ class TestExplogKernel:
     def test_below_log_of_mean_plus_one(self, c):
         # Jensen: E[log(cY+1)] <= log(c E[Y] + 1) = log(c+1)
         assert explog_exp1(c) <= math.log1p(c) + 1e-12
+
+    def test_array_bitwise_equals_scalar_reference(self):
+        cutoff = 1.0 / 600.0
+        cs = np.concatenate([np.logspace(-8, 8, 20001),
+                             [0.0, cutoff, np.nextafter(cutoff, 0.0),
+                              np.nextafter(cutoff, 1.0)]])
+        got = explog_exp1(cs)
+        assert isinstance(got, np.ndarray) and got.shape == cs.shape
+        expected = np.array([explog_scalar_reference(float(c)) for c in cs])
+        np.testing.assert_array_equal(got.view(np.int64), expected.view(np.int64))
+        np.testing.assert_array_equal(explog_exp1(cs.reshape(5, -1)),
+                                      got.reshape(5, -1))
+        for c in cs[::1000]:
+            value = explog_exp1(float(c))
+            assert type(value) is float
+            assert value == explog_scalar_reference(float(c))
+
+    @pytest.mark.parametrize("bad", [float("nan"), float("inf"), -1e-300])
+    def test_array_rejects_bad_element(self, bad):
+        with pytest.raises(InvalidArgumentError):
+            explog_exp1(np.array([0.5, bad, 2.0]))
+
+    def test_abs_tol_against_mpmath(self):
+        mpmath = pytest.importorskip("mpmath")
+        cs = np.concatenate([np.logspace(-8, 8, 161),
+                             [1.0 / 600.0, np.nextafter(1.0 / 600.0, 0.0)]])
+        got = explog_exp1(cs)
+        with mpmath.workdps(40):
+            for c, value in zip(cs, got):
+                x = 1 / mpmath.mpf(float(c))
+                exact = mpmath.exp(x) * mpmath.e1(x)
+                assert abs(float(value) - exact) <= asymptotic.EXPLOG_ABS_TOL, c
 
 
 class TestPinholePredictor:
@@ -325,6 +376,29 @@ class TestBernoulliOneF:
             predict_bernoulli_onef(100, 0.5, 0.01, 1.0)
         with pytest.raises(InvalidArgumentError):
             predict_bernoulli_onef(101, 1.5, 0.01, 1.0)
+
+
+class TestOneFBulkSums:
+    """The chunked bulk sums equal the one-call-per-term fsum exactly."""
+
+    @pytest.mark.parametrize("n", [5, 249, 100001])
+    def test_gaussian(self, n):
+        W, rho_j = 0.01, 1.0
+        g = 1.0 / (W + rho_j)
+        dc, _ = asymptotic._normal_expect_log(g, sd=1.0, mean=0.0)
+        bulk = 2.0 * math.fsum(explog_scalar_reference(g / k)
+                               for k in range(2, (n - 1) // 2 + 1))
+        assert predict_gaussian_onef(n, W, rho_j).value == dc + bulk
+
+    @pytest.mark.parametrize("n", [5, 249, 100001])
+    def test_bernoulli(self, n):
+        p, W, J = 0.3, 0.01, 1.0
+        g = 1.0 / (W + p * J)
+        dc, _ = asymptotic._normal_expect_log(g, sd=math.sqrt(p * (1.0 - p)),
+                                              mean=p * math.sqrt(n))
+        bulk = 2.0 * math.fsum(explog_scalar_reference(p * (1.0 - p) * g / k)
+                               for k in range(2, (n - 1) // 2 + 1))
+        assert predict_bernoulli_onef(n, p, W, J).value == dc + bulk
 
 
 class TestOptimalPOneF:

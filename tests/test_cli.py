@@ -3,9 +3,14 @@
 import csv
 import json
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import apmi
 from apmi import FlatnessCheckError, NumericalError
 from apmi.cli import CSV_HEADER, main
 import apmi.cli as cli_module
@@ -238,6 +243,15 @@ class TestSweep:
         assert code == 2 and "empty p grid" in err
         assert not (tmp_path / "x.csv").exists()
 
+    @pytest.mark.parametrize("grid", ["a:b:c", "0.5,x"])
+    def test_non_numeric_grid_rejected(self, capsys, tmp_path, grid):
+        code, _, err = run(capsys, "sweep", "--n", "32", "--trials", "4",
+                           "--W", "1", "--p-grid", grid,
+                           "--out", str(tmp_path / "x.csv"))
+        assert code == 2
+        assert err == f"error: grid values must be numbers, got {grid!r}\n"
+        assert not (tmp_path / "x.csv").exists()
+
     def test_onef_even_n_reduced(self, capsys, tmp_path):
         out_csv = tmp_path / "f.csv"
         code, _, err = run(capsys, "sweep", "--prior", "1f", "--n", "250",
@@ -264,6 +278,24 @@ class TestSweep:
         manifest = json.loads((tmp_path / "pooled.manifest.json").read_text())
         assert manifest["parameters"]["workers"] == 2
         assert serial.read_text() == pooled.read_text()
+
+    @pytest.mark.parametrize("argv", [
+        ("predict", "flat-iid", "--W", "0.01"),
+        ("mi", "--family", "pinhole", "--n", "4", "--W", "1"),
+    ])
+    def test_bad_worker_env_ignored_without_ensemble(self, capsys, monkeypatch, argv):
+        monkeypatch.setenv("APMI_WORKERS", "x")
+        code, _, _ = run(capsys, *argv)
+        assert code == 0
+
+    def test_bad_worker_env_rejected_by_sweep(self, capsys, tmp_path, monkeypatch):
+        monkeypatch.setenv("APMI_WORKERS", "x")
+        code, _, err = run(capsys, "sweep", "--n", "32", "--trials", "4",
+                           "--W", "1", "--p-grid", "0.5",
+                           "--out", str(tmp_path / "x.csv"))
+        assert code == 2
+        assert "APMI_WORKERS must be an integer" in err
+        assert not (tmp_path / "x.csv").exists()
 
 
 class TestConfigFile:
@@ -337,6 +369,19 @@ class TestReproduce:
         assert code == 0
         assert "checks passed" in out
         assert "FAIL" not in out
+
+
+def test_cli_import_loads_no_scipy():
+    """scipy is imported by the functions that need it, not at startup."""
+    code = ("import sys, apmi.cli; "
+            "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))")
+    src = str(Path(apmi.__file__).resolve().parent.parent)
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+        filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    proc = subprocess.run([sys.executable, "-c", code], env=env,
+                          capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "[]"
 
 
 class TestExitCodes:

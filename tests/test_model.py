@@ -52,6 +52,16 @@ class TestSpectralWeights:
             # paired frequencies (k, n+2-k) share a weight
             np.testing.assert_allclose(d[1:], d[1:][::-1], rtol=0, atol=0)
 
+    @pytest.mark.parametrize("n", [3, 5, 7, 249, 4095, 100001])
+    def test_one_over_f_odd_matches_loop(self, n):
+        expected = np.empty(n)
+        expected[0] = 1.0
+        for k in range(2, (n + 1) // 2 + 1):
+            expected[k - 1] = 1.0 / k
+            expected[n + 1 - k] = 1.0 / k
+        np.testing.assert_array_equal(
+            spectral_weights(ScenePrior.ONE_OVER_F, n), expected)
+
     @given(st.integers(min_value=2, max_value=600))
     def test_iid_structure(self, n):
         np.testing.assert_array_equal(spectral_weights(ScenePrior.IID, n),
