@@ -46,7 +46,6 @@ from .patterns import (
     gen_uniform,
     load_pattern,
     save_pattern,
-    transmissivity,
 )
 from .spectral import (
     MIResult,

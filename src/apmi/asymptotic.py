@@ -19,6 +19,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import InvalidArgumentError
+from .model import NoiseModel
 
 __all__ = [
     "PredictionResult",
@@ -100,11 +101,6 @@ def explog_exp1(c: float | np.ndarray) -> float | np.ndarray:
     return float(out) if arr.ndim == 0 else out
 
 
-def _check_noise(W: float, J: float) -> None:
-    if not (np.isfinite(W) and np.isfinite(J)) or W < 0 or J < 0:
-        raise InvalidArgumentError(f"need finite W >= 0 and J >= 0, got W={W}, J={J}")
-
-
 def _check_odd_n(n: int) -> None:
     if n < 5 or n % 2 == 0:
         raise InvalidArgumentError(
@@ -115,11 +111,9 @@ def _check_odd_n(n: int) -> None:
 
 def predict_pinhole(n: int, W: float, J: float) -> PredictionResult:
     """Exact per-pixel MI of the n-element pinhole: log(1/(n W + J) + 1)."""
-    _check_noise(W, J)
+    NoiseModel(W, J)
     if n < 1:
         raise InvalidArgumentError(f"need n >= 1, got {n}")
-    if n * W + J == 0:
-        raise InvalidArgumentError("n*W + J must be positive")
     return PredictionResult(math.log1p(1.0 / (n * W + J)), "per_pixel", "closed_form")
 
 
@@ -129,7 +123,7 @@ def predict_flat_iid(W: float, J: float) -> PredictionResult:
     Bulk eigenvalue power is (n+1)/4 ~ n/4 and rho -> 1/2, giving
     log((1/4)/(W + J/2) + 1).
     """
-    _check_noise(W, J)
+    NoiseModel(W, J)
     if W + J / 2 == 0:
         raise InvalidArgumentError("W + J/2 must be positive")
     return PredictionResult(math.log1p(0.25 / (W + J / 2.0)), "per_pixel", "closed_form")
@@ -141,7 +135,7 @@ def predict_bernoulli_iid(p: float, W: float, J: float) -> PredictionResult:
     The bulk spectrum |lambda_k|^2/n tends to p(1-p) * Exp(1), so the
     per-pixel MI tends to explog_exp1(p(1-p) / (W + p J)).
     """
-    _check_noise(W, J)
+    NoiseModel(W, J)
     if not 0.0 <= p <= 1.0:
         raise InvalidArgumentError(f"p must lie in [0, 1], got {p}")
     if W + p * J == 0:
@@ -159,7 +153,7 @@ def optimal_p_iid(W: float, J: float) -> float:
     Shot-dominant noise (W << J) drives p* toward sqrt(W/J); thermal-dominant
     noise drives it toward 1/2.
     """
-    _check_noise(W, J)
+    NoiseModel(W, J)
     if W <= 0 or J <= 0:
         raise InvalidArgumentError("closed form needs W > 0 and J > 0")
     return float(W / J * (math.sqrt(1.0 + J / W) - 1.0))
@@ -173,7 +167,7 @@ def predict_uniform_iid(W: float, J: float, bulk_variance: float = 1.0 / 24.0) -
     the published constant, while the entry variance of Uniform[0,1] is
     1/12 (the value the simulations in the acceptance suite validate).
     """
-    _check_noise(W, J)
+    NoiseModel(W, J)
     if bulk_variance <= 0:
         raise InvalidArgumentError(f"bulk_variance must be positive, got {bulk_variance}")
     if W + J / 2 == 0:
@@ -197,7 +191,7 @@ def predict_flat_onef(n: int, W: float, J: float, form: str = "midsum") -> Predi
     log(n/4 / (W+J/2)) + (1/2)/(W+J/2) * (log(n/2) - 1), which makes the
     O(log n) growth explicit.
     """
-    _check_noise(W, J)
+    NoiseModel(W, J)
     _check_odd_n(n)
     if W + J / 2 == 0:
         raise InvalidArgumentError("W + J/2 must be positive")
@@ -253,10 +247,8 @@ def predict_gaussian_onef(n: int, W: float, rho_j_product: float) -> PredictionR
 
         E_G[log(gamma G^2 + 1)] + 2 sum_{k=2}^{(n-1)/2} explog_exp1(gamma / k)
     """
-    _check_noise(W, rho_j_product)
+    NoiseModel(W, rho_j_product)
     _check_odd_n(n)
-    if W + rho_j_product == 0:
-        raise InvalidArgumentError("W + rho_j_product must be positive")
     g = 1.0 / (W + rho_j_product)
     dc, dc_err = _normal_expect_log(g, sd=1.0, mean=0.0)
     bulk = 2.0 * _explog_bulk_sum(g, n)
@@ -272,7 +264,7 @@ def predict_bernoulli_onef(n: int, p: float, W: float, J: float) -> PredictionRe
     and variance p(1-p)); bulk: 2 sum_{k=2}^{(n-1)/2}
     explog_exp1(p(1-p) gamma / k), with gamma = 1/(W + pJ).
     """
-    _check_noise(W, J)
+    NoiseModel(W, J)
     _check_odd_n(n)
     if not 0.0 <= p <= 1.0:
         raise InvalidArgumentError(f"p must lie in [0, 1], got {p}")
@@ -295,7 +287,10 @@ def _golden_max(f, lo: float, hi: float, tol: float) -> float:
     x1 = hi - _R_GOLDEN * (hi - lo)
     x2 = lo + _R_GOLDEN * (hi - lo)
     f1, f2 = f(x1), f(x2)
-    while hi - lo > tol:
+    width = math.inf
+    # The second test ends the search once float resolution stops the shrinking.
+    while tol < hi - lo < width:
+        width = hi - lo
         if f1 < f2:
             lo, x1, f1 = x1, x2, f2
             x2 = lo + _R_GOLDEN * (hi - lo)
@@ -310,8 +305,10 @@ def _golden_max(f, lo: float, hi: float, tol: float) -> float:
 def optimal_p_onef(n: int, W: float, J: float, tol: float = 1e-4) -> float:
     """Open fraction maximizing the on-off total-MI prediction under the
     1/f prior, by golden-section search over p in (0.005, 0.995)."""
-    _check_noise(W, J)
+    NoiseModel(W, J)
     _check_odd_n(n)
+    if not (math.isfinite(tol) and tol > 0):
+        raise InvalidArgumentError(f"tol must be finite and positive, got {tol}")
 
     def objective(p):
         return predict_bernoulli_onef(n, p, W, J).value

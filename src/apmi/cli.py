@@ -29,6 +29,7 @@ import json
 import math
 import os
 import sys
+import warnings
 from dataclasses import replace
 from datetime import datetime, timezone
 from pathlib import Path
@@ -62,7 +63,8 @@ from .errors import (
     InvalidArgumentError,
     NumericalError,
 )
-from .model import NoiseModel, ScenePrior, db_to_linear, gamma, spectral_weights
+from .model import (NoiseModel, ScenePrior, db_to_linear, effective_n, gamma,
+                    spectral_weights, to_log_base)
 from .patterns import (
     gen_bernoulli,
     gen_mls,
@@ -72,16 +74,13 @@ from .patterns import (
     load_pattern,
     save_pattern,
 )
-from .spectral import (
-    LN2,
-    circulant_spectrum,
-    jensen_bound,
-    mi_excluding_dc,
-    mutual_information,
-)
+from .spectral import circulant_spectrum, jensen_bound, mi_excluding_dc, mutual_information
 
 CSV_HEADER = ("p,n,W,J,prior,family,trials,seed,mi_mean,mi_std,mi_stderr,"
               "mi_predicted,relative_gap,log_base")
+
+# Upper bound on the points of a start:stop:step grid; each point runs an ensemble.
+MAX_GRID_POINTS = 10_000
 
 PREDICTORS = ("pinhole", "flat-iid", "bernoulli-iid", "uniform-iid",
               "flat-1f", "gaussian-1f", "bernoulli-1f")
@@ -138,14 +137,6 @@ def _resolve_w(args, default: float | None = None) -> float:
     raise InvalidArgumentError("one of --W or --W-db is required")
 
 
-def _resolve_onef_n(n: int) -> int:
-    """1/f formulas pair mirror frequencies and need odd n."""
-    if n % 2 == 0:
-        print(f"warning: n reduced to {n - 1} (odd-n formula)", file=sys.stderr)
-        return n - 1
-    return n
-
-
 def _grid_floats(parts: list[str], text: str) -> list[float]:
     try:
         return [float(x) for x in parts]
@@ -165,7 +156,10 @@ def _parse_p_grid(text: str) -> list[float]:
                 f"grid must be start:stop:step or a comma list, got {text!r}")
         start, stop, step = _grid_floats(parts, text)
         _require(step > 0, f"grid step must be positive, got {step}")
-        count = int(math.floor((stop - start) / step + 1e-9)) + 1
+        span = (stop - start) / step + 1e-9
+        _require(math.isfinite(span) and span < MAX_GRID_POINTS,
+                 f"grid {text!r} has more than {MAX_GRID_POINTS} points")
+        count = int(math.floor(span)) + 1
         grid = [round(start + k * step, 12) for k in range(max(count, 0))]
     else:
         grid = _grid_floats([x for x in text.split(",") if x.strip()], text)
@@ -452,14 +446,12 @@ def _cmd_mi(args) -> int:
         "log_base": result.log_base,
     }
     if prior is ScenePrior.IID:
-        payload["per_pixel_excl_dc"] = _j12(
-            mi_excluding_dc(pattern, noise, log_base=args.log_base))
+        payload["per_pixel_excl_dc"] = _j12(result.per_pixel_excl_dc)
     return _emit_scalar(payload, args)
 
 
 def _cmd_predict(args) -> int:
     which = args.which
-    scale = LN2 if args.log_base == "bits" else 1.0
     J = args.J
 
     def need_n() -> int:
@@ -482,17 +474,17 @@ def _cmd_predict(args) -> int:
         params = {"W": _resolve_w(args), "J": J,
                   "bulk_variance": args.bulk_variance}
     elif which == "flat-1f":
-        n = _resolve_onef_n(need_n())
+        n = effective_n(ScenePrior.ONE_OVER_F, need_n())
         result = predict_flat_onef(n, _resolve_w(args), J, form=args.form)
         params = {"n": n, "W": _resolve_w(args), "J": J, "form": args.form}
     elif which == "gaussian-1f":
         _require(args.rho_j is not None, "--rho-j is required for gaussian-1f")
-        n = _resolve_onef_n(need_n())
+        n = effective_n(ScenePrior.ONE_OVER_F, need_n())
         result = predict_gaussian_onef(n, _resolve_w(args), args.rho_j)
         params = {"n": n, "W": _resolve_w(args), "rho_j": args.rho_j}
     else:  # bernoulli-1f
         _require(args.p is not None, "--p is required for bernoulli-1f")
-        n = _resolve_onef_n(need_n())
+        n = effective_n(ScenePrior.ONE_OVER_F, need_n())
         result = predict_bernoulli_onef(n, args.p, _resolve_w(args), J)
         params = {"n": n, "p": args.p, "W": _resolve_w(args), "J": J}
 
@@ -500,10 +492,10 @@ def _cmd_predict(args) -> int:
     for key, value in params.items():
         payload[key] = _j12(value) if isinstance(value, float) else value
     payload.update({
-        "value": _j12(result.value / scale),
+        "value": _j12(to_log_base(result.value, args.log_base)),
         "kind": result.kind,
         "method": result.method,
-        "est_abs_error": _j12(result.est_abs_error / scale),
+        "est_abs_error": _j12(to_log_base(result.est_abs_error, args.log_base)),
         "log_base": args.log_base,
     })
     return _emit_scalar(payload, args)
@@ -513,7 +505,6 @@ def _cmd_optimize_p(args) -> int:
     prior = ScenePrior.parse(args.prior)
     W = _resolve_w(args)
     J = args.J
-    scale = LN2 if args.log_base == "bits" else 1.0
     payload = {
         "command": "optimize-p",
         "prior": prior.value,
@@ -526,13 +517,13 @@ def _cmd_optimize_p(args) -> int:
         predicted = predict_bernoulli_iid(p_star, W, J).value
     else:
         _require(args.n is not None, "--n is required for the 1/f prior")
-        n = _resolve_onef_n(args.n)
+        n = effective_n(ScenePrior.ONE_OVER_F, args.n)
         p_star = optimal_p_onef(n, W, J, tol=args.tol)
         predicted = predict_bernoulli_onef(n, p_star, W, J).value
         payload["n"] = n
         payload["tol"] = _j12(args.tol)
     payload["p_star"] = _j12(p_star)
-    payload["predicted_mi"] = _j12(predicted / scale)
+    payload["predicted_mi"] = _j12(to_log_base(predicted, args.log_base))
     return _emit_scalar(payload, args)
 
 
@@ -561,8 +552,7 @@ def _run_sweep_to_csv(*, command: str, n: int, trials: int, W: float, J: float,
                       metric: str | None, rho_mode: str, workers: int,
                       log_base: str, out_path: str) -> int:
     n_requested = n
-    if prior is ScenePrior.ONE_OVER_F:
-        n = _resolve_onef_n(n)
+    n = effective_n(prior, n)
     config = EnsembleConfig(
         n=n, trials=trials, family="bernoulli", prior=prior,
         noise=NoiseModel(W, J), master_seed=master_seed,
@@ -614,7 +604,6 @@ def _cmd_sweep(args) -> int:
 def _cmd_fig2(args) -> int:
     """Predictor curves (flat, Bernoulli 1/2, Bernoulli p*) over a W sweep."""
     J = args.J
-    scale = LN2 if args.log_base == "bits" else 1.0
     _require(args.points >= 2, f"--points must be >= 2, got {args.points}")
     w_grid = np.logspace(-3.0, 3.0, args.points)
     rows = []
@@ -632,7 +621,7 @@ def _cmd_fig2(args) -> int:
                 "p": p_text, "n": "", "W": _g12(W), "J": _g12(J),
                 "prior": "iid", "family": family, "trials": "", "seed": "",
                 "mi_mean": "", "mi_std": "", "mi_stderr": "",
-                "mi_predicted": _g12(value / scale), "relative_gap": "",
+                "mi_predicted": _g12(to_log_base(value, args.log_base)), "relative_gap": "",
                 "log_base": args.log_base,
             })
     out = Path(args.out or "fig2.csv")
@@ -830,7 +819,10 @@ def main(argv: list[str] | None = None) -> int:
             if code is None:
                 return EXIT_OK
             return code if isinstance(code, int) else EXIT_USAGE
-        return _dispatch(args)
+        with warnings.catch_warnings():
+            # each warning (e.g. the odd-n reduction) becomes one stderr line
+            warnings.showwarning = lambda msg, *_: print(f"warning: {msg}", file=sys.stderr)
+            return _dispatch(args)
     except (InvalidArgumentError, DegenerateNoiseError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE

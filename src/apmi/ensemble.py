@@ -16,7 +16,6 @@ the DC term.
 """
 
 import math
-import warnings
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, replace
 
@@ -24,8 +23,8 @@ import numpy as np
 
 from .asymptotic import PredictionResult, predict_bernoulli_iid, predict_bernoulli_onef
 from .errors import InvalidArgumentError
-from .model import NoiseModel, ScenePrior, spectral_weights
-from .spectral import LN2
+from .model import NoiseModel, ScenePrior, effective_n, spectral_weights, to_log_base
+from .spectral import mi_sums, power_spectrum
 
 __all__ = [
     "EnsembleConfig",
@@ -83,14 +82,12 @@ class EnsembleConfig:
             if self.p is None or not 0.0 <= self.p <= 1.0:
                 raise InvalidArgumentError(f"bernoulli family needs p in [0, 1], got {self.p}")
         if self.family == "gaussian":
-            if self.rho_j_fixed is None or self.rho_j_fixed < 0:
+            if self.rho_j_fixed is None:
                 raise InvalidArgumentError("gaussian family needs rho_j_fixed >= 0")
-            if self.noise.W + self.rho_j_fixed == 0:
-                raise InvalidArgumentError("W + rho_j_fixed must be positive")
+            NoiseModel(self.noise.W, self.rho_j_fixed)  # finite, >= 0, W + rho_j_fixed > 0
         if self.workers < 1:
             raise InvalidArgumentError(f"need workers >= 1, got {self.workers}")
-        if self.log_base not in ("nats", "bits"):
-            raise InvalidArgumentError(f"log_base must be 'nats' or 'bits', got {self.log_base!r}")
+        to_log_base(0.0, self.log_base)  # rejects an unknown base
 
     @property
     def resolved_metric(self) -> str:
@@ -125,15 +122,6 @@ class ComparisonRecord:
     z_score: float
 
 
-def _effective_n(config: EnsembleConfig) -> int:
-    """1/f formulas pair mirror frequencies, so those ensembles need odd n."""
-    n = config.n
-    if config.prior is ScenePrior.ONE_OVER_F and n % 2 == 0:
-        warnings.warn(f"n reduced to {n - 1} (odd-n formula)", stacklevel=3)
-        return n - 1
-    return n
-
-
 def _eval_range(config: EnsembleConfig, n: int, start: int, stop: int) -> np.ndarray:
     """Evaluate trials [start, stop); rows are (mi_total, mi_total_excl_dc, rho)."""
     d = spectral_weights(config.prior, n)
@@ -162,11 +150,7 @@ def _eval_range(config: EnsembleConfig, n: int, start: int, stop: int) -> np.nda
                     f"trial {t}: W + rho*J is zero (rho={rho_for_gamma}); "
                     "supply W > 0 or a family with rho*J > 0")
             g = 1.0 / total_noise
-        lam_sq = np.abs(np.fft.fft(a)) ** 2
-        terms = np.log1p(g * d * lam_sq / n)
-        total = float(terms.sum())
-        out[i, 0] = total
-        out[i, 1] = total - float(terms[0])
+        out[i, 0], out[i, 1] = mi_sums(power_spectrum(a), d, g)
         out[i, 2] = rho
     return out
 
@@ -188,7 +172,7 @@ def _collect(config: EnsembleConfig, n: int) -> np.ndarray:
 
 def run_ensemble(config: EnsembleConfig) -> EnsembleStats:
     """Simulate config.trials random apertures and aggregate the configured metric."""
-    n = _effective_n(config)
+    n = effective_n(config.prior, config.n)
     values = _collect(config, n)
     metric = config.resolved_metric
     if metric == "total":
@@ -197,8 +181,7 @@ def run_ensemble(config: EnsembleConfig) -> EnsembleStats:
         v = values[:, 0] / n
     else:
         v = values[:, 1] / n
-    if config.log_base == "bits":
-        v = v / LN2
+    v = to_log_base(v, config.log_base)
     std = float(v.std(ddof=1))
     return EnsembleStats(
         kind=metric,
@@ -225,16 +208,16 @@ def sweep_p(config: EnsembleConfig, p_grid) -> list[SweepRow]:
     """
     if config.family != "bernoulli":
         raise InvalidArgumentError("sweep_p requires the bernoulli family")
+    n = effective_n(config.prior, config.n)
     rows = []
     for p in p_grid:
-        cfg = replace(config, p=float(p))
-        n = _effective_n(cfg)
+        cfg = replace(config, n=n, p=float(p))
         stats = run_ensemble(cfg)
         pred = _matching_prediction(cfg, n, float(p))
         rec = compare(stats, pred)
-        pred_val = pred.value / LN2 if config.log_base == "bits" else pred.value
         rows.append(SweepRow(p=float(p), n=n, stats=stats,
-                             predicted=pred_val, relative_gap=rec.relative_gap))
+                             predicted=to_log_base(pred.value, config.log_base),
+                             relative_gap=rec.relative_gap))
     return rows
 
 
@@ -253,7 +236,7 @@ def compare(stats: EnsembleStats, prediction: PredictionResult) -> ComparisonRec
     if not ok:
         raise InvalidArgumentError(
             f"metric kind mismatch: ensemble {stats.kind!r} vs prediction {prediction.kind!r}")
-    value = prediction.value / LN2 if stats.log_base == "bits" else prediction.value
+    value = to_log_base(prediction.value, stats.log_base)
     gap = abs(stats.mean - value) / max(abs(value), 1e-12)
     if stats.stderr > 0:
         z = (stats.mean - value) / stats.stderr

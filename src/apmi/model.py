@@ -6,10 +6,13 @@ Gaussian with a diagonal spectral covariance d (the prior), and the noise
 combines a thermal floor W with signal-dependent shot noise rho*J.
 Everything downstream (exact MI, asymptotic predictors, ensembles) consumes
 the two quantities defined here: the per-frequency weight vector d and the
-inverse noise power gamma = 1/(W + rho*J).
+inverse noise power gamma = 1/(W + rho*J).  The odd-n policy of the 1/f
+formulas and the nats-to-bits conversion live here too.
 """
 
 import enum
+import math
+import warnings
 from dataclasses import dataclass
 
 import numpy as np
@@ -22,7 +25,11 @@ __all__ = [
     "spectral_weights",
     "gamma",
     "db_to_linear",
+    "effective_n",
+    "to_log_base",
 ]
+
+LN2 = math.log(2.0)
 
 
 class ScenePrior(enum.Enum):
@@ -75,9 +82,12 @@ def spectral_weights(prior: ScenePrior, n: int) -> np.ndarray:
     """Per-frequency scene weights d, DC at index 0.
 
     For the IID prior every entry is 1.  For the 1/f prior the weights decay
-    with frequency index away from DC.  Even n uses the doubled block
-    [1, 1/2, ..., 2/n, 1, 1/2, ..., 2/n]; odd n pairs the mirror frequencies
+    with frequency index away from DC.  Odd n pairs the mirror frequencies
     (k, n+2-k) at weight 1/k for k = 2..(n+1)/2, with the DC weight 1.
+    Even n uses the doubled block [1, 1/2, ..., 2/n, 1, 1/2, ..., 2/n], which
+    is not Hermitian-symmetric (n = 8: d[1] = 1/2 but d[7] = 1/4), so an
+    even-n 1/f MI is the MI of no real-valued scene.  That convention is
+    kept as is; predictors and ensembles run at odd n (effective_n).
 
     Parameters
     ----------
@@ -127,4 +137,28 @@ def gamma(noise: NoiseModel, rho: float) -> float:
 
 def db_to_linear(x_db: float) -> float:
     """Convert a power ratio in dB to linear units (10^(x/10))."""
-    return float(10.0 ** (x_db / 10.0))
+    try:
+        value = float(10.0 ** (x_db / 10.0))
+    except OverflowError:
+        value = math.inf
+    if not math.isfinite(value):
+        raise InvalidArgumentError(f"{x_db} dB has no finite linear value")
+    return value
+
+
+def effective_n(prior: ScenePrior, n: int) -> int:
+    """System size of the 1/f formulas: they pair mirror frequencies, so an
+    even n is reduced by one, with a UserWarning.  IID n passes unchanged."""
+    if prior is ScenePrior.ONE_OVER_F and n % 2 == 0:
+        warnings.warn(f"n reduced to {n - 1} (odd-n formula)", stacklevel=2)
+        return n - 1
+    return n
+
+
+def to_log_base(nats, log_base: str):
+    """Express a value (or an array) given in nats in log_base, 'nats' or 'bits'."""
+    if log_base == "nats":
+        return nats
+    if log_base == "bits":
+        return nats / LN2
+    raise InvalidArgumentError(f"log_base must be 'nats' or 'bits', got {log_base!r}")

@@ -16,6 +16,7 @@ from enum import Enum
 import numpy as np
 
 from .errors import FlatnessCheckError, InvalidArgumentError
+from .spectral import circulant_spectrum
 
 __all__ = [
     "PatternFamily",
@@ -26,7 +27,6 @@ __all__ = [
     "gen_mura",
     "gen_bernoulli",
     "gen_uniform",
-    "transmissivity",
     "save_pattern",
     "load_pattern",
 ]
@@ -81,19 +81,14 @@ class AperturePattern:
         return float(self.values.mean())
 
 
-def transmissivity(pattern: AperturePattern) -> float:
-    """Fraction of light passed by the aperture (mean of the entries)."""
-    return pattern.rho
-
-
 ####################### spectral self-check #######################
 
-def _spectral_levels(a: np.ndarray) -> dict:
-    """Measure the DC gain and bulk power-spectrum statistics of a row."""
-    lam_sq = np.abs(np.fft.fft(a)) ** 2
-    bulk = lam_sq[1:]
+def _levels(a: np.ndarray) -> dict:
+    """DC gain and bulk power-spectrum statistics of a row."""
+    spec = circulant_spectrum(a)
+    bulk = spec.lambda_sq[1:]
     return {
-        "lambda1": float(np.real(np.sum(a))),
+        "lambda1": spec.lambda1,
         "bulk_mean": float(bulk.mean()),
         "bulk_min": float(bulk.min()),
         "bulk_max": float(bulk.max()),
@@ -103,7 +98,7 @@ def _spectral_levels(a: np.ndarray) -> dict:
 def _check_flat(a: np.ndarray, where: str) -> dict:
     """Verify DC = (n+1)/2 and per-bin bulk flatness at (n+1)/4."""
     n = a.size
-    levels = _spectral_levels(a)
+    levels = _levels(a)
     target_dc = (n + 1) / 2
     target_bulk = (n + 1) / 4
     dev = max(abs(levels["bulk_min"] - target_bulk),
@@ -233,7 +228,7 @@ def gen_mura(n: int) -> AperturePattern:
         if pow(i, (n - 1) // 2, n) == 1:
             a[i] = 1.0
 
-    levels = _spectral_levels(a)
+    levels = _levels(a)
     target_dc = (n + 1) / 2
     target_mean = (n + 1) / 4
     if levels["lambda1"] != target_dc or \

@@ -6,8 +6,9 @@ the Gaussian channel splits into one log term per frequency:
     I_total = sum_k log(gamma * d_k * |lambda_k|^2 / n + 1)
 
 with lambda = DFT of the aperture row (unnormalized, DC at index 0),
-d the scene prior weights and gamma the inverse noise power.  All logs
-are natural; "bits" rescales by 1/ln 2 at the end.
+d the scene prior weights and gamma the inverse noise power.  Every exact MI,
+per pattern or per ensemble trial, goes through power_spectrum (the package's
+one FFT) and mi_sums.  Logs are natural; "bits" rescales at the end.
 """
 
 import math
@@ -16,28 +17,19 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import InvalidArgumentError
-from .model import NoiseModel, ScenePrior, gamma, spectral_weights
-from .patterns import AperturePattern
+from .model import NoiseModel, ScenePrior, gamma, spectral_weights, to_log_base
 
 __all__ = [
     "SpectrumResult",
     "MIResult",
+    "power_spectrum",
+    "mi_sums",
     "circulant_spectrum",
     "mutual_information",
     "mi_excluding_dc",
     "jensen_bound",
     "mi_from_spectrum",
 ]
-
-LN2 = math.log(2.0)
-
-
-def _log_scale(log_base: str) -> float:
-    if log_base == "nats":
-        return 1.0
-    if log_base == "bits":
-        return 1.0 / LN2
-    raise InvalidArgumentError(f"log_base must be 'nats' or 'bits', got {log_base!r}")
 
 
 @dataclass(frozen=True)
@@ -65,26 +57,37 @@ class SpectrumResult:
 class MIResult:
     total: float
     per_pixel: float
+    per_pixel_excl_dc: float  # (total - DC term) / n
     log_base: str
 
 
-def circulant_spectrum(pattern: AperturePattern | np.ndarray) -> SpectrumResult:
-    """DFT power spectrum of an aperture row (or any real row vector)."""
-    a = pattern.values if isinstance(pattern, AperturePattern) else np.asarray(pattern, dtype=float)
+def power_spectrum(a: np.ndarray) -> np.ndarray:
+    """|lambda_k|^2 of a real 1D row, DC first; unchecked (per-trial hot path)."""
+    return np.abs(np.fft.fft(a)) ** 2
+
+
+def mi_sums(lambda_sq: np.ndarray, weights: np.ndarray, gamma_: float) -> tuple[float, float]:
+    """Total MI in nats and the same total with the DC term removed."""
+    terms = np.log1p(gamma_ * weights * lambda_sq / lambda_sq.size)
+    total = float(terms.sum())
+    return total, total - float(terms[0])
+
+
+def circulant_spectrum(pattern) -> SpectrumResult:
+    """DFT power spectrum of an aperture pattern (or any real row vector)."""
+    a = np.asarray(getattr(pattern, "values", pattern), dtype=float)
     if a.ndim != 1 or a.size < 1:
         raise InvalidArgumentError("need a nonempty 1D row")
-    lam = np.fft.fft(a)
-    lam_sq = np.abs(lam) ** 2
-    return SpectrumResult(lambda1=float(lam[0].real), lambda_sq=lam_sq)
+    return SpectrumResult(lambda1=float(a.sum()), lambda_sq=power_spectrum(a))
 
 
 def mi_from_spectrum(lambda_sq: np.ndarray, weights: np.ndarray, gamma_: float) -> float:
     """Total MI in nats given the squared spectrum, prior weights and gamma."""
-    return float(np.log1p(gamma_ * weights * lambda_sq / lambda_sq.size).sum())
+    return mi_sums(lambda_sq, weights, gamma_)[0]
 
 
-def mutual_information(pattern: AperturePattern, prior: ScenePrior,
-                       noise: NoiseModel, log_base: str = "nats") -> MIResult:
+def mutual_information(pattern, prior: ScenePrior, noise: NoiseModel,
+                       log_base: str = "nats") -> MIResult:
     """Exact MI of the circulant system built from `pattern`.
 
     gamma is computed from the pattern's realized transmissivity (mean of
@@ -92,34 +95,29 @@ def mutual_information(pattern: AperturePattern, prior: ScenePrior,
 
     Returns
     -------
-    MIResult with the total over all n frequencies and the per-pixel value
-    total/n, in the requested log base.
+    MIResult with the total over all n frequencies, the per-pixel value
+    total/n and the bulk per-pixel value with the DC term removed, all from
+    one FFT and in the requested log base.
     """
-    scale = _log_scale(log_base)
-    d = spectral_weights(prior, pattern.n)
-    g = gamma(noise, pattern.rho)
-    spec = circulant_spectrum(pattern)
-    total = mi_from_spectrum(spec.lambda_sq, d, g) * scale
-    return MIResult(total=total, per_pixel=total / pattern.n, log_base=log_base)
+    n = pattern.n
+    total, bulk = mi_sums(circulant_spectrum(pattern).lambda_sq,
+                          spectral_weights(prior, n), gamma(noise, pattern.rho))
+    total = to_log_base(total, log_base)
+    return MIResult(total=total, per_pixel=total / n,
+                    per_pixel_excl_dc=to_log_base(bulk, log_base) / n, log_base=log_base)
 
 
-def mi_excluding_dc(pattern: AperturePattern, noise: NoiseModel,
-                    log_base: str = "nats") -> float:
+def mi_excluding_dc(pattern, noise: NoiseModel, log_base: str = "nats") -> float:
     """Bulk per-pixel MI under the IID prior, DC term removed.
 
     (1/n) * sum_{k>=2} log(gamma |lambda_k|^2 / n + 1).  This is the
     quantity the large-n limit theorems describe: the DC contribution is
     O(log n / n) and vanishes in the limit but biases finite-n comparisons.
     """
-    scale = _log_scale(log_base)
-    g = gamma(noise, pattern.rho)
-    spec = circulant_spectrum(pattern)
-    n = spec.n
-    return float(np.log1p(g * spec.lambda_sq[1:] / n).sum()) * scale / n
+    return mutual_information(pattern, ScenePrior.IID, noise, log_base).per_pixel_excl_dc
 
 
-def jensen_bound(pattern: AperturePattern, noise: NoiseModel,
-                 log_base: str = "nats") -> float:
+def jensen_bound(pattern, noise: NoiseModel, log_base: str = "nats") -> float:
     """Concavity upper bound on the bulk per-pixel MI (IID prior).
 
         (n-1)/n * log(gamma * S / ((n-1) n) + 1),  S = sum_{k>=2} |lambda_k|^2
@@ -127,11 +125,10 @@ def jensen_bound(pattern: AperturePattern, noise: NoiseModel,
     It dominates mi_excluding_dc for every pattern and is attained exactly
     when all off-DC eigenvalue magnitudes are equal (spectrally flat masks).
     """
-    scale = _log_scale(log_base)
     g = gamma(noise, pattern.rho)
     spec = circulant_spectrum(pattern)
     n = spec.n
     if n < 2:
         raise InvalidArgumentError("bound needs n >= 2")
-    s = spec.bulk_power
-    return (n - 1) / n * math.log1p(g * s / ((n - 1) * n)) * scale
+    return to_log_base((n - 1) / n * math.log1p(g * spec.bulk_power / ((n - 1) * n)),
+                       log_base)

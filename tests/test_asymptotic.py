@@ -210,6 +210,11 @@ class TestFlatIID:
         with pytest.raises(InvalidArgumentError):
             predict_flat_iid(0.0, 0.0)
 
+    def test_rejects_half_shot_noise_underflow(self):
+        # a valid NoiseModel whose J/2 rounds to zero: W + J/2 is still checked
+        with pytest.raises(InvalidArgumentError, match=r"W \+ J/2 must be positive"):
+            predict_flat_iid(0.0, 5e-324)
+
 
 class TestBernoulliIID:
     def test_frozen_half(self):

@@ -22,6 +22,22 @@ def run(capsys, *argv):
     return code, captured.out, captured.err
 
 
+def run_subprocess(*argv, timeout=60):
+    """Run the CLI in a fresh interpreter, killed after `timeout` seconds."""
+    src = str(Path(apmi.__file__).resolve().parent.parent)
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+        filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    return subprocess.run([sys.executable, "-m", "apmi.cli", *argv], env=env,
+                          capture_output=True, text=True, timeout=timeout)
+
+
+def strict_json(text):
+    """json.loads that refuses NaN and Infinity, which are not JSON."""
+    def reject(constant):
+        raise ValueError(f"not JSON: {constant}")
+    return json.loads(text, parse_constant=reject)
+
+
 def read_csv(path):
     with open(path, newline="") as fh:
         header_line = fh.readline().rstrip("\n")
@@ -127,6 +143,12 @@ class TestMi:
         code, _, err = run(capsys, "mi", "--family", "pinhole", "--n", "4")
         assert code == 2 and "required" in err
 
+    def test_w_db_overflow_exits_2(self, capsys):
+        code, out, err = run(capsys, "mi", "--family", "pinhole", "--n", "4",
+                             "--W-db", "4000")
+        assert code == 2 and out == ""
+        assert err == "error: 4000.0 dB has no finite linear value\n"
+
 
 class TestPredict:
     def test_flat_iid(self, capsys):
@@ -151,6 +173,19 @@ class TestPredict:
         assert code == 0
         assert "n reduced to 249 (odd-n formula)" in err
         assert json.loads(out)["n"] == 249
+
+    @pytest.mark.parametrize("argv", [
+        ("predict", "flat-1f", "--n", "250", "--W", "0.01"),
+        ("optimize-p", "--prior", "1f", "--n", "250", "--W", "0.01"),
+        ("sweep", "--prior", "1f", "--n", "250", "--trials", "2",
+         "--p-grid", "0.3,0.5", "--W", "0.01"),
+        ("reproduce", "fig3", "--n", "250", "--trials", "2", "--p-grid", "0.3,0.5"),
+    ])
+    def test_onef_parity_warning_is_one_line(self, capsys, tmp_path, argv):
+        code, _, err = run(capsys, *argv, "--out", str(tmp_path / "out"))
+        assert code == 0
+        assert err.replace(f"wrote {tmp_path / 'out'}\n", "") == \
+            "warning: n reduced to 249 (odd-n formula)\n"
 
     def test_missing_p_exits_2(self, capsys):
         code, _, err = run(capsys, "predict", "bernoulli-1f", "--n", "250",
@@ -197,6 +232,22 @@ class TestOptimizeP:
         assert code == 2
         assert "--n is required" in err
 
+    @pytest.mark.parametrize("tol", ["0", "-1", "nan", "inf"])
+    def test_bad_tol_exits_2(self, tol):
+        proc = run_subprocess("optimize-p", "--prior", "1f", "--n", "101",
+                              "--W", "0.01", "--tol", tol)
+        assert proc.returncode == 2
+        assert proc.stdout == ""
+        assert proc.stderr == f"error: tol must be finite and positive, got {float(tol)}\n"
+
+    def test_tol_below_float_resolution_returns(self):
+        proc = run_subprocess("optimize-p", "--prior", "1f", "--n", "101",
+                              "--W", "0.01", "--tol", "1e-300")
+        assert proc.returncode == 0, proc.stderr
+        payload = strict_json(proc.stdout)
+        assert payload["tol"] == 1e-300
+        assert 0.005 < payload["p_star"] < 0.995
+
 
 class TestSweep:
     def test_csv_schema_and_determinism(self, capsys, tmp_path):
@@ -234,6 +285,17 @@ class TestSweep:
                            "--out", str(tmp_path / "x.csv"))
         assert code == 2
         assert not (tmp_path / "x.csv").exists()
+
+    @pytest.mark.parametrize("grid", ["0.1:0.9:1e-12", "0.1:inf:0.1"])
+    def test_oversized_grid_rejected(self, capsys, tmp_path, grid):
+        code, out, err = run(capsys, "sweep", "--n", "32", "--trials", "4",
+                             "--W", "1", "--p-grid", grid,
+                             "--out", str(tmp_path / "x.csv"))
+        assert code == 2 and out == ""
+        assert err == (f"error: grid {grid!r} has more than "
+                       f"{cli_module.MAX_GRID_POINTS} points\n")
+        assert not (tmp_path / "x.csv").exists()
+        assert len(cli_module._parse_p_grid("0.05:0.95:0.05")) == 19
 
     def test_empty_grid_rejected(self, capsys, tmp_path):
         """An explicitly empty grid (e.g. unset shell var) is a usage error."""

@@ -70,6 +70,11 @@ class TestConfigValidation:
             bernoulli_config(family="gaussian", p=None,
                              noise=NoiseModel(0.0, 1.0), rho_j_fixed=0.0)
 
+    @pytest.mark.parametrize("rho_j", [-1.0, math.nan, math.inf])
+    def test_gaussian_fixed_product_validated_as_noise(self, rho_j):
+        with pytest.raises(InvalidArgumentError, match="noise powers"):
+            bernoulli_config(family="gaussian", p=None, rho_j_fixed=rho_j)
+
     def test_rejects_bad_switches(self):
         with pytest.raises(InvalidArgumentError):
             bernoulli_config(metric="median")

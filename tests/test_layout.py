@@ -1,0 +1,38 @@
+"""Each concept is computed in one place: guards against the copies that the
+package once had (several FFT -> log1p sums, several nats-to-bits
+conversions, two odd-n reducers) growing back."""
+
+import inspect
+import re
+from pathlib import Path
+
+import apmi
+from apmi import model
+
+PACKAGE = Path(apmi.__file__).resolve().parent
+
+
+def occurrences(pattern: str) -> dict[str, int]:
+    """Source file name -> number of matches of `pattern`, for files with any."""
+    found = {}
+    for path in sorted(PACKAGE.glob("*.py")):
+        count = len(re.findall(pattern, path.read_text()))
+        if count:
+            found[path.name] = count
+    return found
+
+
+def test_one_fft_call_site():
+    assert occurrences(r"np\.fft\.fft\(") == {"spectral.py": 1}
+
+
+def test_one_log_base_conversion():
+    assert occurrences(r"/\s*LN2\b") == {"model.py": 1}
+    assert re.search(r"/\s*LN2\b", inspect.getsource(model.to_log_base))
+    # no other module holds its own ln 2 either
+    assert set(occurrences(r"\bLN2\b")) == {"model.py"}
+    assert occurrences(r"log\(2") == {"model.py": 1}
+
+
+def test_one_odd_n_reducer():
+    assert occurrences("odd-n formula") == {"model.py": 1}

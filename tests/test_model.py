@@ -15,6 +15,7 @@ from apmi import (
     gamma,
     spectral_weights,
 )
+from apmi.model import LN2, effective_n, to_log_base
 
 
 class TestSpectralWeights:
@@ -129,3 +130,31 @@ class TestDbToLinear:
     def test_additivity(self, a, b):
         assert db_to_linear(a + b) == pytest.approx(
             db_to_linear(a) * db_to_linear(b), rel=1e-12)
+
+    @pytest.mark.parametrize("x_db", [4000.0, math.inf, math.nan])
+    def test_no_finite_value_rejected(self, x_db):
+        with pytest.raises(InvalidArgumentError, match="no finite linear value"):
+            db_to_linear(x_db)
+
+
+class TestEffectiveN:
+    def test_even_one_over_f_reduced_with_warning(self):
+        with pytest.warns(UserWarning, match=r"n reduced to 249 \(odd-n formula\)"):
+            assert effective_n(ScenePrior.ONE_OVER_F, 250) == 249
+
+    @pytest.mark.parametrize("prior, n", [(ScenePrior.ONE_OVER_F, 249),
+                                          (ScenePrior.IID, 250)])
+    def test_unchanged_without_warning(self, prior, n, recwarn):
+        assert effective_n(prior, n) == n
+        assert len(recwarn) == 0
+
+
+class TestToLogBase:
+    def test_bases(self):
+        assert to_log_base(1.5, "nats") == 1.5
+        assert to_log_base(1.5, "bits") == 1.5 / LN2
+        np.testing.assert_array_equal(to_log_base(np.array([LN2, 0.0]), "bits"), [1.0, 0.0])
+
+    def test_unknown_base_rejected(self):
+        with pytest.raises(InvalidArgumentError, match="log_base"):
+            to_log_base(1.0, "decibans")

@@ -21,7 +21,6 @@ from apmi import (
     gen_uniform,
     load_pattern,
     save_pattern,
-    transmissivity,
 )
 from apmi.patterns import MLS_POLYNOMIALS
 
@@ -41,7 +40,7 @@ class TestPinhole:
     def test_examples(self):
         np.testing.assert_array_equal(gen_pinhole(4).values, [1, 0, 0, 0])
         np.testing.assert_array_equal(gen_pinhole(1).values, [1])
-        assert transmissivity(gen_pinhole(8)) == pytest.approx(1 / 8)
+        assert gen_pinhole(8).rho == pytest.approx(1 / 8)
 
     def test_invalid_n(self):
         with pytest.raises(InvalidArgumentError):
@@ -199,7 +198,7 @@ class TestAperturePattern:
     @settings(max_examples=25, deadline=None)
     def test_transmissivity_is_mean(self, n, seed):
         pattern = gen_uniform(n, seed)
-        assert transmissivity(pattern) == pytest.approx(
+        assert pattern.rho == pytest.approx(
             float(pattern.values.mean()), rel=1e-12)
 
 
