@@ -72,6 +72,8 @@ class EnsembleConfig:
             raise InvalidArgumentError(f"need n >= 2, got {self.n}")
         if self.trials < 2:
             raise InvalidArgumentError(f"need trials >= 2, got {self.trials}")
+        if self.master_seed < 0:
+            raise InvalidArgumentError(f"need master_seed >= 0, got {self.master_seed}")
         if self.family not in FAMILIES:
             raise InvalidArgumentError(f"family must be one of {FAMILIES}, got {self.family!r}")
         if self.metric is not None and self.metric not in METRICS:

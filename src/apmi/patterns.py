@@ -246,6 +246,8 @@ def gen_bernoulli(n: int, p: float, seed: int) -> AperturePattern:
         raise InvalidArgumentError(f"need n >= 1, got {n}")
     if not 0.0 <= p <= 1.0:
         raise InvalidArgumentError(f"p must lie in [0, 1], got {p}")
+    if seed < 0:
+        raise InvalidArgumentError(f"need seed >= 0, got {seed}")
     rng = np.random.default_rng(seed)
     a = (rng.random(n) < p).astype(float)
     return AperturePattern(a, PatternFamily.BERNOULLI, seed=seed,
@@ -256,6 +258,8 @@ def gen_uniform(n: int, seed: int) -> AperturePattern:
     """Gray-scale mask with entries drawn uniformly from [0, 1)."""
     if n < 1:
         raise InvalidArgumentError(f"need n >= 1, got {n}")
+    if seed < 0:
+        raise InvalidArgumentError(f"need seed >= 0, got {seed}")
     rng = np.random.default_rng(seed)
     return AperturePattern(rng.random(n), PatternFamily.UNIFORM, seed=seed)
 

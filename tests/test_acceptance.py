@@ -11,17 +11,14 @@ import math
 import numpy as np
 import pytest
 
+from apmi import checks
 from apmi import (
     EnsembleConfig,
     NoiseModel,
     ScenePrior,
-    circulant_spectrum,
     compare,
     explog_exp1,
-    gen_bernoulli,
     gen_mls,
-    gen_pinhole,
-    jensen_bound,
     mi_excluding_dc,
     mutual_information,
     optimal_p_iid,
@@ -42,33 +39,26 @@ def report(num: int, ok: bool, detail: str) -> None:
     assert ok, line
 
 
+def run_check(num: int, check, *args):
+    """Run a shared check from apmi.checks; a failure gets its FAIL line."""
+    try:
+        return check(*args)
+    except AssertionError as exc:
+        report(num, False, str(exc))
+
+
 class TestAcceptance:
     def test_criterion_01_mls_spectral_flatness(self):
         """Degrees 3..12: bulk |lambda_k|^2 flat at (n+1)/4 within 1e-6*n,
         DC exactly (n+1)/2."""
-        worst = 0.0
-        for degree in range(3, 13):
-            pattern = gen_mls(degree)
-            n = pattern.n
-            spec = circulant_spectrum(pattern)
-            assert spec.lambda1 == (n + 1) / 2
-            dev = float(np.max(np.abs(spec.lambda_sq[1:] - (n + 1) / 4)))
-            worst = max(worst, dev / (1e-6 * n))
-            if dev > 1e-6 * n:
-                report(1, False, f"degree {degree}: bulk deviation {dev:.3e}")
+        worst = run_check(1, checks.mls_flatness, range(3, 13))
         report(1, True, f"degrees 3..12 flat; worst deviation at "
                         f"{worst:.2e} of the 1e-6*n budget")
 
     def test_criterion_02_pinhole_equivalence(self):
-        """Exact MI of a pinhole equals ln(1/(nW+J)+1) to 1e-12 relative."""
-        worst = 0.0
-        for n in (2, 5, 64, 257):
-            for W, J in ((0.0, 1.0), (0.01, 1.0), (1.0, 1.0)):
-                exact = mutual_information(gen_pinhole(n), ScenePrior.IID,
-                                           NoiseModel(W, J)).per_pixel
-                closed = math.log(1 / (n * W + J) + 1)
-                rel = abs(exact - closed) / closed
-                worst = max(worst, rel)
+        """Exact MI of a pinhole equals ln(1/(nW+J)+1), and predict_pinhole,
+        to 1e-12 relative."""
+        worst = run_check(2, checks.pinhole_identity)
         report(2, worst <= 1e-12,
                f"12 (n, W, J) combinations; worst relative error {worst:.2e}")
 
@@ -131,23 +121,8 @@ class TestAcceptance:
         """200 random binary masks at n=255: concavity bound dominates the
         bulk MI, with equality only for the flat mask; off-DC power equals
         n*s - s^2 for every binary mask."""
-        noise = NoiseModel(0.01, 1.0)
-        n = 255
-        dominated, frobenius_ok = True, True
-        for seed in range(200):
-            pattern = gen_bernoulli(n, 0.5, seed=seed)
-            bound = jensen_bound(pattern, noise)
-            bulk = mi_excluding_dc(pattern, noise)
-            dominated &= bound >= bulk
-            s = pattern.values.sum()
-            power = circulant_spectrum(pattern).bulk_power
-            frobenius_ok &= abs(power - (n * s - s * s)) <= 1e-9 * n * n
-        mls = gen_mls(8)
-        eq_gap = abs(jensen_bound(mls, noise) - mi_excluding_dc(mls, noise))
-        s = mls.values.sum()
-        frobenius_ok &= abs(circulant_spectrum(mls).bulk_power
-                            - (n * s - s * s)) <= 1e-9 * n * n
-        report(6, dominated and frobenius_ok and eq_gap <= 1e-9,
+        eq_gap = run_check(6, checks.jensen_frobenius, range(200))
+        report(6, eq_gap <= 1e-9,
                f"bound >= bulk on 200 masks; flat-mask equality gap "
                f"{eq_gap:.1e} (<= 1e-9); off-DC power exact")
 

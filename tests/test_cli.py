@@ -298,12 +298,14 @@ class TestSweep:
         assert len(cli_module._parse_p_grid("0.05:0.95:0.05")) == 19
 
     def test_empty_grid_rejected(self, capsys, tmp_path):
-        """An explicitly empty grid (e.g. unset shell var) is a usage error."""
-        code, _, err = run(capsys, "sweep", "--n", "32", "--trials", "4",
-                           "--W", "1", "--p-grid", "",
-                           "--out", str(tmp_path / "x.csv"))
-        assert code == 2 and "empty p grid" in err
-        assert not (tmp_path / "x.csv").exists()
+        """An explicitly empty grid (e.g. unset shell var), a range that
+        stops below its start, or a list of no values is a usage error."""
+        for grid in ("", "0.9:0.1:0.1", ","):
+            code, _, err = run(capsys, "sweep", "--n", "32", "--trials", "4",
+                               "--W", "1", "--p-grid", grid,
+                               "--out", str(tmp_path / "x.csv"))
+            assert code == 2 and "empty p grid" in err
+            assert not (tmp_path / "x.csv").exists()
 
     @pytest.mark.parametrize("grid", ["a:b:c", "0.5,x"])
     def test_non_numeric_grid_rejected(self, capsys, tmp_path, grid):
@@ -385,6 +387,14 @@ class TestConfigFile:
                          "--family", "pinhole", "--n", "4", "--W", "1")
         assert code == 2
 
+    def test_non_utf8_config_file(self, capsys, tmp_path):
+        cfg = tmp_path / "run.cfg"
+        cfg.write_bytes(b"W = 0.5\n\xff\xfe = 1\n")
+        code, out, err = run(capsys, "mi", "--config", str(cfg),
+                             "--family", "pinhole", "--n", "4")
+        assert code == 2 and out == ""
+        assert err.startswith(f"error: {cfg}: ") and err.count("\n") == 1
+
     def test_missing_config_file(self, capsys):
         code, _, _ = run(capsys, "mi", "--config", "/nonexistent.cfg",
                          "--family", "pinhole", "--n", "4", "--W", "1")
@@ -431,6 +441,51 @@ class TestReproduce:
         assert code == 0
         assert "checks passed" in out
         assert "FAIL" not in out
+
+    def test_selftest_checks_survive_optimize_flag(self):
+        """The checks raise explicitly, so `python -O` (which strips assert
+        statements) still runs every one of them."""
+        src = str(Path(apmi.__file__).resolve().parent.parent)
+        env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+            filter(None, [src, os.environ.get("PYTHONPATH")]))}
+        proc = subprocess.run([sys.executable, "-O", "-m", "apmi.cli", "reproduce", "selftest"],
+                              env=env, capture_output=True, text=True, timeout=120)
+        assert proc.returncode == 0, proc.stdout + proc.stderr
+        names = ["model basics (weights, gamma, dB)",
+                 "MLS spectral flatness, degrees 3..10",
+                 "MURA self-check and pinhole spectrum",
+                 "pinhole MI identity",
+                 "exponential-expectation kernel",
+                 "p* stationarity and 0.01-grid dominance",
+                 "flat predictor beats Bernoulli(1/2)",
+                 "Jensen bound and Frobenius identity",
+                 "ensemble determinism across workers"]
+        assert proc.stdout.splitlines() == (
+            [f"ok    {name}" for name in names] + ["selftest: 9/9 checks passed"])
+
+    def test_fig2_points_bounded(self, tmp_path):
+        out_csv = tmp_path / "fig2.csv"
+        proc = run_subprocess("reproduce", "fig2", "--points", "3000000",
+                              "--out", str(out_csv))
+        assert proc.returncode == 2 and proc.stdout == ""
+        assert proc.stderr == (f"error: --points must be <= "
+                               f"{cli_module.MAX_GRID_POINTS}, got 3000000\n")
+        assert not out_csv.exists()
+
+
+@pytest.mark.parametrize("argv", [
+    ("mi", "--family", "bernoulli", "--n", "8", "--p", "0.5", "--W", "1"),
+    ("mi", "--family", "uniform", "--n", "8", "--W", "1"),
+    ("generate", "--family", "bernoulli", "--n", "8", "--p", "0.5"),
+    ("generate", "--family", "uniform", "--n", "8"),
+    ("sweep", "--n", "8", "--trials", "2", "--p-grid", "0.5", "--W", "1"),
+    ("reproduce", "fig3", "--n", "8", "--trials", "2", "--p-grid", "0.5"),
+])
+def test_negative_seed_exits_2(capsys, tmp_path, argv):
+    code, out, err = run(capsys, *argv, "--seed", "-1", "--out", str(tmp_path / "out"))
+    assert code == 2 and out == ""
+    assert err.startswith("error: ") and err.count("\n") == 1 and "got -1" in err
+    assert list(tmp_path.iterdir()) == []
 
 
 def test_cli_import_loads_no_scipy():

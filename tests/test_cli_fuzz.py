@@ -1,0 +1,99 @@
+"""Fuzz of the CLI error contract: whatever the arguments and config lines,
+`apmi` exits 0, 2 or 3, raises no exception out of `main` (a traceback),
+leaves no temporary file behind, writes nothing when it fails, and never
+writes a CSV without a data row."""
+
+import contextlib
+import io
+import tempfile
+from pathlib import Path
+
+from hypothesis import example, given, settings, strategies as st
+
+from apmi.cli import PATTERNS, PREDICTORS, main
+from apmi.ensemble import METRICS, RHO_MODES
+
+# Every option that sets an amount of work (n, degree, trials, grid, points,
+# workers) is always given on the command line, so it wins over any config
+# line and the work stays small: n <= 64, degree <= 10, trials <= 8,
+# <= 5 grid points, points <= 50, one worker.
+# Valid values are drawn three times as often as arbitrary ones, so that
+# many draws get past argument parsing into the numerical code.
+numbers = st.one_of(st.floats(0, 1), st.floats(0, 1), st.floats(0, 100), st.floats(),
+                    st.integers(-3, 3)).map(str)
+seeds = st.integers()
+grids = st.one_of(st.lists(st.floats(0.01, 0.99).map(str), min_size=1, max_size=5),
+                  st.lists(numbers, max_size=5)).map(",".join) | st.text(max_size=6)
+
+
+def choice(*values):
+    """One of `values`, or (one time in four) an arbitrary short string."""
+    valid = st.sampled_from(values)
+    return st.one_of(valid, valid, valid, st.text(max_size=8))
+
+
+def always(name, values):
+    return values.map(lambda v: f"--{name}={v}")
+
+
+def maybe(name, values):
+    return st.one_of(st.none(), always(name, values))
+
+
+NOISE = (st.one_of(always("W", numbers), always("W", numbers), always("W-db", numbers),
+                   st.none()),
+         st.one_of(st.none(), st.none(), st.none(), always("W-db", numbers)),
+         maybe("J", numbers), maybe("log-base", choice("nats", "bits")))
+PATTERN = (always("family", choice(*PATTERNS)), always("n", st.integers(-2, 64)),
+           always("degree", st.integers(-1, 10)), maybe("p", numbers), maybe("seed", seeds))
+ENSEMBLE = (always("n", st.integers(-2, 64)), always("trials", st.integers(-1, 8)),
+            always("p-grid", grids), maybe("seed", seeds), maybe("metric", choice(*METRICS)),
+            maybe("rho-mode", choice(*RHO_MODES)), st.just("--workers=1"))
+PRIOR = maybe("prior", choice("iid", "1f"))
+
+ARGV = st.one_of(
+    st.tuples(st.just("generate"), *PATTERN),
+    st.tuples(st.just("mi"), *PATTERN, PRIOR, *NOISE),
+    st.tuples(st.just("predict"), choice(*PREDICTORS), always("n", st.integers(-2, 64)),
+              maybe("p", numbers), maybe("rho-j", numbers),
+              maybe("form", choice("midsum", "closed")), maybe("bulk-variance", numbers),
+              *NOISE),
+    st.tuples(st.just("optimize-p"), PRIOR, always("n", st.integers(-2, 64)),
+              maybe("tol", numbers), *NOISE),
+    st.tuples(st.just("sweep"), PRIOR, *ENSEMBLE, *NOISE),
+    st.tuples(st.just("reproduce"), st.sampled_from(["fig2", "fig3"]),
+              always("points", st.integers(-1, 50)), *ENSEMBLE, *NOISE),
+).map(lambda tokens: [t for t in tokens if t is not None])
+
+CONFIG_KEYS = ("W", "W-db", "J", "log-base", "prior", "family", "p", "seed", "metric",
+               "rho-mode", "rho-j", "form", "tol", "pattern-file", "out", "h")
+pairs = st.tuples(st.sampled_from(CONFIG_KEYS), st.one_of(numbers, st.text(max_size=8)))
+CONFIG = st.one_of(
+    st.lists(st.one_of(pairs.map(" = ".join), pairs.map("=".join), st.text(max_size=20)),
+             max_size=3).map(lambda lines: "\n".join(lines).encode("utf-8", "surrogatepass")),
+    st.just(b""),
+    st.binary(max_size=20),
+)
+
+
+@settings(max_examples=150, deadline=None)
+@given(ARGV, CONFIG)
+@example(["sweep", "--n=8", "--trials=2", "--p-grid=0.5", "--seed=-1", "--workers=1",
+          "--W=1"], b"")
+@example(["sweep", "--n=8", "--trials=2", "--p-grid=,", "--workers=1", "--W=1"], b"")
+def test_error_contract(argv, config):
+    with tempfile.TemporaryDirectory() as tmp:
+        cfg = Path(tmp) / "run.cfg"
+        cfg.write_bytes(config)
+        out = Path(tmp) / "out.csv"
+        stdout, stderr = io.StringIO(), io.StringIO()
+        with contextlib.redirect_stdout(stdout), contextlib.redirect_stderr(stderr):
+            code = main([*argv, f"--out={out}", "--config", str(cfg)])
+        assert code in (0, 2, 3), (code, stderr.getvalue())
+        assert "Traceback" not in stderr.getvalue()
+        written = sorted(p.name for p in Path(tmp).iterdir() if p != cfg)
+        assert not [name for name in written if name.endswith(".tmp")], written
+        if code != 0:
+            assert written == [], (code, written, stderr.getvalue())
+        if out.exists() and argv[0] in ("sweep", "reproduce"):
+            assert len(out.read_text().splitlines()) >= 2, out.read_text()
