@@ -71,6 +71,7 @@ from .patterns import (
     gen_uniform,
     load_pattern,
     save_pattern,
+    write_atomic,
 )
 from .spectral import mutual_information
 
@@ -190,19 +191,14 @@ def _manifest_path(out: Path) -> Path:
     return out.with_suffix(".manifest.json")
 
 
-def _write_atomic(path: Path, text: str) -> None:
-    """Write text to a temporary sibling, then rename it into place."""
-    path.parent.mkdir(parents=True, exist_ok=True)
-    tmp = path.with_name(path.name + ".tmp")
-    try:
-        tmp.write_text(text)
-        os.replace(tmp, path)
-    finally:
-        tmp.unlink(missing_ok=True)
+def _out_path(text: str) -> Path:
+    """The --out path; it must name a file ('' and '.' name none)."""
+    path = Path(text)
+    _require(path.name != "", f"--out must name a file, got {text!r}")
+    return path
 
 
-def _write_manifest(path: Path, command: str, parameters: dict,
-                    master_seed: int | None) -> None:
+def _manifest(command: str, parameters: dict, master_seed: int | None) -> str:
     manifest = {
         "command": command,
         "parameters": parameters,
@@ -212,7 +208,7 @@ def _write_manifest(path: Path, command: str, parameters: dict,
     }
     if master_seed is not None:
         manifest["seed_policy"] = SEED_POLICY
-    _write_atomic(path, json.dumps(manifest, indent=2, sort_keys=True) + "\n")
+    return json.dumps(manifest, indent=2, sort_keys=True) + "\n"
 
 
 def _emit_scalar(payload: dict, args) -> int:
@@ -222,10 +218,10 @@ def _emit_scalar(payload: dict, args) -> int:
     text = json.dumps(payload, indent=2, sort_keys=True)
     print(text)
     if args.out:
-        out = Path(args.out)
-        _write_atomic(out, text + "\n")
+        out = _out_path(args.out)
         params = {k: v for k, v in payload.items() if k != "command"}
-        _write_manifest(_manifest_path(out), payload["command"], params, None)
+        write_atomic({out: [text + "\n"],
+                      _manifest_path(out): [_manifest(payload["command"], params, None)]})
         print(f"wrote {out}", file=sys.stderr)
     return EXIT_OK
 
@@ -236,8 +232,8 @@ def _emit_table(command: str, rows: list[list[str]], params: dict, out: Path,
     the rows/csv/manifest lines."""
     text = io.StringIO()
     csv.writer(text, lineterminator="\n").writerows([CSV_HEADER.split(","), *rows])
-    _write_atomic(out, text.getvalue())
-    _write_manifest(_manifest_path(out), command, {**params, "out": str(out)}, master_seed)
+    manifest = _manifest(command, {**params, "out": str(out)}, master_seed)
+    write_atomic({out: [text.getvalue()], _manifest_path(out): [manifest]})
     print(f"rows: {len(rows)}")
     print(f"csv: {out}")
     print(f"manifest: {_manifest_path(out)}")
@@ -383,8 +379,8 @@ def _build_pattern(args):
 
 
 def _cmd_generate(args) -> int:
+    _out_path(args.out)
     pattern = _build_pattern(args)
-    txt_path, json_path = save_pattern(pattern, args.out)
     params = {
         "family": pattern.family.value,
         "n": pattern.n,
@@ -393,7 +389,14 @@ def _cmd_generate(args) -> int:
         "seed": pattern.seed,
         "out": args.out,
     }
-    _write_manifest(Path(args.out + ".manifest.json"), "generate", params, pattern.seed)
+    manifest = _manifest("generate", params, pattern.seed)
+    txt_path, json_path = save_pattern(pattern, args.out)
+    try:
+        write_atomic({args.out + ".manifest.json": [manifest]})
+    except BaseException:  # the pattern files stand or fall with their manifest
+        for path in (txt_path, json_path):
+            os.remove(path)
+        raise
     print(f"pattern: {txt_path}")
     print(f"descriptor: {json_path}")
     print(f"family: {pattern.family.value}  n: {pattern.n}  rho: {_g12(pattern.rho)}")
@@ -481,6 +484,7 @@ def _cmd_optimize_p(args) -> int:
 def _run_sweep(args, command: str, W: float, prior: ScenePrior, out: str) -> int:
     """One seeded Bernoulli ensemble per grid p, from the ensemble options in
     args, paired with its predictor and written as a CSV plus manifest."""
+    out = _out_path(out)
     p_grid = _parse_p_grid(args.p_grid)
     workers = _resolve_workers(args)
     config = EnsembleConfig(
@@ -509,7 +513,7 @@ def _run_sweep(args, command: str, W: float, prior: ScenePrior, out: str) -> int
         "workers": workers,
         "log_base": args.log_base,
     }
-    return _emit_table(command, rows, params, Path(out), args.seed)
+    return _emit_table(command, rows, params, out, args.seed)
 
 
 def _cmd_sweep(args) -> int:
@@ -526,6 +530,7 @@ def _cmd_fig3(args) -> int:
 def _cmd_fig2(args) -> int:
     """Predictor curves (flat, Bernoulli 1/2, Bernoulli p*) over a W sweep."""
     J = args.J
+    out = _out_path(args.out or "fig2.csv")
     _require(args.points >= 2, f"--points must be >= 2, got {args.points}")
     _require(args.points <= MAX_GRID_POINTS,
              f"--points must be <= {MAX_GRID_POINTS}, got {args.points}")
@@ -552,7 +557,7 @@ def _cmd_fig2(args) -> int:
         "curves": ["flat", "bernoulli-half", "bernoulli-pstar"],
         "log_base": args.log_base,
     }
-    return _emit_table("reproduce fig2", rows, params, Path(args.out or "fig2.csv"), None)
+    return _emit_table("reproduce fig2", rows, params, out, None)
 
 
 REPRODUCE = {

@@ -7,11 +7,14 @@ quadratic-residue masks) are "spectrally flat": half-open masks whose
 power spectrum concentrates no information loss in any single frequency.
 """
 
+import itertools
 import json
 import math
 import os
+from collections.abc import Iterable
 from dataclasses import dataclass, field
 from enum import Enum
+from pathlib import Path
 
 import numpy as np
 
@@ -34,6 +37,14 @@ __all__ = [
 # Tolerance scale for the generation-time spectral self-check: bulk
 # deviations above FLATNESS_RTOL * n indicate a defective construction.
 FLATNESS_RTOL = 1e-6
+
+# Pattern-file lines formatted or parsed per batch: large enough that the
+# per-batch numpy call is cheap, small enough that a batch's Python strings
+# stay a few MB at n = 2^20 - 1.
+IO_CHUNK = 1 << 15
+
+# gen_mura squares i <= (n-1)/2 in uint64, which is exact below this n.
+MURA_MAX_N = 1 << 33
 
 
 class PatternFamily(str, Enum):
@@ -183,19 +194,44 @@ def gen_mls(degree: int, seed_state: int | None = None) -> AperturePattern:
         poly |= 1 << t
 
     # Multiply-by-x recurrence in GF(2)[x]/poly; bit 0 of the state traces
-    # out one period of the m-sequence.
-    a = np.empty(n)
-    state = seed_state
-    for i in range(n):
-        a[i] = state & 1
+    # out one period of the m-sequence.  K copies of the register run in
+    # lockstep, copy k started k*L steps in (its state times x^(k*L)), and
+    # step j of copy k writes element k*L + j.
+    L = 1 << (m + 1) // 2
+    K = -(-n // L)
+    x_to_l = 2  # x, squared (m+1)//2 times
+    for _ in range((m + 1) // 2):
+        x_to_l = _gf2_mulmod(x_to_l, x_to_l, poly, m)
+    starts = [seed_state]
+    for _ in range(K - 1):
+        starts.append(_gf2_mulmod(starts[-1], x_to_l, poly, m))
+    state = np.array(starts, dtype=np.int64)
+    out = np.empty(K * L)
+    rows = out.reshape(K, L)
+    for j in range(L):
+        rows[:, j] = state & 1
         state <<= 1
-        if state >> m & 1:
-            state ^= poly
+        state ^= (state >> m) * poly  # bit m is the only bit above m - 1
+    a = out[:n]
 
     levels = _check_flat(a, f"gen_mls(degree={degree})")
     meta = {"degree": m, "polynomial_taps": (m, *MLS_POLYNOMIALS[m], 0),
             "seed_state": seed_state, **levels}
     return AperturePattern(a, PatternFamily.MLS, metadata=meta)
+
+
+def _gf2_mulmod(a: int, b: int, poly: int, m: int) -> int:
+    """Product of two GF(2) polynomials (bit masks of degree < m) modulo
+    ``poly`` of degree m."""
+    product = 0
+    while b:
+        if b & 1:
+            product ^= a
+        b >>= 1
+        a <<= 1
+        if a >> m & 1:
+            a ^= poly
+    return product
 
 
 def _is_prime(n: int) -> bool:
@@ -218,15 +254,18 @@ def gen_mura(n: int) -> AperturePattern:
     the DC gain (n+1)/2 and the exact bulk mean (n+1)/4 are enforced; the
     measured bulk levels are recorded in the metadata.
     """
+    if n >= MURA_MAX_N:
+        raise InvalidArgumentError(
+            f"n={n} is too large for a quadratic-residue mask (limit {MURA_MAX_N})")
     if not _is_prime(n) or n % 4 != 1:
         raise InvalidArgumentError(
             f"n={n} is not a prime of the form 4d+1 (required for "
             "quadratic-residue masks)")
+    # The nonzero residues are the squares of 1..(n-1)/2.
+    i = np.arange(1, (n + 1) // 2, dtype=np.uint64)
     a = np.zeros(n)
     a[0] = 1.0
-    for i in range(1, n):
-        if pow(i, (n - 1) // 2, n) == 1:
-            a[i] = 1.0
+    a[i * i % np.uint64(n)] = 1.0
 
     levels = _levels(a)
     target_dc = (n + 1) / 2
@@ -266,18 +305,53 @@ def gen_uniform(n: int, seed: int) -> AperturePattern:
 
 ####################### serialization #######################
 
+def write_atomic(files: dict) -> None:
+    """Write each ``{path: text chunks}`` entry to a temporary sibling, then
+    rename them all into place.  If anything fails, the temporaries and every
+    file this call has already renamed into place are removed, so a failed
+    write leaves no partial output."""
+    staged, placed = [], []
+    try:
+        for path, chunks in files.items():
+            path = Path(path)
+            path.parent.mkdir(parents=True, exist_ok=True)
+            tmp = path.with_name(path.name + ".tmp")
+            staged.append((tmp, path))
+            with open(tmp, "w") as fh:
+                fh.writelines(chunks)
+        for tmp, path in staged:
+            os.replace(tmp, path)
+            placed.append(path)
+    except BaseException:
+        for path in placed:
+            path.unlink(missing_ok=True)
+        raise
+    finally:
+        for tmp, _ in staged:
+            tmp.unlink(missing_ok=True)
+
+
+# Lines of the values written as integers; -0.0 hashes and compares equal
+# to 0.0, so it is written as 0 too.
+_INTEGER_LINES = {0.0: "0\n", 1.0: "1\n"}
+
+
+def _text_lines(values: np.ndarray) -> Iterable[str]:
+    """One line per value: 0 and 1 as integers, the rest as repr."""
+    for start in range(0, values.size, IO_CHUNK):
+        yield "".join([_INTEGER_LINES.get(v) or f"{v!r}\n"
+                       for v in values[start:start + IO_CHUNK].tolist()])
+
+
 def save_pattern(pattern: AperturePattern, base_path: str) -> tuple[str, str]:
     """Write <base>.txt (one decimal per line) and <base>.json descriptor.
 
     The text file round-trips exactly (repr of each float); the descriptor
     records family, n, seed and realized transmissivity plus any
-    generator metadata.
+    generator metadata.  Both files are written through write_atomic.
     """
     txt_path = base_path + ".txt"
     json_path = base_path + ".json"
-    with open(txt_path, "w") as fh:
-        for v in pattern.values:
-            fh.write(f"{int(v)}\n" if v in (0.0, 1.0) else f"{float(v)!r}\n")
     desc = {
         "family": pattern.family.value,
         "n": pattern.n,
@@ -287,10 +361,21 @@ def save_pattern(pattern: AperturePattern, base_path: str) -> tuple[str, str]:
     if pattern.metadata:
         desc["metadata"] = {k: (list(v) if isinstance(v, tuple) else v)
                             for k, v in pattern.metadata.items()}
-    with open(json_path, "w") as fh:
-        json.dump(desc, fh, indent=2, sort_keys=True)
-        fh.write("\n")
+    write_atomic({txt_path: _text_lines(pattern.values),
+                  json_path: [json.dumps(desc, indent=2, sort_keys=True), "\n"]})
     return txt_path, json_path
+
+
+def _reject_bad_line(txt_path: str, lines: list[str], first: int) -> None:
+    """Raise for the first line of ``lines`` (numbered from ``first``) that
+    float() rejects."""
+    for lineno, line in enumerate(lines, start=first):
+        try:
+            if line.strip():
+                float(line)
+        except ValueError:
+            raise InvalidArgumentError(
+                f"{txt_path}:{lineno}: not a number: {line.strip()!r}") from None
 
 
 def load_pattern(txt_path: str) -> AperturePattern:
@@ -299,18 +384,22 @@ def load_pattern(txt_path: str) -> AperturePattern:
     If a sibling .json descriptor exists its family/seed are restored;
     otherwise the pattern is loaded as CUSTOM.
     """
-    vals = []
-    with open(txt_path) as fh:
-        for lineno, line in enumerate(fh, start=1):
-            if not line.strip():
-                continue
-            try:
-                vals.append(float(line))
-            except ValueError:
-                raise InvalidArgumentError(
-                    f"{txt_path}:{lineno}: not a number: {line.strip()!r}"
-                ) from None
-    if not vals:
+    chunks = []
+    first = 1
+    try:
+        with open(txt_path) as fh:
+            while lines := list(itertools.islice(fh, IO_CHUNK)):
+                try:
+                    # numpy parses each str with Python's float()
+                    chunks.append(np.array(list(filter(str.strip, lines)), dtype=float))
+                except ValueError:
+                    _reject_bad_line(txt_path, lines, first)
+                    raise
+                first += len(lines)
+    except UnicodeDecodeError as exc:
+        raise InvalidArgumentError(f"{txt_path}: {exc}") from None
+    vals = np.concatenate(chunks or [np.empty(0)])
+    if not vals.size:
         raise InvalidArgumentError(f"{txt_path}: no pattern entries found")
     family = PatternFamily.CUSTOM
     seed = None
@@ -325,4 +414,4 @@ def load_pattern(txt_path: str) -> AperturePattern:
             raise InvalidArgumentError(f"{json_path}: bad descriptor: {exc}") from None
         seed = desc.get("seed")
         meta = desc.get("metadata", {})
-    return AperturePattern(np.asarray(vals), family, seed=seed, metadata=meta)
+    return AperturePattern(vals, family, seed=seed, metadata=meta)

@@ -76,6 +76,17 @@ class TestGenerate:
                            "--out", str(tmp_path / "m"))
         assert code == 2
 
+    @pytest.mark.parametrize("blocked", ["x.json", "x.manifest.json"])
+    def test_failed_write_leaves_no_partial_output(self, capsys, tmp_path, blocked):
+        """A directory where one of the three files should go fails the run,
+        and neither the other files nor a temporary is left behind."""
+        (tmp_path / blocked).mkdir()
+        code, out, err = run(capsys, "generate", "--family", "mls", "--degree", "4",
+                             "--out", str(tmp_path / "x"))
+        assert code == 2 and out == ""
+        assert err.startswith("error: ") and err.count("\n") == 1
+        assert [p.name for p in tmp_path.iterdir()] == [blocked]
+
 
 class TestMi:
     def test_pinhole_ln2(self, capsys):
@@ -135,6 +146,14 @@ class TestMi:
                            "--W", "0.01", "--J", "1")
         assert code == 2
         assert err.startswith("error:") and "not a number" in err
+
+    def test_non_utf8_pattern_file(self, capsys, tmp_path):
+        path = tmp_path / "bom.txt"
+        path.write_bytes(b"\xff\xfe")
+        code, out, err = run(capsys, "mi", "--pattern-file", str(path), "--W", "0.01")
+        assert code == 2 and out == ""
+        assert err.startswith("error: ") and err.count("\n") == 1
+        assert "can't decode" in err
 
     def test_noise_flag_rules(self, capsys):
         code, _, err = run(capsys, "mi", "--family", "pinhole", "--n", "4",
@@ -198,6 +217,13 @@ class TestPredict:
     def test_unknown_predictor(self, capsys):
         code, _, _ = run(capsys, "predict", "parabolic", "--W", "0")
         assert code == 2
+
+    def test_blocked_manifest_leaves_no_output(self, capsys, tmp_path):
+        (tmp_path / "pred.manifest.json").mkdir()
+        code, _, err = run(capsys, "predict", "flat-iid", "--W", "0.01",
+                           "--out", str(tmp_path / "pred.json"))
+        assert code == 2 and err.count("\n") == 1
+        assert [p.name for p in tmp_path.iterdir()] == ["pred.manifest.json"]
 
     def test_out_file_with_manifest(self, capsys, tmp_path):
         out_path = tmp_path / "pred.json"
@@ -485,6 +511,22 @@ def test_negative_seed_exits_2(capsys, tmp_path, argv):
     code, out, err = run(capsys, *argv, "--seed", "-1", "--out", str(tmp_path / "out"))
     assert code == 2 and out == ""
     assert err.startswith("error: ") and err.count("\n") == 1 and "got -1" in err
+    assert list(tmp_path.iterdir()) == []
+
+
+@pytest.mark.parametrize("out", ["", "."])
+@pytest.mark.parametrize("argv", [
+    ("sweep", "--n", "8", "--trials", "2", "--p-grid", "0.5", "--W", "1"),
+    ("generate", "--family", "mls", "--degree", "3"),
+])
+def test_out_without_file_name_rejected(capsys, tmp_path, monkeypatch, argv, out):
+    """Rejected before any ensemble runs: a sweep that got that far
+    would fail on the missing sweep_p."""
+    monkeypatch.chdir(tmp_path)
+    monkeypatch.setattr(cli_module, "sweep_p", None)
+    code, stdout, err = run(capsys, *argv, "--out", out)
+    assert code == 2 and stdout == ""
+    assert err == f"error: --out must name a file, got {out!r}\n"
     assert list(tmp_path.iterdir()) == []
 
 

@@ -22,7 +22,47 @@ from apmi import (
     load_pattern,
     save_pattern,
 )
-from apmi.patterns import MLS_POLYNOMIALS
+from apmi.patterns import IO_CHUNK, MLS_POLYNOMIALS, MURA_MAX_N
+
+
+def mls_loop_reference(degree, seed_state=None):
+    """The shift register one step at a time: the loop gen_mls replaced."""
+    m = degree
+    n = (1 << m) - 1
+    poly = (1 << m) | 1
+    for t in MLS_POLYNOMIALS[m]:
+        poly |= 1 << t
+    a = np.empty(n)
+    state = n if seed_state is None else seed_state
+    for i in range(n):
+        a[i] = state & 1
+        state <<= 1
+        if state >> m & 1:
+            state ^= poly
+    return a
+
+
+def euler_criterion_reference(n):
+    """Element 0 open, element i open iff i^((n-1)/2) = 1 mod n.  The power is
+    taken by square-and-multiply over all i at once: the scalar pow() loop
+    gen_mura replaced takes seconds over every prime below 20,000."""
+    base = np.arange(n, dtype=np.int64)
+    power = np.ones(n, dtype=np.int64)
+    e = (n - 1) // 2
+    while e:
+        if e & 1:
+            power = power * base % n
+        base = base * base % n
+        e >>= 1
+    expected = (power == 1).astype(float)
+    expected[0] = 1.0
+    return expected
+
+
+def text_reference(values):
+    """Pattern-file text by the per-element rule save_pattern implements."""
+    return "".join(f"{int(v)}\n" if v in (0.0, 1.0) else f"{float(v)!r}\n"
+                   for v in values)
 
 
 def dft_power_direct(a):
@@ -119,6 +159,14 @@ class TestMLS:
             np.sort(dft_power_direct(shifted.values)),
             np.sort(dft_power_direct(base.values)), atol=1e-9)
 
+    @pytest.mark.parametrize("degree", sorted(MLS_POLYNOMIALS))
+    def test_matches_loop_reference(self, degree):
+        n = 2 ** degree - 1
+        seeds = [None] + ([1, 2, n // 2, n - 1] if degree <= 16 else [])
+        for seed_state in dict.fromkeys(seeds):  # n // 2 == 1 at degree 2
+            np.testing.assert_array_equal(gen_mls(degree, seed_state).values,
+                                          mls_loop_reference(degree, seed_state))
+
     def test_invalid_seed_state(self):
         with pytest.raises(InvalidArgumentError):
             gen_mls(4, seed_state=0)
@@ -142,6 +190,23 @@ class TestMURA:
                 expected[r] = 1
             np.testing.assert_array_equal(pattern.values, expected)
             assert pattern.values.sum() == (n + 1) / 2
+
+    def test_matches_euler_criterion(self):
+        sieve = np.ones(20_000, dtype=bool)
+        sieve[:2] = False
+        for f in range(2, 142):
+            sieve[f * f::f] = False
+        primes = [int(p) for p in np.flatnonzero(sieve) if p % 4 == 1]
+        assert len(primes) == 1_125
+        for n in primes:
+            np.testing.assert_array_equal(gen_mura(n).values,
+                                          euler_criterion_reference(n), err_msg=f"n={n}")
+
+    def test_too_large_rejected(self):
+        # i*i in uint64 is exact only below MURA_MAX_N; checked before
+        # the trial-division primality test
+        with pytest.raises(InvalidArgumentError, match="too large"):
+            gen_mura(MURA_MAX_N + 1)
 
     def test_n13_spectrum_two_valued(self):
         pattern = gen_mura(13)
@@ -218,6 +283,44 @@ class TestSerialization:
         # repr round-trips floats exactly
         np.testing.assert_array_equal(loaded.values, pattern.values)
         assert loaded.seed == 9
+
+    @pytest.mark.parametrize("n", [IO_CHUNK - 1, IO_CHUNK, IO_CHUNK + 1])
+    def test_chunk_boundaries_byte_for_byte(self, tmp_path, n):
+        gray = gen_uniform(n, seed=n).values
+        gray[[0, 5, n // 2, n - 1]] = [-0.0, 0.0, 1.0, -0.0]
+        binary = gen_bernoulli(n, 0.5, seed=n).values
+        for name, values in (("gray", gray), ("binary", binary)):
+            txt, _ = save_pattern(AperturePattern(values), str(tmp_path / name))
+            text = (tmp_path / f"{name}.txt").read_text()
+            assert text == text_reference(values)
+            loaded = load_pattern(txt)
+            np.testing.assert_array_equal(loaded.values, values)
+            save_pattern(loaded, str(tmp_path / f"{name}2"))
+            assert (tmp_path / f"{name}2.txt").read_bytes() == text.encode()
+        assert sorted(p.name for p in tmp_path.iterdir()) == [
+            "binary.json", "binary.txt", "binary2.json", "binary2.txt",
+            "gray.json", "gray.txt", "gray2.json", "gray2.txt"]
+
+    def test_load_blank_and_crlf_lines(self, tmp_path):
+        path = tmp_path / "mask.txt"
+        # blank lines also fill a whole read chunk and straddle its end
+        path.write_bytes(b"1\r\n\r\n 0.5 \r\n" + b"\n" * IO_CHUNK
+                         + b"  \t\n0.25\n\n1")
+        np.testing.assert_array_equal(load_pattern(str(path)).values,
+                                      [1.0, 0.5, 0.25, 1.0])
+
+    def test_load_reports_line_past_first_chunk(self, tmp_path):
+        path = tmp_path / "long.txt"
+        path.write_text("0\n" * IO_CHUNK + "1e\n" + "1\n" * 3)
+        with pytest.raises(InvalidArgumentError,
+                           match=rf"long\.txt:{IO_CHUNK + 1}: not a number: '1e'"):
+            load_pattern(str(path))
+
+    def test_load_non_utf8_rejected(self, tmp_path):
+        path = tmp_path / "bom.txt"
+        path.write_bytes(b"\xff\xfe")
+        with pytest.raises(InvalidArgumentError, match=r"bom\.txt: .*can't decode"):
+            load_pattern(str(path))
 
     def test_load_without_descriptor(self, tmp_path):
         path = tmp_path / "bare.txt"
