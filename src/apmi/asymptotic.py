@@ -13,6 +13,7 @@ All predictor values are in nats.  Per-pixel predictors describe the bulk
 include the DC term explicitly.
 """
 
+import itertools
 import math
 from dataclasses import dataclass
 
@@ -229,13 +230,9 @@ def _explog_bulk_sum(scale: float, n: int) -> float:
     chunks of _BULK_CHUNK changes neither the value nor its last bit.
     """
     top = (n - 1) // 2
-
-    def terms():
-        for start in range(2, top + 1, _BULK_CHUNK):
-            ks = np.arange(start, min(start + _BULK_CHUNK, top + 1))
-            yield from explog_exp1(scale / ks).tolist()
-
-    return math.fsum(terms())
+    chunks = (explog_exp1(scale / np.arange(start, min(start + _BULK_CHUNK, top + 1))).tolist()
+              for start in range(2, top + 1, _BULK_CHUNK))
+    return math.fsum(itertools.chain.from_iterable(chunks))
 
 
 def predict_gaussian_onef(n: int, W: float, rho_j_product: float) -> PredictionResult:

@@ -192,10 +192,12 @@ def _manifest_path(out: Path) -> Path:
 
 
 def _out_path(text: str) -> Path:
-    """The --out path; it must name a file ('' and '.' name none)."""
-    path = Path(text)
-    _require(path.name != "", f"--out must name a file, got {text!r}")
-    return path
+    """The --out path; it must name a file.  '', '.', '..' and a path ending
+    in a separator name none (Path drops that separator, while generate
+    appends its suffixes to the raw text)."""
+    _require(os.path.basename(text) not in ("", ".", ".."),
+             f"--out must name a file, got {text!r}")
+    return Path(text)
 
 
 def _manifest(command: str, parameters: dict, master_seed: int | None) -> str:

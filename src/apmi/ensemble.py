@@ -7,6 +7,14 @@ SeedSequence((master_seed, t)), and aggregation runs over the trial-indexed
 value array, so results are bitwise identical regardless of worker count
 or execution order.
 
+Engine.  Trials run in blocks of at most BLOCK_BYTES of draws.  A sweep
+over p draws each trial's row once and thresholds it at every grid p (the
+seed does not depend on p), and each block makes one batched FFT and one
+log-sum per p.  With workers > 1, one process pool serves the whole sweep:
+each task is a chunk of trials evaluated at every p.  On a 2-vCPU VM,
+workers=2 ran the fig3 sweep (19 p x 1000 trials, n=249) 1.3-1.4x faster
+than workers=1.
+
 Metrics.  IID-prior ensembles default to the bulk per-pixel MI with the DC
 term excluded ("per_pixel_excl_dc") because that is the quantity the
 large-n predictors describe; the full per-pixel mean ("per_pixel") stays
@@ -15,9 +23,10 @@ one config switch away so the O(log n / n) DC offset remains observable.
 the DC term.
 """
 
+import itertools
 import math
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -38,9 +47,24 @@ __all__ = [
     "SEED_POLICY",
 ]
 
-FAMILIES = ("bernoulli", "uniform", "gaussian")
+# family -> (Generator method that draws a trial's row, that row -> mask at p)
+DRAWS = {
+    "bernoulli": ("random", lambda u, p: (u < p).astype(float)),
+    "uniform": ("random", lambda u, p: u),
+    "gaussian": ("standard_normal", lambda u, p: u),
+}
+FAMILIES = tuple(DRAWS)
 METRICS = ("per_pixel", "per_pixel_excl_dc", "total")
 RHO_MODES = ("realized", "nominal")
+
+# Bound on the draws of one block of trials.  Batches of 256 KB to 1 MB ran
+# alike at n=249 and fastest at n=4095 (4 MB was ~50% slower there), and
+# 256 KB keeps the block's temporaries to ~2 MB of peak memory.
+BLOCK_BYTES = 1 << 18
+# Bound on the (p, trial) values a sweep holds at once.  A longer grid is
+# swept in groups of p that each draw the trials again: one group, and one
+# pool, for up to 2,796 p at 1000 trials.
+VALUES_BYTES = 1 << 26
 
 SEED_POLICY = ("numpy.random.SeedSequence((master_seed, trial_index))"
                ".generate_state(1, numpy.uint64)[0]")
@@ -50,6 +74,11 @@ def trial_seed(master_seed: int, trial_index: int) -> int:
     """Deterministic per-trial seed; see SEED_POLICY."""
     ss = np.random.SeedSequence((master_seed, trial_index))
     return int(ss.generate_state(1, np.uint64)[0])
+
+
+def _check_p(p) -> None:
+    if p is None or not 0.0 <= p <= 1.0:
+        raise InvalidArgumentError(f"bernoulli family needs p in [0, 1], got {p}")
 
 
 @dataclass(frozen=True)
@@ -81,8 +110,7 @@ class EnsembleConfig:
         if self.rho_mode not in RHO_MODES:
             raise InvalidArgumentError(f"rho_mode must be one of {RHO_MODES}, got {self.rho_mode!r}")
         if self.family == "bernoulli":
-            if self.p is None or not 0.0 <= self.p <= 1.0:
-                raise InvalidArgumentError(f"bernoulli family needs p in [0, 1], got {self.p}")
+            _check_p(self.p)
         if self.family == "gaussian":
             if self.rho_j_fixed is None:
                 raise InvalidArgumentError("gaussian family needs rho_j_fixed >= 0")
@@ -124,36 +152,45 @@ class ComparisonRecord:
     z_score: float
 
 
-def _eval_range(config: EnsembleConfig, n: int, start: int, stop: int) -> np.ndarray:
-    """Evaluate trials [start, stop); rows are (mi_total, mi_total_excl_dc, rho)."""
+def _gamma_rho(config: EnsembleConfig, p, rho: np.ndarray) -> np.ndarray:
+    """Per trial, the rho in gamma = 1/(W + rho*J): the realized mask means
+    or the family's nominal value (p for bernoulli, 0.5 for uniform)."""
+    if config.rho_mode == "realized":
+        return rho
+    return np.full_like(rho, p if config.family == "bernoulli" else 0.5)
+
+
+def _noise(config: EnsembleConfig, p, rho: np.ndarray) -> np.ndarray:
+    """Per-trial total noise power; gaussian holds it at W + rho_j_fixed."""
+    if config.family == "gaussian":
+        return np.full_like(rho, config.noise.W + config.rho_j_fixed)
+    return config.noise.W + _gamma_rho(config, p, rho) * config.noise.J
+
+
+def _eval_range(config: EnsembleConfig, n: int, p_grid, start: int, stop: int) -> np.ndarray:
+    """Evaluate trials [start, stop) at every p of p_grid.
+
+    Returns (len(p_grid), stop - start, 3) rows of (mi_total,
+    mi_total_excl_dc, rho).  A trial whose noise is zero gets gamma 1 here;
+    _stats rejects it.
+    """
     d = spectral_weights(config.prior, n)
-    W, J = config.noise.W, config.noise.J
-    out = np.empty((stop - start, 3))
-    for i, t in enumerate(range(start, stop)):
-        rng = np.random.default_rng(trial_seed(config.master_seed, t))
-        if config.family == "bernoulli":
-            a = (rng.random(n) < config.p).astype(float)
-            rho = a.mean()
-            rho_for_gamma = rho if config.rho_mode == "realized" else config.p
-        elif config.family == "uniform":
-            a = rng.random(n)
-            rho = a.mean()
-            rho_for_gamma = rho if config.rho_mode == "realized" else 0.5
-        else:  # gaussian: unbounded entries, gamma held fixed by config
-            a = rng.standard_normal(n)
-            rho = a.mean()
-            rho_for_gamma = None
-        if rho_for_gamma is None:
-            g = 1.0 / (W + config.rho_j_fixed)
-        else:
-            total_noise = W + rho_for_gamma * J
-            if total_noise == 0.0:
-                raise InvalidArgumentError(
-                    f"trial {t}: W + rho*J is zero (rho={rho_for_gamma}); "
-                    "supply W > 0 or a family with rho*J > 0")
-            g = 1.0 / total_noise
-        out[i, 0], out[i, 1] = mi_sums(power_spectrum(a), d, g)
-        out[i, 2] = rho
+    draw, mask = DRAWS[config.family]
+    out = np.empty((len(p_grid), stop - start, 3))
+    rows = max(1, BLOCK_BYTES // (8 * n))
+    for lo in range(start, stop, rows):
+        hi = min(lo + rows, stop)
+        u = np.empty((hi - lo, n))
+        for i, t in enumerate(range(lo, hi)):
+            getattr(np.random.default_rng(trial_seed(config.master_seed, t)), draw)(out=u[i])
+        for k, p in enumerate(p_grid):
+            a = mask(u, p)
+            rho = a.mean(axis=1)
+            noise = _noise(config, p, rho)
+            g = 1.0 / np.where(noise == 0.0, 1.0, noise)
+            block = out[k, lo - start:hi - start]
+            block[:, 0], block[:, 1] = mi_sums(power_spectrum(a), d, g)
+            block[:, 2] = rho
     return out
 
 
@@ -161,21 +198,27 @@ def _eval_range_star(args) -> np.ndarray:
     return _eval_range(*args)
 
 
-def _collect(config: EnsembleConfig, n: int) -> np.ndarray:
+def _collect(config: EnsembleConfig, n: int, p_grid) -> np.ndarray:
+    """All trials at every p of p_grid, serially or over one process pool."""
     T = config.trials
     if config.workers == 1 or T < 4 * config.workers:
-        return _eval_range(config, n, 0, T)
+        return _eval_range(config, n, p_grid, 0, T)
     chunk = -(-T // (4 * config.workers))
-    spans = [(config, n, s, min(s + chunk, T)) for s in range(0, T, chunk)]
+    spans = [(config, n, p_grid, s, min(s + chunk, T)) for s in range(0, T, chunk)]
     with ProcessPoolExecutor(max_workers=config.workers) as pool:
         parts = list(pool.map(_eval_range_star, spans))
-    return np.vstack(parts)
+    return np.concatenate(parts, axis=1)
 
 
-def run_ensemble(config: EnsembleConfig) -> EnsembleStats:
-    """Simulate config.trials random apertures and aggregate the configured metric."""
-    n = effective_n(config.prior, config.n)
-    values = _collect(config, n)
+def _stats(config: EnsembleConfig, n: int, p, values: np.ndarray) -> EnsembleStats:
+    """Aggregate one p's (trials, 3) values into the configured metric."""
+    rho = values[:, 2]
+    zero = np.flatnonzero(_noise(config, p, rho) == 0.0)
+    if zero.size:
+        t = int(zero[0])
+        raise InvalidArgumentError(
+            f"trial {t}: W + rho*J is zero (rho={_gamma_rho(config, p, rho)[t]}); "
+            "supply W > 0 or a family with rho*J > 0")
     metric = config.resolved_metric
     if metric == "total":
         v = values[:, 0]
@@ -191,9 +234,15 @@ def run_ensemble(config: EnsembleConfig) -> EnsembleStats:
         std=std,
         stderr=std / math.sqrt(config.trials),
         trials=config.trials,
-        realized_rho_mean=float(values[:, 2].mean()),
+        realized_rho_mean=float(rho.mean()),
         log_base=config.log_base,
     )
+
+
+def run_ensemble(config: EnsembleConfig) -> EnsembleStats:
+    """Simulate config.trials random apertures and aggregate the configured metric."""
+    n = effective_n(config.prior, config.n)
+    return _stats(config, n, config.p, _collect(config, n, (config.p,))[0])
 
 
 def _matching_prediction(config: EnsembleConfig, n: int, p: float) -> PredictionResult:
@@ -205,21 +254,28 @@ def _matching_prediction(config: EnsembleConfig, n: int, p: float) -> Prediction
 def sweep_p(config: EnsembleConfig, p_grid) -> list[SweepRow]:
     """Run one Bernoulli ensemble per p and pair each with its predictor.
 
-    IID rows predict the bulk per-pixel MI; 1/f rows predict total MI.
-    An empty grid returns an empty list.
+    Every trial is drawn once and thresholded at each p, so row k equals
+    run_ensemble with p = p_grid[k].  IID rows predict the bulk per-pixel
+    MI; 1/f rows predict total MI.  An empty grid returns an empty list.
     """
     if config.family != "bernoulli":
         raise InvalidArgumentError("sweep_p requires the bernoulli family")
+    grid = [float(p) for p in p_grid]
+    for p in grid:
+        _check_p(p)
+    if not grid:
+        return []
     n = effective_n(config.prior, config.n)
+    group = max(1, VALUES_BYTES // (3 * 8 * config.trials))  # 3 float64 per (p, trial)
+    values = itertools.chain.from_iterable(
+        _collect(config, n, grid[i:i + group]) for i in range(0, len(grid), group))
     rows = []
-    for p in p_grid:
-        cfg = replace(config, n=n, p=float(p))
-        stats = run_ensemble(cfg)
-        pred = _matching_prediction(cfg, n, float(p))
-        rec = compare(stats, pred)
-        rows.append(SweepRow(p=float(p), n=n, stats=stats,
+    for p, v in zip(grid, values):
+        stats = _stats(config, n, p, v)
+        pred = _matching_prediction(config, n, p)
+        rows.append(SweepRow(p=p, n=n, stats=stats,
                              predicted=to_log_base(pred.value, config.log_base),
-                             relative_gap=rec.relative_gap))
+                             relative_gap=compare(stats, pred).relative_gap))
     return rows
 
 

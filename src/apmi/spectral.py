@@ -28,7 +28,6 @@ __all__ = [
     "mutual_information",
     "mi_excluding_dc",
     "jensen_bound",
-    "mi_from_spectrum",
 ]
 
 
@@ -62,15 +61,26 @@ class MIResult:
 
 
 def power_spectrum(a: np.ndarray) -> np.ndarray:
-    """|lambda_k|^2 of a real 1D row, DC first; unchecked (per-trial hot path)."""
+    """|lambda_k|^2 of a real row, DC first, or of each row of a (T, n) batch;
+    unchecked (ensemble hot path)."""
     return np.abs(np.fft.fft(a)) ** 2
 
 
-def mi_sums(lambda_sq: np.ndarray, weights: np.ndarray, gamma_: float) -> tuple[float, float]:
-    """Total MI in nats and the same total with the DC term removed."""
-    terms = np.log1p(gamma_ * weights * lambda_sq / lambda_sq.size)
-    total = float(terms.sum())
-    return total, total - float(terms[0])
+def mi_sums(lambda_sq: np.ndarray, weights: np.ndarray, gamma_: float | np.ndarray):
+    """Total MI in nats and the same total with the DC term removed.
+
+    One spectrum (n,) with a scalar gamma gives two floats.  A (T, n) batch
+    with one gamma per row (shape (T,)) gives two length-T arrays, each row
+    bitwise equal to its own one-spectrum call.
+    """
+    if lambda_sq.ndim == 2:
+        gamma_ = np.asarray(gamma_)[:, None]
+    terms = np.log1p(gamma_ * weights * lambda_sq / lambda_sq.shape[-1])
+    total = terms.sum(axis=-1)
+    excl = total - terms[..., 0]
+    if lambda_sq.ndim == 1:
+        return float(total), float(excl)
+    return total, excl
 
 
 def circulant_spectrum(pattern) -> SpectrumResult:
@@ -79,11 +89,6 @@ def circulant_spectrum(pattern) -> SpectrumResult:
     if a.ndim != 1 or a.size < 1:
         raise InvalidArgumentError("need a nonempty 1D row")
     return SpectrumResult(lambda1=float(a.sum()), lambda_sq=power_spectrum(a))
-
-
-def mi_from_spectrum(lambda_sq: np.ndarray, weights: np.ndarray, gamma_: float) -> float:
-    """Total MI in nats given the squared spectrum, prior weights and gamma."""
-    return mi_sums(lambda_sq, weights, gamma_)[0]
 
 
 def mutual_information(pattern, prior: ScenePrior, noise: NoiseModel,

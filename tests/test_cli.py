@@ -514,7 +514,7 @@ def test_negative_seed_exits_2(capsys, tmp_path, argv):
     assert list(tmp_path.iterdir()) == []
 
 
-@pytest.mark.parametrize("out", ["", "."])
+@pytest.mark.parametrize("out", ["", ".", "..", "sub/", "sub/."])
 @pytest.mark.parametrize("argv", [
     ("sweep", "--n", "8", "--trials", "2", "--p-grid", "0.5", "--W", "1"),
     ("generate", "--family", "mls", "--degree", "3"),
@@ -527,6 +527,20 @@ def test_out_without_file_name_rejected(capsys, tmp_path, monkeypatch, argv, out
     code, stdout, err = run(capsys, *argv, "--out", out)
     assert code == 2 and stdout == ""
     assert err == f"error: --out must name a file, got {out!r}\n"
+    assert list(tmp_path.iterdir()) == []
+
+
+@pytest.mark.parametrize("trials", ["4", "8"])
+@pytest.mark.parametrize("workers", ["1", "2"])
+def test_zero_noise_trial_exits_2(capsys, tmp_path, workers, trials):
+    """The first zero-noise trial of the first p that has one is reported,
+    whether or not a pool ran the trials (8 trials at 2 workers use one)."""
+    code, out, err = run(capsys, "sweep", "--n", "8", "--trials", trials,
+                         "--p-grid", "0.5,0.01", "--W", "0", "--J", "1",
+                         "--workers", workers, "--out", str(tmp_path / "z.csv"))
+    assert code == 2 and out == ""
+    assert err == ("error: trial 0: W + rho*J is zero (rho=0.0); "
+                   "supply W > 0 or a family with rho*J > 0\n")
     assert list(tmp_path.iterdir()) == []
 
 

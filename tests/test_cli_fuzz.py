@@ -1,7 +1,9 @@
 """Fuzz of the CLI error contract: whatever the arguments and config lines,
 `apmi` exits 0, 2 or 3, raises no exception out of `main` (a traceback),
-leaves no temporary file behind, writes nothing when it fails, and never
-writes a CSV without a data row."""
+leaves no temporary file behind, writes nothing when it fails, never writes
+a hidden file (an output named only by its suffix), and never writes a CSV
+without a data row.  An argv may carry its own --out, in which {tmp} stands
+for the test's fresh directory."""
 
 import contextlib
 import io
@@ -81,18 +83,24 @@ CONFIG = st.one_of(
 @example(["sweep", "--n=8", "--trials=2", "--p-grid=0.5", "--seed=-1", "--workers=1",
           "--W=1"], b"")
 @example(["sweep", "--n=8", "--trials=2", "--p-grid=,", "--workers=1", "--W=1"], b"")
+@example(["generate", "--family=mls", "--degree=3", "--out={tmp}/sub/"], b"")
 def test_error_contract(argv, config):
     with tempfile.TemporaryDirectory() as tmp:
         cfg = Path(tmp) / "run.cfg"
         cfg.write_bytes(config)
         out = Path(tmp) / "out.csv"
+        argv = [token.replace("{tmp}", tmp) for token in argv]
+        if not any(token.startswith("--out") for token in argv):
+            argv = [*argv, f"--out={out}"]
         stdout, stderr = io.StringIO(), io.StringIO()
         with contextlib.redirect_stdout(stdout), contextlib.redirect_stderr(stderr):
-            code = main([*argv, f"--out={out}", "--config", str(cfg)])
+            code = main([*argv, "--config", str(cfg)])
         assert code in (0, 2, 3), (code, stderr.getvalue())
         assert "Traceback" not in stderr.getvalue()
         written = sorted(p.name for p in Path(tmp).iterdir() if p != cfg)
         assert not [name for name in written if name.endswith(".tmp")], written
+        hidden = list(Path(tmp).rglob(".*"))
+        assert hidden == [], hidden
         if code != 0:
             assert written == [], (code, written, stderr.getvalue())
         if out.exists() and argv[0] in ("sweep", "reproduce"):

@@ -1,6 +1,7 @@
 """Monte Carlo ensemble harness: determinism, statistics, predictor pairing."""
 
 import math
+from concurrent.futures import ProcessPoolExecutor
 
 import numpy as np
 import pytest
@@ -17,6 +18,7 @@ from apmi import (
     sweep_p,
     trial_seed,
 )
+from apmi import ensemble
 from apmi.ensemble import SEED_POLICY, EnsembleStats
 
 NOISE = NoiseModel(0.01, 1.0)
@@ -190,6 +192,19 @@ class TestSweep:
             rows = sweep_p(cfg, [0.3])
         assert rows[0].n == 249
         assert rows[0].stats.kind == "total"
+
+    @pytest.mark.parametrize("workers, pools", [(1, 0), (2, 1)])
+    def test_one_pool_per_sweep(self, monkeypatch, workers, pools):
+        created = []
+
+        class CountingPool(ProcessPoolExecutor):
+            def __init__(self, *args, **kwargs):
+                super().__init__(*args, **kwargs)
+                created.append(self)
+
+        monkeypatch.setattr(ensemble, "ProcessPoolExecutor", CountingPool)
+        rows = sweep_p(bernoulli_config(trials=16, workers=workers), [0.2, 0.5, 0.8])
+        assert len(rows) == 3 and len(created) == pools
 
 
 class TestCompare:

@@ -26,6 +26,13 @@ def test_one_fft_call_site():
     assert occurrences(r"np\.fft\.fft\(") == {"spectral.py": 1}
 
 
+def test_one_draw_site_and_one_pool_site_in_ensemble():
+    """The ensemble seeds generators in one place and builds at most one
+    process pool per call, whatever the grid."""
+    assert occurrences(r"default_rng\(")["ensemble.py"] == 1
+    assert occurrences(r"ProcessPoolExecutor\(")["ensemble.py"] == 1
+
+
 def test_one_log_base_conversion():
     assert occurrences(r"/\s*LN2\b") == {"model.py": 1}
     assert re.search(r"/\s*LN2\b", inspect.getsource(model.to_log_base))

@@ -21,7 +21,7 @@ from apmi import (
     mi_excluding_dc,
     mutual_information,
 )
-from apmi.spectral import mi_from_spectrum
+from apmi.spectral import mi_sums, power_spectrum
 
 NOISE = NoiseModel(W=0.01, J=1.0)
 
@@ -147,11 +147,26 @@ class TestMutualInformation:
         rng = np.random.default_rng(0)
         lam_sq = rng.random(16) * 10
         weights = np.ones(16)
-        base = mi_from_spectrum(lam_sq, weights, 2.0)
+        base = mi_sums(lam_sq, weights, 2.0)[0]
         for i in range(16):
             bumped = lam_sq.copy()
             bumped[i] += 0.5
-            assert mi_from_spectrum(bumped, weights, 2.0) > base
+            assert mi_sums(bumped, weights, 2.0)[0] > base
+
+    @pytest.mark.parametrize("n", [2, 3, 7, 8, 9, 16, 17, 100, 249, 4095])
+    def test_batch_rows_equal_single_calls(self, n):
+        """The ensemble's batched FFT and log-sum give each row exactly what
+        a one-row call gives it."""
+        rng = np.random.default_rng(n)
+        rows = (rng.random((11, n)) < 0.3).astype(float)
+        weights = rng.random(n) + 0.5
+        gammas = rng.random(11) * 100
+        batch = power_spectrum(rows)
+        totals, bulks = mi_sums(batch, weights, gammas)
+        for row, spectrum, g, total, bulk in zip(rows, batch, gammas, totals, bulks):
+            single = power_spectrum(row)
+            assert single.tobytes() == spectrum.tobytes()
+            assert mi_sums(single, weights, float(g)) == (total, bulk)
 
     def test_degenerate_noise_propagates(self):
         blocked = AperturePattern(np.zeros(4), PatternFamily.CUSTOM)
