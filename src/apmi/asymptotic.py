@@ -20,7 +20,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import InvalidArgumentError
-from .model import NoiseModel
+from .model import NoiseModel, degenerate_noise, noise_level
 
 __all__ = [
     "PredictionResult",
@@ -102,6 +102,15 @@ def explog_exp1(c: float | np.ndarray) -> float | np.ndarray:
     return float(out) if arr.ndim == 0 else out
 
 
+def _invertible(total: float, what: str) -> float:
+    """The total noise power `total` (named `what` in errors), if it has a
+    finite inverse (degenerate_noise)."""
+    if degenerate_noise(total):
+        raise InvalidArgumentError(f"{what} must be positive" if total == 0
+                                   else f"{what} is {noise_level(total)}")
+    return total
+
+
 def _check_odd_n(n: int) -> None:
     if n < 5 or n % 2 == 0:
         raise InvalidArgumentError(
@@ -115,7 +124,8 @@ def predict_pinhole(n: int, W: float, J: float) -> PredictionResult:
     NoiseModel(W, J)
     if n < 1:
         raise InvalidArgumentError(f"need n >= 1, got {n}")
-    return PredictionResult(math.log1p(1.0 / (n * W + J)), "per_pixel", "closed_form")
+    return PredictionResult(math.log1p(1.0 / _invertible(n * W + J, "n*W + J")),
+                            "per_pixel", "closed_form")
 
 
 def predict_flat_iid(W: float, J: float) -> PredictionResult:
@@ -125,9 +135,8 @@ def predict_flat_iid(W: float, J: float) -> PredictionResult:
     log((1/4)/(W + J/2) + 1).
     """
     NoiseModel(W, J)
-    if W + J / 2 == 0:
-        raise InvalidArgumentError("W + J/2 must be positive")
-    return PredictionResult(math.log1p(0.25 / (W + J / 2.0)), "per_pixel", "closed_form")
+    total = _invertible(W + J / 2.0, "W + J/2")
+    return PredictionResult(math.log1p(0.25 / total), "per_pixel", "closed_form")
 
 
 def predict_bernoulli_iid(p: float, W: float, J: float) -> PredictionResult:
@@ -139,9 +148,7 @@ def predict_bernoulli_iid(p: float, W: float, J: float) -> PredictionResult:
     NoiseModel(W, J)
     if not 0.0 <= p <= 1.0:
         raise InvalidArgumentError(f"p must lie in [0, 1], got {p}")
-    if W + p * J == 0:
-        raise InvalidArgumentError("W + p*J must be positive")
-    c = p * (1.0 - p) / (W + p * J)
+    c = p * (1.0 - p) / _invertible(W + p * J, "W + p*J")
     return PredictionResult(explog_exp1(c), "per_pixel", "quadrature",
                             est_abs_error=EXPLOG_ABS_TOL)
 
@@ -171,9 +178,7 @@ def predict_uniform_iid(W: float, J: float, bulk_variance: float = 1.0 / 24.0) -
     NoiseModel(W, J)
     if bulk_variance <= 0:
         raise InvalidArgumentError(f"bulk_variance must be positive, got {bulk_variance}")
-    if W + J / 2 == 0:
-        raise InvalidArgumentError("W + J/2 must be positive")
-    c = bulk_variance / (W + J / 2.0)
+    c = bulk_variance / _invertible(W + J / 2.0, "W + J/2")
     return PredictionResult(explog_exp1(c), "per_pixel", "quadrature",
                             est_abs_error=EXPLOG_ABS_TOL)
 
@@ -194,9 +199,7 @@ def predict_flat_onef(n: int, W: float, J: float, form: str = "midsum") -> Predi
     """
     NoiseModel(W, J)
     _check_odd_n(n)
-    if W + J / 2 == 0:
-        raise InvalidArgumentError("W + J/2 must be positive")
-    g = 1.0 / (W + J / 2.0)
+    g = 1.0 / _invertible(W + J / 2.0, "W + J/2")
     if form == "midsum":
         k = np.arange(2, (n - 1) // 2 + 1)
         value = math.log1p(g * n / 4.0) + 2.0 * float(np.log1p(g / 4.0 / k).sum())
@@ -246,7 +249,7 @@ def predict_gaussian_onef(n: int, W: float, rho_j_product: float) -> PredictionR
     """
     NoiseModel(W, rho_j_product)
     _check_odd_n(n)
-    g = 1.0 / (W + rho_j_product)
+    g = 1.0 / _invertible(W + rho_j_product, "W + rho_j")
     dc, dc_err = _normal_expect_log(g, sd=1.0, mean=0.0)
     bulk = 2.0 * _explog_bulk_sum(g, n)
     err = dc_err + 2 * ((n - 1) // 2 - 1) * EXPLOG_ABS_TOL
@@ -265,9 +268,7 @@ def predict_bernoulli_onef(n: int, p: float, W: float, J: float) -> PredictionRe
     _check_odd_n(n)
     if not 0.0 <= p <= 1.0:
         raise InvalidArgumentError(f"p must lie in [0, 1], got {p}")
-    if W + p * J == 0:
-        raise InvalidArgumentError("W + p*J must be positive")
-    g = 1.0 / (W + p * J)
+    g = 1.0 / _invertible(W + p * J, "W + p*J")
     dc, dc_err = _normal_expect_log(g, sd=math.sqrt(p * (1.0 - p)), mean=p * math.sqrt(n))
     bulk = 2.0 * _explog_bulk_sum(p * (1.0 - p) * g, n)
     err = dc_err + 2 * ((n - 1) // 2 - 1) * EXPLOG_ABS_TOL

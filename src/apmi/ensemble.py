@@ -32,7 +32,8 @@ import numpy as np
 
 from .asymptotic import PredictionResult, predict_bernoulli_iid, predict_bernoulli_onef
 from .errors import InvalidArgumentError
-from .model import NoiseModel, ScenePrior, effective_n, spectral_weights, to_log_base
+from .model import (NoiseModel, ScenePrior, degenerate_noise, effective_n, noise_level,
+                    spectral_weights, to_log_base)
 from .spectral import mi_sums, power_spectrum
 
 __all__ = [
@@ -171,8 +172,8 @@ def _eval_range(config: EnsembleConfig, n: int, p_grid, start: int, stop: int) -
     """Evaluate trials [start, stop) at every p of p_grid.
 
     Returns (len(p_grid), stop - start, 3) rows of (mi_total,
-    mi_total_excl_dc, rho).  A trial whose noise is zero gets gamma 1 here;
-    _stats rejects it.
+    mi_total_excl_dc, rho).  A trial whose noise is degenerate gets gamma 1
+    here; _stats rejects it.
     """
     d = spectral_weights(config.prior, n)
     draw, mask = DRAWS[config.family]
@@ -187,7 +188,7 @@ def _eval_range(config: EnsembleConfig, n: int, p_grid, start: int, stop: int) -
             a = mask(u, p)
             rho = a.mean(axis=1)
             noise = _noise(config, p, rho)
-            g = 1.0 / np.where(noise == 0.0, 1.0, noise)
+            g = 1.0 / np.where(degenerate_noise(noise), 1.0, noise)
             block = out[k, lo - start:hi - start]
             block[:, 0], block[:, 1] = mi_sums(power_spectrum(a), d, g)
             block[:, 2] = rho
@@ -213,11 +214,13 @@ def _collect(config: EnsembleConfig, n: int, p_grid) -> np.ndarray:
 def _stats(config: EnsembleConfig, n: int, p, values: np.ndarray) -> EnsembleStats:
     """Aggregate one p's (trials, 3) values into the configured metric."""
     rho = values[:, 2]
-    zero = np.flatnonzero(_noise(config, p, rho) == 0.0)
-    if zero.size:
-        t = int(zero[0])
+    noise = _noise(config, p, rho)
+    bad = np.flatnonzero(degenerate_noise(noise))
+    if bad.size:
+        t = int(bad[0])
         raise InvalidArgumentError(
-            f"trial {t}: W + rho*J is zero (rho={_gamma_rho(config, p, rho)[t]}); "
+            f"trial {t}: W + rho*J is {noise_level(noise[t])} "
+            f"(rho={_gamma_rho(config, p, rho)[t]}); "
             "supply W > 0 or a family with rho*J > 0")
     metric = config.resolved_metric
     if metric == "total":

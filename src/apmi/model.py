@@ -24,6 +24,7 @@ __all__ = [
     "NoiseModel",
     "spectral_weights",
     "gamma",
+    "degenerate_noise",
     "db_to_linear",
     "effective_n",
     "to_log_base",
@@ -118,20 +119,33 @@ def spectral_weights(prior: ScenePrior, n: int) -> np.ndarray:
     raise InvalidArgumentError(f"unknown prior {prior!r}")
 
 
+def degenerate_noise(total):
+    """True where a total noise power W + rho*J (a float or an array) has no
+    finite inverse: it is zero, or so small (below about 5.6e-309) that
+    1/total overflows.  Every check of a total noise power uses this test."""
+    with np.errstate(divide="ignore", over="ignore"):
+        return ~np.isfinite(np.reciprocal(np.asarray(total, dtype=float)))
+
+
+def noise_level(total: float) -> str:
+    """A degenerate total noise power as error messages name it."""
+    return "zero" if total == 0 else f"{float(total)}, too small to invert"
+
+
 def gamma(noise: NoiseModel, rho: float) -> float:
     """Inverse total noise power 1/(W + rho*J) at transmissivity rho.
 
     Raises
     ------
     DegenerateNoiseError
-        If W + rho*J == 0 (infinite SNR); callers must supply W > 0
-        or rho*J > 0.
+        If W + rho*J has no finite inverse (degenerate_noise); callers must
+        supply W > 0 or rho*J > 0.
     """
     if not 0.0 <= rho <= 1.0:
         raise InvalidArgumentError(f"transmissivity must lie in [0, 1], got {rho}")
     total = noise.W + rho * noise.J
-    if total == 0.0:
-        raise DegenerateNoiseError("W + rho*J is zero; no finite noise power")
+    if degenerate_noise(total):
+        raise DegenerateNoiseError(f"W + rho*J is {noise_level(total)}; no finite noise power")
     return 1.0 / total
 
 

@@ -7,6 +7,7 @@ quadratic-residue masks) are "spectrally flat": half-open masks whose
 power spectrum concentrates no information loss in any single frequency.
 """
 
+import io
 import itertools
 import json
 import math
@@ -38,9 +39,11 @@ __all__ = [
 # deviations above FLATNESS_RTOL * n indicate a defective construction.
 FLATNESS_RTOL = 1e-6
 
-# Pattern-file lines formatted or parsed per batch: large enough that the
-# per-batch numpy call is cheap, small enough that a batch's Python strings
-# stay a few MB at n = 2^20 - 1.
+# Pattern-file lines formatted or parsed per batch.  The batch bounds memory
+# only on the general path (values other than 0 and 1, e.g. gray-scale
+# rows): large enough that the per-batch numpy call is cheap, small enough
+# that a batch's Python strings stay a few MB at n = 2^20 - 1.  A batch of
+# 0/1 lines is one 64 KB byte buffer.
 IO_CHUNK = 1 << 15
 
 # gen_mura squares i <= (n-1)/2 in uint64, which is exact below this n.
@@ -337,10 +340,16 @@ _INTEGER_LINES = {0.0: "0\n", 1.0: "1\n"}
 
 
 def _text_lines(values: np.ndarray) -> Iterable[str]:
-    """One line per value: 0 and 1 as integers, the rest as repr."""
+    """One line per value: 0 and 1 as integers, the rest as repr.  A batch
+    of only 0s and 1s is encoded as bytes in one numpy step."""
     for start in range(0, values.size, IO_CHUNK):
-        yield "".join([_INTEGER_LINES.get(v) or f"{v!r}\n"
-                       for v in values[start:start + IO_CHUNK].tolist()])
+        chunk = values[start:start + IO_CHUNK]
+        if ((chunk == 0.0) | (chunk == 1.0)).all():
+            lines = np.full((chunk.size, 2), ord("\n"), dtype=np.uint8)
+            lines[:, 0] = chunk + ord("0")
+            yield lines.tobytes().decode("ascii")
+        else:
+            yield "".join([_INTEGER_LINES.get(v) or f"{v!r}\n" for v in chunk.tolist()])
 
 
 def save_pattern(pattern: AperturePattern, base_path: str) -> tuple[str, str]:
@@ -378,27 +387,58 @@ def _reject_bad_line(txt_path: str, lines: list[str], first: int) -> None:
                 f"{txt_path}:{lineno}: not a number: {line.strip()!r}") from None
 
 
+def _read_binary(fh) -> np.ndarray | None:
+    """The values of a file that is exactly a sequence of "0\n" and "1\n"
+    lines, decoded as bytes.  None for any other file, with the stream
+    rewound, and for a stream that cannot be rewound."""
+    if not fh.seekable():
+        return None
+    digits = []
+    while block := fh.read(2 * IO_CHUNK):
+        raw = np.frombuffer(block, dtype=np.uint8)
+        digit = raw[0::2] - ord("0")  # uint8: every byte but '0' and '1' wraps above 1
+        if raw.size % 2 or (digit > 1).any() or (raw[1::2] != ord("\n")).any():
+            digits = []
+            break
+        digits.append(digit)
+    if digits:
+        return np.concatenate(digits, dtype=float)
+    fh.seek(0)
+    return None
+
+
+def _parse_lines(txt_path: str, fh) -> np.ndarray:
+    """Values of a text stream, one per line, in batches of IO_CHUNK lines;
+    blank lines are skipped."""
+    chunks = []
+    first = 1
+    while lines := list(itertools.islice(fh, IO_CHUNK)):
+        try:
+            # numpy parses each str with Python's float()
+            chunks.append(np.array(list(filter(str.strip, lines)), dtype=float))
+        except ValueError:
+            _reject_bad_line(txt_path, lines, first)
+            raise
+        first += len(lines)
+    return np.concatenate(chunks or [np.empty(0)])
+
+
 def load_pattern(txt_path: str) -> AperturePattern:
     """Read a pattern text file (one value per line) written by save_pattern.
 
-    If a sibling .json descriptor exists its family/seed are restored;
-    otherwise the pattern is loaded as CUSTOM.
+    A file of only "0" and "1" lines is decoded as bytes; any other file is
+    parsed line by line, with the same values.  If a sibling .json
+    descriptor exists its family/seed are restored; otherwise the pattern is
+    loaded as CUSTOM.
     """
-    chunks = []
-    first = 1
     try:
-        with open(txt_path) as fh:
-            while lines := list(itertools.islice(fh, IO_CHUNK)):
-                try:
-                    # numpy parses each str with Python's float()
-                    chunks.append(np.array(list(filter(str.strip, lines)), dtype=float))
-                except ValueError:
-                    _reject_bad_line(txt_path, lines, first)
-                    raise
-                first += len(lines)
+        with open(txt_path, "rb") as fh:
+            vals = _read_binary(fh)
+            if vals is None:
+                with io.TextIOWrapper(fh) as text:
+                    vals = _parse_lines(txt_path, text)
     except UnicodeDecodeError as exc:
         raise InvalidArgumentError(f"{txt_path}: {exc}") from None
-    vals = np.concatenate(chunks or [np.empty(0)])
     if not vals.size:
         raise InvalidArgumentError(f"{txt_path}: no pattern entries found")
     family = PatternFamily.CUSTOM

@@ -159,6 +159,22 @@ class TestExplogKernel:
                 assert abs(float(value) - exact) <= asymptotic.EXPLOG_ABS_TOL, c
 
 
+@pytest.mark.parametrize("predict, args", [
+    (predict_pinhole, (1, 1e-320, 0.0)),
+    (predict_flat_iid, (0.0, 1e-320)),
+    (predict_bernoulli_iid, (0.3, 0.0, 1e-320)),
+    (predict_uniform_iid, (0.0, 1e-320)),
+    (predict_flat_onef, (11, 0.0, 1e-320)),
+    (predict_gaussian_onef, (11, 0.0, 1e-320)),
+    (predict_bernoulli_onef, (11, 0.3, 0.0, 1e-320)),
+])
+def test_noise_without_finite_inverse_rejected(predict, args):
+    """A valid NoiseModel whose total noise is nonzero but too small for
+    1/total to be finite is rejected, not turned into an infinite gamma."""
+    with pytest.raises(InvalidArgumentError, match="too small to invert"):
+        predict(*args)
+
+
 class TestPinholePredictor:
     def test_frozen(self):
         assert predict_pinhole(1, 0.0, 1.0).value == pytest.approx(

@@ -127,6 +127,19 @@ class TestMi:
         assert payload["n"] == 15
         assert "per_pixel_excl_dc" in payload
 
+    def test_mls20_pattern_file_matches_family(self, capsys, tmp_path):
+        """A full-size 0/1 mask read back from its file gives the same stdout
+        as the mask generated in place."""
+        base = str(tmp_path / "mls20")
+        assert run(capsys, "generate", "--family", "mls", "--degree", "20",
+                   "--out", base)[0] == 0
+        code, from_file, _ = run(capsys, "mi", "--pattern-file", base + ".txt",
+                                 "--prior", "1f", "--W", "0.01")
+        _, in_place, _ = run(capsys, "mi", "--family", "mls", "--degree", "20",
+                             "--prior", "1f", "--W", "0.01")
+        assert code == 0
+        assert from_file == in_place
+
     def test_file_and_family_conflict(self, capsys, tmp_path):
         code, _, err = run(capsys, "mi", "--pattern-file", "x.txt",
                            "--family", "pinhole", "--n", "4", "--W", "0.01")
@@ -541,6 +554,22 @@ def test_zero_noise_trial_exits_2(capsys, tmp_path, workers, trials):
     assert code == 2 and out == ""
     assert err == ("error: trial 0: W + rho*J is zero (rho=0.0); "
                    "supply W > 0 or a family with rho*J > 0\n")
+    assert list(tmp_path.iterdir()) == []
+
+
+@pytest.mark.parametrize("argv", [
+    ("mi", "--family", "mls", "--degree", "5"),
+    ("sweep", "--n", "8", "--trials", "4", "--p-grid", "0.5,0.2"),
+    ("predict", "bernoulli-iid", "--p", "0.3"),
+])
+def test_noise_without_finite_inverse_exits_2(capsys, tmp_path, argv):
+    """W + rho*J = 5e-321 is nonzero, but 1/(W + rho*J) overflows: it is
+    rejected like zero noise, with one line and no numpy warnings."""
+    code, out, err = run(capsys, *argv, "--W", "0", "--J", "1e-320",
+                         "--out", str(tmp_path / "out"))
+    assert code == 2 and out == ""
+    assert err.startswith("error: ") and err.count("\n") == 1, err
+    assert "too small to invert" in err
     assert list(tmp_path.iterdir()) == []
 
 

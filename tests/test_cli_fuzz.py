@@ -84,6 +84,8 @@ CONFIG = st.one_of(
           "--W=1"], b"")
 @example(["sweep", "--n=8", "--trials=2", "--p-grid=,", "--workers=1", "--W=1"], b"")
 @example(["generate", "--family=mls", "--degree=3", "--out={tmp}/sub/"], b"")
+@example(["sweep", "--n=8", "--trials=4", "--p-grid=0.5,0.2", "--workers=1", "--W=0",
+          "--J=1e-320"], b"")
 def test_error_contract(argv, config):
     with tempfile.TemporaryDirectory() as tmp:
         cfg = Path(tmp) / "run.cfg"

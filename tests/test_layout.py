@@ -33,6 +33,13 @@ def test_one_draw_site_and_one_pool_site_in_ensemble():
     assert occurrences(r"ProcessPoolExecutor\(")["ensemble.py"] == 1
 
 
+def test_one_pattern_file_byte_encoder_and_decoder():
+    """0/1 pattern files are written by one byte encoder and read by one
+    byte decoder."""
+    assert occurrences(r"\.tobytes\(") == {"patterns.py": 1}
+    assert occurrences(r"\bfrombuffer\(") == {"patterns.py": 1}
+
+
 def test_one_log_base_conversion():
     assert occurrences(r"/\s*LN2\b") == {"model.py": 1}
     assert re.search(r"/\s*LN2\b", inspect.getsource(model.to_log_base))

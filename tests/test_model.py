@@ -15,7 +15,7 @@ from apmi import (
     gamma,
     spectral_weights,
 )
-from apmi.model import LN2, effective_n, to_log_base
+from apmi.model import LN2, degenerate_noise, effective_n, to_log_base
 
 
 class TestSpectralWeights:
@@ -107,6 +107,21 @@ class TestGamma:
     def test_degenerate_rejected(self):
         with pytest.raises(DegenerateNoiseError):
             gamma(NoiseModel(0.0, 1.0), 0.0)
+
+    @pytest.mark.parametrize("W, J, rho", [(0.0, 1e-320, 0.5), (1e-320, 0.0, 1.0)])
+    def test_total_without_finite_inverse_rejected(self, W, J, rho):
+        with pytest.raises(DegenerateNoiseError, match="too small to invert"):
+            gamma(NoiseModel(W, J), rho)
+
+    def test_degenerate_noise_is_a_non_finite_inverse(self):
+        smallest = 1.0 / np.finfo(float).max
+        totals = np.array([0.0, 5e-324, 1e-320, np.nextafter(smallest, 0.0), smallest,
+                           np.nextafter(smallest, 1.0), 1e-300, 1.0])
+        with np.errstate(divide="ignore", over="ignore"):
+            expected = ~np.isfinite(1.0 / totals)
+        assert expected[:3].all() and not expected[-3:].any()
+        np.testing.assert_array_equal(degenerate_noise(totals), expected)
+        assert [bool(degenerate_noise(float(t))) for t in totals] == expected.tolist()
 
     def test_rho_out_of_range_rejected(self):
         with pytest.raises(InvalidArgumentError):

@@ -5,6 +5,11 @@ quadratic-residue mask against a Legendre-symbol oracle, and the shift
 register table against an explicit period count.
 """
 
+import os
+import tempfile
+import threading
+from pathlib import Path
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -22,6 +27,7 @@ from apmi import (
     load_pattern,
     save_pattern,
 )
+from apmi import patterns
 from apmi.patterns import IO_CHUNK, MLS_POLYNOMIALS, MURA_MAX_N
 
 
@@ -354,6 +360,71 @@ class TestSerialization:
         (tmp_path / "mask.json").write_text('{"family": "hexagon"}\n')
         with pytest.raises(InvalidArgumentError, match="bad descriptor"):
             load_pattern(str(path))
+
+
+class TestCodecPaths:
+    """A batch or file of only 0s and 1s goes through the byte codec, any
+    other through the per-line one; both must give the same text and values."""
+
+    @settings(max_examples=25, deadline=None)
+    @given(n=st.sampled_from([1, 2, IO_CHUNK - 1, IO_CHUNK, IO_CHUNK + 1, 2 * IO_CHUNK + 1]),
+           seed=st.integers(0, 2**32 - 1),
+           gray=st.lists(st.tuples(st.floats(0, 1, exclude_max=True),
+                                   st.floats(0, 1)), max_size=4))
+    def test_mixed_values_round_trip(self, n, seed, gray):
+        values = np.random.default_rng(seed).choice([0.0, -0.0, 1.0], n)
+        for where, value in gray:
+            values[int(where * n)] = value
+        with tempfile.TemporaryDirectory() as tmp:
+            txt, _ = save_pattern(AperturePattern(values), os.path.join(tmp, "mask"))
+            assert Path(txt).read_text() == text_reference(values)
+            loaded = load_pattern(txt).values
+        # -0.0 is written as 0 and so reads back as +0.0
+        assert loaded.tobytes() == np.where(values == 0.0, 0.0, values).tobytes()
+
+    @pytest.mark.parametrize("data, expected", [
+        (b"0\n1", [0.0, 1.0]),
+        (b"1\r\n0\r\n", [1.0, 0.0]),
+        (b"1\n\n0\n", [1.0, 0.0]),
+        (b" 1\n", [1.0]),
+        (b"01\n", [1.0]),
+        (b"1\n0\n" * IO_CHUNK + b"0.5\n", [1.0, 0.0] * IO_CHUNK + [0.5]),
+    ])
+    def test_near_binary_file_loads_as_lines(self, tmp_path, data, expected):
+        path = tmp_path / "near.txt"
+        path.write_bytes(data)
+        assert load_pattern(str(path)).values.tolist() == expected
+
+    @pytest.mark.parametrize("data, message", [
+        (b"2\n", r"must lie in \[0, 1\]"),
+        (b"", r"near\.txt: no pattern entries found"),
+        (b"0\n\xff\n", r"near\.txt: .*can't decode"),
+        (b"1\n" * IO_CHUNK + b"x\n", rf"near\.txt:{IO_CHUNK + 1}: not a number: 'x'"),
+    ])
+    def test_near_binary_file_rejected_as_lines(self, tmp_path, data, message):
+        path = tmp_path / "near.txt"
+        path.write_bytes(data)
+        with pytest.raises(InvalidArgumentError, match=message):
+            load_pattern(str(path))
+
+    def test_binary_file_skips_line_parser(self, tmp_path, monkeypatch):
+        txt, _ = save_pattern(gen_mls(16), str(tmp_path / "mls"))
+        monkeypatch.setattr(patterns, "_parse_lines", None)
+        np.testing.assert_array_equal(load_pattern(txt).values, gen_mls(16).values)
+
+    @pytest.mark.skipif(not hasattr(os, "mkfifo"), reason="needs named pipes")
+    def test_load_from_pipe(self, tmp_path):
+        """A stream that cannot be rewound is read by the line parser alone."""
+        path = tmp_path / "pipe.txt"
+        os.mkfifo(path)
+        writer = threading.Thread(target=path.write_bytes, args=(b"0\n1\n0.5\n",),
+                                  daemon=True)
+        writer.start()
+        try:
+            np.testing.assert_array_equal(load_pattern(str(path)).values, [0.0, 1.0, 0.5])
+        finally:
+            writer.join(timeout=10)
+        assert not writer.is_alive()
 
 
 def test_flatness_guard_trips_on_bad_table(monkeypatch):
