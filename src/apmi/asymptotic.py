@@ -20,10 +20,13 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import InvalidArgumentError
-from .model import NoiseModel, degenerate_noise, noise_level
+from .model import NoiseModel, ScenePrior, degenerate_noise, noise_level
 
 __all__ = [
     "PredictionResult",
+    "PREDICTORS",
+    "BERNOULLI_PREDICTOR",
+    "predict",
     "explog_exp1",
     "predict_pinhole",
     "predict_flat_iid",
@@ -164,7 +167,10 @@ def optimal_p_iid(W: float, J: float) -> float:
     NoiseModel(W, J)
     if W <= 0 or J <= 0:
         raise InvalidArgumentError("closed form needs W > 0 and J > 0")
-    return float(W / J * (math.sqrt(1.0 + J / W) - 1.0))
+    p_star = W / J * (math.sqrt(1.0 + J / W) - 1.0)
+    if not math.isfinite(p_star):  # W/J or J/W overflowed
+        raise InvalidArgumentError(f"the closed form of p* is not finite at W={W}, J={J}")
+    return float(p_star)
 
 
 def predict_uniform_iid(W: float, J: float, bulk_variance: float = 1.0 / 24.0) -> PredictionResult:
@@ -312,3 +318,30 @@ def optimal_p_onef(n: int, W: float, J: float, tol: float = 1e-4) -> float:
         return predict_bernoulli_onef(n, p, W, J).value
 
     return _golden_max(objective, 0.005, 0.995, tol)
+
+
+####################### predictor registry #######################
+
+# Predictor name -> (the options its function takes, in call order; the
+# call).  Each call looks its function up in this module when it runs, so a
+# patched module attribute (a tracer, a test double) is the one called.  The
+# options are also the JSON parameters of `apmi predict`; the "-1f"
+# predictors run at the odd n of model.effective_n.
+PREDICTORS = {
+    "pinhole": (("n", "W", "J"), lambda *a: predict_pinhole(*a)),
+    "flat-iid": (("W", "J"), lambda *a: predict_flat_iid(*a)),
+    "bernoulli-iid": (("p", "W", "J"), lambda *a: predict_bernoulli_iid(*a)),
+    "uniform-iid": (("W", "J", "bulk_variance"), lambda *a: predict_uniform_iid(*a)),
+    "flat-1f": (("n", "W", "J", "form"), lambda *a: predict_flat_onef(*a)),
+    "gaussian-1f": (("n", "W", "rho_j"), lambda *a: predict_gaussian_onef(*a)),
+    "bernoulli-1f": (("n", "p", "W", "J"), lambda *a: predict_bernoulli_onef(*a)),
+}
+
+# The on-off predictor of each scene prior, for Bernoulli ensembles and their optimal p.
+BERNOULLI_PREDICTOR = {ScenePrior.IID: "bernoulli-iid", ScenePrior.ONE_OVER_F: "bernoulli-1f"}
+
+
+def predict(which: str, **params) -> PredictionResult:
+    """Call PREDICTORS[which] on the params it lists, by name; others are ignored."""
+    names, call = PREDICTORS[which]
+    return call(*(params[name] for name in names))

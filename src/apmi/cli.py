@@ -37,17 +37,7 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__
-from .asymptotic import (
-    optimal_p_iid,
-    optimal_p_onef,
-    predict_bernoulli_iid,
-    predict_bernoulli_onef,
-    predict_flat_iid,
-    predict_flat_onef,
-    predict_gaussian_onef,
-    predict_pinhole,
-    predict_uniform_iid,
-)
+from .asymptotic import BERNOULLI_PREDICTOR, PREDICTORS, optimal_p_iid, optimal_p_onef, predict
 from .checks import selftest
 from .ensemble import (
     METRICS,
@@ -82,22 +72,8 @@ CSV_HEADER = ("p,n,W,J,prior,family,trials,seed,mi_mean,mi_std,mi_stderr,"
 # fig2 W grid.
 MAX_GRID_POINTS = 10_000
 
-# Both tables map a name to (the options its function takes, in call order;
-# the call).  Each call looks its function up in this module when it runs,
-# so a patched module attribute (a tracer, a test double) is the one called.
-
-# Predictor options are also the JSON parameters of `apmi predict`; the
-# "-1f" predictors run at the odd n of model.effective_n.
-PREDICTORS = {
-    "pinhole": (("n", "W", "J"), lambda *a: predict_pinhole(*a)),
-    "flat-iid": (("W", "J"), lambda *a: predict_flat_iid(*a)),
-    "bernoulli-iid": (("p", "W", "J"), lambda *a: predict_bernoulli_iid(*a)),
-    "uniform-iid": (("W", "J", "bulk_variance"), lambda *a: predict_uniform_iid(*a)),
-    "flat-1f": (("n", "W", "J", "form"), lambda *a: predict_flat_onef(*a)),
-    "gaussian-1f": (("n", "W", "rho_j"), lambda *a: predict_gaussian_onef(*a)),
-    "bernoulli-1f": (("n", "p", "W", "J"), lambda *a: predict_bernoulli_onef(*a)),
-}
-
+# Mask family -> (its generator's options, in call order; the call), late-bound
+# like asymptotic.PREDICTORS so that a patched generator is the one called.
 PATTERNS = {
     "pinhole": (("n",), lambda *a: gen_pinhole(*a)),
     "mls": (("degree",), lambda *a: gen_mls(*a)),
@@ -215,7 +191,10 @@ def _manifest(command: str, parameters: dict, master_seed: int | None) -> str:
 
 def _emit_scalar(payload: dict, args) -> int:
     """Print a scalar JSON record, its floats to 12 significant digits;
-    optionally persist it with a manifest."""
+    optionally persist it with a manifest.  A non-finite float, which JSON
+    cannot hold, is an argument error."""
+    bad = sorted(k for k, v in payload.items() if isinstance(v, float) and not math.isfinite(v))
+    _require(not bad, f"{', '.join(bad)} not finite: the noise power is too small")
     payload = {k: _j12(v) if isinstance(v, float) else v for k, v in payload.items()}
     text = json.dumps(payload, indent=2, sort_keys=True)
     print(text)
@@ -436,7 +415,7 @@ def _cmd_mi(args) -> int:
 
 def _cmd_predict(args) -> int:
     which = args.which
-    names, predict = PREDICTORS[which]
+    names, _ = PREDICTORS[which]
     # --p and --rho-j are reported missing before --n, and all of them
     # before the odd-n reduction can warn
     _require_options(args, sorted(names, key=lambda name: name == "n"), which)
@@ -444,7 +423,7 @@ def _cmd_predict(args) -> int:
     params["W"] = _resolve_w(args)
     if which.endswith("-1f"):
         params["n"] = effective_n(ScenePrior.ONE_OVER_F, params["n"])
-    result = predict(*params.values())
+    result = predict(which, **params)
     return _emit_scalar({
         "command": "predict",
         "predictor": which,
@@ -460,26 +439,23 @@ def _cmd_predict(args) -> int:
 def _cmd_optimize_p(args) -> int:
     prior = ScenePrior.parse(args.prior)
     W = _resolve_w(args)
-    J = args.J
     payload = {
         "command": "optimize-p",
         "prior": prior.value,
         "W": W,
-        "J": J,
+        "J": args.J,
         "log_base": args.log_base,
     }
     if prior is ScenePrior.IID:
-        p_star = optimal_p_iid(W, J)
-        predicted = predict_bernoulli_iid(p_star, W, J).value
+        p_star = optimal_p_iid(W, args.J)
     else:
         _require(args.n is not None, "--n is required for the 1/f prior")
-        n = effective_n(ScenePrior.ONE_OVER_F, args.n)
-        p_star = optimal_p_onef(n, W, J, tol=args.tol)
-        predicted = predict_bernoulli_onef(n, p_star, W, J).value
-        payload["n"] = n
+        payload["n"] = effective_n(ScenePrior.ONE_OVER_F, args.n)
         payload["tol"] = args.tol
+        p_star = optimal_p_onef(payload["n"], W, args.J, tol=args.tol)
+    predicted = predict(BERNOULLI_PREDICTOR[prior], n=payload.get("n"), p=p_star, W=W, J=args.J)
     payload["p_star"] = p_star
-    payload["predicted_mi"] = to_log_base(predicted, args.log_base)
+    payload["predicted_mi"] = to_log_base(predicted.value, args.log_base)
     return _emit_scalar(payload, args)
 
 
@@ -531,6 +507,12 @@ def _cmd_fig3(args) -> int:
 
 def _cmd_fig2(args) -> int:
     """Predictor curves (flat, Bernoulli 1/2, Bernoulli p*) over a W sweep."""
+    # (family column, predictor, p); p "p*" is optimal_p_iid at each W
+    curves = (
+        ("flat", "flat-iid", None),
+        ("bernoulli-half", "bernoulli-iid", 0.5),
+        ("bernoulli-pstar", "bernoulli-iid", "p*"),
+    )
     J = args.J
     out = _out_path(args.out or "fig2.csv")
     _require(args.points >= 2, f"--points must be >= 2, got {args.points}")
@@ -538,25 +520,20 @@ def _cmd_fig2(args) -> int:
              f"--points must be <= {MAX_GRID_POINTS}, got {args.points}")
     w_grid = np.logspace(-3.0, 3.0, args.points)
     rows = []
-    for W in w_grid:
-        W = float(W)
+    for W in w_grid.tolist():
         p_star = optimal_p_iid(W, J)
-        curves = (
-            ("flat", "", predict_flat_iid(W, J).value),
-            ("bernoulli-half", "0.5", predict_bernoulli_iid(0.5, W, J).value),
-            ("bernoulli-pstar", _g12(p_star),
-             predict_bernoulli_iid(p_star, W, J).value),
-        )
-        for family, p_text, value in curves:
+        for family, which, p in curves:
+            p = p_star if p == "p*" else p
+            value = predict(which, p=p, W=W, J=J).value
             # simulation-only columns stay empty
-            rows.append([p_text, "", _g12(W), _g12(J), "iid", family, "", "", "",
-                         "", "", _g12(to_log_base(value, args.log_base)), "",
+            rows.append(["" if p is None else _g12(p), "", _g12(W), _g12(J), "iid", family,
+                         "", "", "", "", "", _g12(to_log_base(value, args.log_base)), "",
                          args.log_base])
     params = {
         "J": _j12(J),
         "W_grid": [_j12(w) for w in w_grid],
         "points": args.points,
-        "curves": ["flat", "bernoulli-half", "bernoulli-pstar"],
+        "curves": [family for family, _, _ in curves],
         "log_base": args.log_base,
     }
     return _emit_table("reproduce fig2", rows, params, out, None)

@@ -30,7 +30,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .asymptotic import PredictionResult, predict_bernoulli_iid, predict_bernoulli_onef
+from .asymptotic import BERNOULLI_PREDICTOR, PredictionResult, predict
 from .errors import InvalidArgumentError
 from .model import (NoiseModel, ScenePrior, degenerate_noise, effective_n, noise_level,
                     spectral_weights, to_log_base)
@@ -229,6 +229,12 @@ def _stats(config: EnsembleConfig, n: int, p, values: np.ndarray) -> EnsembleSta
         v = values[:, 0] / n
     else:
         v = values[:, 1] / n
+    bad = np.flatnonzero(~np.isfinite(v))
+    if bad.size:
+        t = int(bad[0])
+        raise InvalidArgumentError(
+            f"trial {t}: the MI is not finite at W + rho*J = {noise[t]}; "
+            "the noise power is too small")
     v = to_log_base(v, config.log_base)
     std = float(v.std(ddof=1))
     return EnsembleStats(
@@ -246,12 +252,6 @@ def run_ensemble(config: EnsembleConfig) -> EnsembleStats:
     """Simulate config.trials random apertures and aggregate the configured metric."""
     n = effective_n(config.prior, config.n)
     return _stats(config, n, config.p, _collect(config, n, (config.p,))[0])
-
-
-def _matching_prediction(config: EnsembleConfig, n: int, p: float) -> PredictionResult:
-    if config.prior is ScenePrior.ONE_OVER_F:
-        return predict_bernoulli_onef(n, p, config.noise.W, config.noise.J)
-    return predict_bernoulli_iid(p, config.noise.W, config.noise.J)
 
 
 def sweep_p(config: EnsembleConfig, p_grid) -> list[SweepRow]:
@@ -275,7 +275,8 @@ def sweep_p(config: EnsembleConfig, p_grid) -> list[SweepRow]:
     rows = []
     for p, v in zip(grid, values):
         stats = _stats(config, n, p, v)
-        pred = _matching_prediction(config, n, p)
+        pred = predict(BERNOULLI_PREDICTOR[config.prior], n=n, p=p,
+                       W=config.noise.W, J=config.noise.J)
         rows.append(SweepRow(p=p, n=n, stats=stats,
                              predicted=to_log_base(pred.value, config.log_base),
                              relative_gap=compare(stats, pred).relative_gap))

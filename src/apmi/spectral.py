@@ -71,13 +71,15 @@ def mi_sums(lambda_sq: np.ndarray, weights: np.ndarray, gamma_: float | np.ndarr
 
     One spectrum (n,) with a scalar gamma gives two floats.  A (T, n) batch
     with one gamma per row (shape (T,)) gives two length-T arrays, each row
-    bitwise equal to its own one-spectrum call.
+    bitwise equal to its own one-spectrum call.  A term that overflows makes
+    its sums inf or nan without a numpy warning; the CLI's outputs reject them.
     """
     if lambda_sq.ndim == 2:
         gamma_ = np.asarray(gamma_)[:, None]
-    terms = np.log1p(gamma_ * weights * lambda_sq / lambda_sq.shape[-1])
-    total = terms.sum(axis=-1)
-    excl = total - terms[..., 0]
+    with np.errstate(over="ignore", invalid="ignore"):
+        terms = np.log1p(gamma_ * weights * lambda_sq / lambda_sq.shape[-1])
+        total = terms.sum(axis=-1)
+        excl = total - terms[..., 0]
     if lambda_sq.ndim == 1:
         return float(total), float(excl)
     return total, excl

@@ -7,6 +7,7 @@ transmissivity optimizers are checked against brute-force grids.
 """
 
 import math
+import re
 
 import numpy as np
 import pytest
@@ -293,6 +294,13 @@ class TestOptimalPIID:
         with pytest.raises(InvalidArgumentError):
             optimal_p_iid(1.0, 0.0)
 
+    @pytest.mark.parametrize("W, J", [(1e-320, 1.0), (1e308, 1e-308), (1e-3, 1e-320)])
+    def test_rejects_non_finite_closed_form(self, W, J):
+        """J/W or W/J overflows: the error names W and J, not the inf or
+        nan p* the closed form would return."""
+        with pytest.raises(InvalidArgumentError, match=re.escape(f"not finite at W={W}, J={J}")):
+            optimal_p_iid(W, J)
+
 
 class TestUniformIID:
     def test_frozen(self):
@@ -457,3 +465,44 @@ class TestOptimalPOneF:
                  for W in (0.001, 0.01, 1.0, 100.0)]
         assert stars[0] < 0.2
         assert all(a < b for a, b in zip(stars, stars[1:]))
+
+
+class TestPredictorRegistry:
+    # the options of every entry, and the direct call each must equal bitwise
+    CASES = {
+        "pinhole": (dict(n=7, W=0.01, J=1.0), lambda: predict_pinhole(7, 0.01, 1.0)),
+        "flat-iid": (dict(W=0.01, J=1.0), lambda: predict_flat_iid(0.01, 1.0)),
+        "bernoulli-iid": (dict(p=0.3, W=0.01, J=1.0),
+                          lambda: predict_bernoulli_iid(0.3, 0.01, 1.0)),
+        "uniform-iid": (dict(W=0.01, J=1.0, bulk_variance=0.05),
+                        lambda: asymptotic.predict_uniform_iid(0.01, 1.0, 0.05)),
+        "flat-1f": (dict(n=101, W=0.01, J=1.0, form="closed"),
+                    lambda: asymptotic.predict_flat_onef(101, 0.01, 1.0, "closed")),
+        "gaussian-1f": (dict(n=101, W=0.01, rho_j=1.0),
+                        lambda: asymptotic.predict_gaussian_onef(101, 0.01, 1.0)),
+        "bernoulli-1f": (dict(n=101, p=0.3, W=0.01, J=1.0),
+                         lambda: predict_bernoulli_onef(101, 0.3, 0.01, 1.0)),
+    }
+
+    def test_covers_every_predictor(self):
+        assert set(self.CASES) == set(asymptotic.PREDICTORS)
+
+    @pytest.mark.parametrize("which", sorted(CASES))
+    def test_predict_equals_direct_call(self, which):
+        params, direct = self.CASES[which]
+        # options an entry does not list are ignored
+        assert asymptotic.predict(which, **params, unused=None) == direct()
+
+    def test_entries_are_late_bound(self, monkeypatch):
+        """Each entry looks its function up when called, so a patched module
+        attribute (as a tracer installs) sees every call."""
+        calls = []
+        original = asymptotic.predict_flat_iid
+        monkeypatch.setattr(asymptotic, "predict_flat_iid",
+                            lambda *a: calls.append(a) or original(*a))
+        asymptotic.predict("flat-iid", W=0.01, J=1.0)
+        assert calls == [(0.01, 1.0)]
+
+    def test_bernoulli_predictor_per_prior(self):
+        assert asymptotic.BERNOULLI_PREDICTOR == {ScenePrior.IID: "bernoulli-iid",
+                                                  ScenePrior.ONE_OVER_F: "bernoulli-1f"}

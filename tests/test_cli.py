@@ -573,6 +573,67 @@ def test_noise_without_finite_inverse_exits_2(capsys, tmp_path, argv):
     assert list(tmp_path.iterdir()) == []
 
 
+@pytest.mark.parametrize("argv", [
+    ("mi", "--family", "mls", "--degree", "5", "--W", "1e-307", "--J", "0"),
+    ("predict", "bernoulli-1f", "--n", "11", "--p", "0.5", "--W", "1e-307", "--J", "0"),
+    ("sweep", "--n", "31", "--trials", "4", "--p-grid", "0.5", "--W", "1e-307", "--J", "0",
+     "--workers", "1"),
+    ("sweep", "--n", "31", "--trials", "4", "--p-grid", "0.5", "--W", "1e-307", "--J", "0",
+     "--workers", "2"),
+    # 8 trials at 2 workers run in a process pool
+    ("sweep", "--n", "31", "--trials", "8", "--p-grid", "0.5", "--W", "1e-307", "--J", "0",
+     "--workers", "2"),
+])
+def test_non_finite_result_exits_2(tmp_path, argv):
+    """1/(W + rho*J) = 1e307 is finite, but the MI overflows: no NaN or
+    Infinity is printed or written, and no numpy warning reaches stderr,
+    from the parent or from a pool worker."""
+    proc = run_subprocess(*argv, "--out", str(tmp_path / "out"))
+    assert proc.returncode == 2 and proc.stdout == "", proc.stdout
+    assert proc.stderr.startswith("error: ") and proc.stderr.count("\n") == 1, proc.stderr
+    assert "not finite" in proc.stderr
+    assert list(tmp_path.iterdir()) == []
+
+
+@pytest.mark.parametrize("argv, W, J", [
+    (("optimize-p", "--W", "1e-320", "--J", "1"), 1e-320, 1.0),
+    (("optimize-p", "--W", "1e308", "--J", "1e-308"), 1e308, 1e-308),
+    (("reproduce", "fig2", "--J", "1e-320"), 1e-3, 1e-320),
+])
+def test_optimal_p_overflow_names_w_and_j(capsys, tmp_path, argv, W, J):
+    code, out, err = run(capsys, *argv, "--out", str(tmp_path / "out"))
+    assert code == 2 and out == ""
+    assert err == f"error: the closed form of p* is not finite at W={W}, J={J}\n"
+    assert list(tmp_path.iterdir()) == []
+
+
+def test_predictions_call_module_predictors(capsys, tmp_path, monkeypatch):
+    """Every command's predictions go through asymptotic.PREDICTORS, which
+    looks each function up in apmi.asymptotic when it runs: a patched
+    predictor sees one call per prediction (the count a tracer reports)."""
+    from apmi import asymptotic
+    calls = []
+    for name in ("predict_flat_iid", "predict_bernoulli_iid", "predict_bernoulli_onef"):
+        original = getattr(asymptotic, name)
+        monkeypatch.setattr(asymptotic, name,
+                            lambda *a, f=original, name=name: calls.append(name) or f(*a))
+
+    def count(*argv):
+        calls.clear()
+        assert run(capsys, *argv, "--out", str(tmp_path / "out"))[0] == 0
+        return {name: calls.count(name) for name in set(calls)}
+
+    assert count("reproduce", "fig2", "--points", "2") == {
+        "predict_flat_iid": 2, "predict_bernoulli_iid": 4}
+    assert count("optimize-p", "--W", "0.01") == {"predict_bernoulli_iid": 1}
+    assert count("predict", "bernoulli-1f", "--n", "11", "--p", "0.3", "--W", "0.01") == {
+        "predict_bernoulli_onef": 1}
+    assert count("sweep", "--n", "8", "--trials", "2", "--p-grid", "0.2,0.5",
+                 "--W", "0.01") == {"predict_bernoulli_iid": 2}
+    assert count("reproduce", "fig3", "--n", "11", "--trials", "2",
+                 "--p-grid", "0.2,0.5,0.7") == {"predict_bernoulli_onef": 3}
+
+
 def test_cli_import_loads_no_scipy():
     """scipy is imported by the functions that need it, not at startup."""
     code = ("import sys, apmi.cli; "

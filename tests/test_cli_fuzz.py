@@ -1,12 +1,14 @@
 """Fuzz of the CLI error contract: whatever the arguments and config lines,
 `apmi` exits 0, 2 or 3, raises no exception out of `main` (a traceback),
 leaves no temporary file behind, writes nothing when it fails, never writes
-a hidden file (an output named only by its suffix), and never writes a CSV
-without a data row.  An argv may carry its own --out, in which {tmp} stands
-for the test's fresh directory."""
+a hidden file (an output named only by its suffix), never writes a CSV
+without a data row, and prints strict JSON (no NaN or Infinity) from every
+scalar command that succeeds.  An argv may carry its own --out, in which
+{tmp} stands for the test's fresh directory."""
 
 import contextlib
 import io
+import json
 import tempfile
 from pathlib import Path
 
@@ -26,6 +28,13 @@ numbers = st.one_of(st.floats(0, 1), st.floats(0, 1), st.floats(0, 100), st.floa
 seeds = st.integers()
 grids = st.one_of(st.lists(st.floats(0.01, 0.99).map(str), min_size=1, max_size=5),
                   st.lists(numbers, max_size=5)).map(",".join) | st.text(max_size=6)
+
+
+def strict_json(text):
+    """json.loads that refuses NaN and Infinity, which are not JSON."""
+    def reject(constant):
+        raise ValueError(f"not JSON: {constant}")
+    return json.loads(text, parse_constant=reject)
 
 
 def choice(*values):
@@ -86,6 +95,7 @@ CONFIG = st.one_of(
 @example(["generate", "--family=mls", "--degree=3", "--out={tmp}/sub/"], b"")
 @example(["sweep", "--n=8", "--trials=4", "--p-grid=0.5,0.2", "--workers=1", "--W=0",
           "--J=1e-320"], b"")
+@example(["predict", "bernoulli-1f", "--n=11", "--p=0.5", "--W=1e-307", "--J=0"], b"")
 def test_error_contract(argv, config):
     with tempfile.TemporaryDirectory() as tmp:
         cfg = Path(tmp) / "run.cfg"
@@ -105,5 +115,8 @@ def test_error_contract(argv, config):
         assert hidden == [], hidden
         if code != 0:
             assert written == [], (code, written, stderr.getvalue())
+        elif argv[0] in ("mi", "predict", "optimize-p") and not \
+                stdout.getvalue().startswith("usage:"):  # a config line "h = ..." is --help
+            strict_json(stdout.getvalue())
         if out.exists() and argv[0] in ("sweep", "reproduce"):
             assert len(out.read_text().splitlines()) >= 2, out.read_text()

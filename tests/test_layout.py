@@ -7,7 +7,7 @@ import re
 from pathlib import Path
 
 import apmi
-from apmi import model
+from apmi import asymptotic, cli, model
 
 PACKAGE = Path(apmi.__file__).resolve().parent
 
@@ -50,3 +50,13 @@ def test_one_log_base_conversion():
 
 def test_one_odd_n_reducer():
     assert occurrences("odd-n formula") == {"model.py": 1}
+
+
+def test_one_predictor_registry():
+    """asymptotic.PREDICTORS is the one predictor dispatch: the CLI and the
+    ensemble call no predict_* function and import none."""
+    assert occurrences(r"(?m)^PREDICTORS = ") == {"asymptotic.py": 1}
+    calls = occurrences(r"\bpredict_\w+")
+    assert "cli.py" not in calls and "ensemble.py" not in calls, calls
+    assert occurrences("_matching_prediction") == {}
+    assert cli.PREDICTORS is asymptotic.PREDICTORS
