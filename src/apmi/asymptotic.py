@@ -162,15 +162,15 @@ def optimal_p_iid(W: float, J: float) -> float:
     Closed form (W/J) (sqrt(1 + J/W) - 1): the argmax of
     c(p) = p(1-p)/(W + pJ), i.e. the root of p^2 J + 2 p W - W = 0 in (0, 1/2].
     Shot-dominant noise (W << J) drives p* toward sqrt(W/J); thermal-dominant
-    noise drives it toward 1/2.
+    noise drives it toward 1/2.  It is evaluated as the equal
+    1 / (1 + sqrt(1 + J/W)), which does not cancel to 0 when J/W is tiny.
     """
     NoiseModel(W, J)
     if W <= 0 or J <= 0:
         raise InvalidArgumentError("closed form needs W > 0 and J > 0")
-    p_star = W / J * (math.sqrt(1.0 + J / W) - 1.0)
-    if not math.isfinite(p_star):  # W/J or J/W overflowed
+    if not (math.isfinite(J / W) and math.isfinite(W / J)):
         raise InvalidArgumentError(f"the closed form of p* is not finite at W={W}, J={J}")
-    return float(p_star)
+    return 1.0 / (1.0 + math.sqrt(1.0 + J / W))
 
 
 def predict_uniform_iid(W: float, J: float, bulk_variance: float = 1.0 / 24.0) -> PredictionResult:

@@ -13,7 +13,9 @@ timestamp, so any run can be reproduced from its manifest.  Floats are
 printed with 12 significant digits.  Files are written atomically (tmp +
 rename), so failures never leave partial outputs behind.
 
-Exit codes: 0 success, 2 argument error, 3 numerical failure.
+Exit codes: 0 success, 2 argument error (an InvalidArgumentError, which
+includes DegenerateNoiseError, or an OSError), 3 numerical failure (a
+NumericalError, which includes FlatnessCheckError).
 
 A key=value config file (``--config``) supplies defaults for any long
 option of the invoked command; explicit command-line flags win.  The
@@ -46,12 +48,7 @@ from .ensemble import (
     EnsembleConfig,
     sweep_p,
 )
-from .errors import (
-    DegenerateNoiseError,
-    FlatnessCheckError,
-    InvalidArgumentError,
-    NumericalError,
-)
+from .errors import InvalidArgumentError, NumericalError
 from .model import NoiseModel, ScenePrior, db_to_linear, effective_n, to_log_base
 from .patterns import (
     gen_bernoulli,
@@ -565,10 +562,10 @@ def main(argv: list[str] | None = None) -> int:
             # each warning (e.g. the odd-n reduction) becomes one stderr line
             warnings.showwarning = lambda msg, *_: print(f"warning: {msg}", file=sys.stderr)
             return _dispatch(args)
-    except (InvalidArgumentError, DegenerateNoiseError, OSError) as exc:
+    except (InvalidArgumentError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
-    except (FlatnessCheckError, NumericalError) as exc:
+    except NumericalError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_NUMERICAL
 

@@ -269,35 +269,40 @@ def sweep_p(config: EnsembleConfig, p_grid) -> list[SweepRow]:
     if not grid:
         return []
     n = effective_n(config.prior, config.n)
+    preds = [predict(BERNOULLI_PREDICTOR[config.prior], n=n, p=p,
+                     W=config.noise.W, J=config.noise.J) for p in grid]
+    _check_kinds(config.resolved_metric, preds[0].kind)  # before any trial is drawn
     group = max(1, VALUES_BYTES // (3 * 8 * config.trials))  # 3 float64 per (p, trial)
     values = itertools.chain.from_iterable(
         _collect(config, n, grid[i:i + group]) for i in range(0, len(grid), group))
     rows = []
-    for p, v in zip(grid, values):
+    for p, v, pred in zip(grid, values, preds):
         stats = _stats(config, n, p, v)
-        pred = predict(BERNOULLI_PREDICTOR[config.prior], n=n, p=p,
-                       W=config.noise.W, J=config.noise.J)
         rows.append(SweepRow(p=p, n=n, stats=stats,
                              predicted=to_log_base(pred.value, config.log_base),
                              relative_gap=compare(stats, pred).relative_gap))
     return rows
 
 
+def _check_kinds(metric: str, prediction_kind: str) -> None:
+    """Per-pixel predictions pair with either per-pixel metric; total with total."""
+    per_pixel_kinds = ("per_pixel", "per_pixel_excl_dc")
+    if prediction_kind == "total":
+        ok = metric == "total"
+    else:
+        ok = metric in per_pixel_kinds
+    if not ok:
+        raise InvalidArgumentError(
+            f"metric kind mismatch: ensemble {metric!r} vs prediction {prediction_kind!r}")
+
+
 def compare(stats: EnsembleStats, prediction: PredictionResult) -> ComparisonRecord:
     """Relative gap and z-score of an ensemble mean against a prediction.
 
     Prediction values are in nats and are converted to the ensemble's log
-    base.  Per-pixel predictions pair with either per-pixel metric; total
-    pairs with total.
+    base.  The kinds must pair (_check_kinds).
     """
-    per_pixel_kinds = ("per_pixel", "per_pixel_excl_dc")
-    if prediction.kind == "total":
-        ok = stats.kind == "total"
-    else:
-        ok = stats.kind in per_pixel_kinds
-    if not ok:
-        raise InvalidArgumentError(
-            f"metric kind mismatch: ensemble {stats.kind!r} vs prediction {prediction.kind!r}")
+    _check_kinds(stats.kind, prediction.kind)
     value = to_log_base(prediction.value, stats.log_base)
     gap = abs(stats.mean - value) / max(abs(value), 1e-12)
     if stats.stderr > 0:

@@ -288,6 +288,14 @@ class TestOptimalPIID:
         # sqrt cancellation leaves ~1e-7 of float noise at J this small
         assert optimal_p_iid(1.0, 1e-9) == pytest.approx(0.5, abs=1e-6)
 
+    @pytest.mark.parametrize("J", [1e-17, 1e-20, 1e-300])
+    def test_thermal_limit_without_cancellation(self, J):
+        """J/W below float resolution: p* is 1/2 (1/2 - J/(8W) to first
+        order), not the 0 that W/J * (sqrt(1 + J/W) - 1) cancels to."""
+        assert optimal_p_iid(1.0, J) == 0.5
+        best = predict_bernoulli_iid(optimal_p_iid(1.0, J), 1.0, J).value
+        assert best == predict_bernoulli_iid(0.5, 1.0, J).value > 0
+
     def test_rejects_zero_powers(self):
         with pytest.raises(InvalidArgumentError):
             optimal_p_iid(0.0, 1.0)

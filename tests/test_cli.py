@@ -257,6 +257,13 @@ class TestOptimizeP:
         _, out, _ = run(capsys, "optimize-p", "--W", "0.01", "--J", "1")
         assert "0.0904987562112" in out
 
+    def test_iid_thermal_limit(self, capsys):
+        """J/W = 1e-17 is below float resolution: p* is 1/2, not 0."""
+        code, out, _ = run(capsys, "optimize-p", "--W", "1", "--J", "1e-17")
+        assert code == 0
+        payload = json.loads(out)
+        assert payload["p_star"] == 0.5 and payload["predicted_mi"] > 0
+
     def test_onef(self, capsys):
         code, out, _ = run(capsys, "optimize-p", "--prior", "1f",
                            "--n", "251", "--W", "0.01", "--J", "1")
@@ -632,6 +639,24 @@ def test_predictions_call_module_predictors(capsys, tmp_path, monkeypatch):
                  "--W", "0.01") == {"predict_bernoulli_iid": 2}
     assert count("reproduce", "fig3", "--n", "11", "--trials", "2",
                  "--p-grid", "0.2,0.5,0.7") == {"predict_bernoulli_onef": 3}
+
+
+@pytest.mark.parametrize("argv, err", [
+    (("reproduce", "fig3", "--metric", "per_pixel"),
+     "warning: n reduced to 249 (odd-n formula)\n"
+     "error: metric kind mismatch: ensemble 'per_pixel' vs prediction 'total'\n"),
+    (("sweep", "--prior", "iid", "--metric", "total", "--W", "0.01"),
+     "error: metric kind mismatch: ensemble 'total' vs prediction 'per_pixel'\n"),
+])
+def test_metric_mismatch_fails_before_any_trial(capsys, tmp_path, monkeypatch, argv, err):
+    """A metric its predictor cannot pair with is rejected before the first
+    trial is drawn, with the message compare gives."""
+    from apmi import ensemble
+    evaluated = []
+    monkeypatch.setattr(ensemble, "_eval_range", lambda *a: evaluated.append(a))
+    code, out, stderr = run(capsys, *argv, "--out", str(tmp_path / "out.csv"))
+    assert (code, out, stderr) == (2, "", err)
+    assert evaluated == [] and list(tmp_path.iterdir()) == []
 
 
 def test_cli_import_loads_no_scipy():

@@ -2,12 +2,13 @@
 package once had (several FFT -> log1p sums, several nats-to-bits
 conversions, two odd-n reducers) growing back."""
 
+import importlib
 import inspect
 import re
 from pathlib import Path
 
 import apmi
-from apmi import asymptotic, cli, model
+from apmi import asymptotic, cli, errors, model
 
 PACKAGE = Path(apmi.__file__).resolve().parent
 
@@ -60,3 +61,37 @@ def test_one_predictor_registry():
     assert "cli.py" not in calls and "ensemble.py" not in calls, calls
     assert occurrences("_matching_prediction") == {}
     assert cli.PREDICTORS is asymptotic.PREDICTORS
+
+
+MODULES = ("asymptotic", "ensemble", "errors", "model", "patterns", "spectral")
+
+
+def test_package_reexports_every_public_name():
+    """A module's __all__ is the one list of its public names (errors.py
+    defines only public classes and has none); the package re-exports each
+    name as the same object."""
+    for module_name in MODULES:
+        module = importlib.import_module(f"apmi.{module_name}")
+        public = getattr(module, "__all__", [n for n in vars(module) if not n.startswith("_")])
+        for name in public:
+            assert getattr(apmi, name, None) is getattr(module, name), f"{module_name}.{name}"
+
+
+def test_package_init_imports_no_name_explicitly():
+    """apmi/__init__.py star-imports each module and lists no name itself."""
+    source = (PACKAGE / "__init__.py").read_text()
+    imports = re.findall(r"(?m)^(?:from|import)\b.*$", source)
+    assert imports == [f"from .{name} import *" for name in MODULES]
+
+
+def test_two_error_families():
+    """Every package error is an InvalidArgumentError (CLI exit 2) or a
+    NumericalError (exit 3), and cli.main catches no other package class."""
+    families = (errors.InvalidArgumentError, errors.NumericalError)
+    assert issubclass(errors.DegenerateNoiseError, errors.InvalidArgumentError)
+    assert issubclass(errors.FlatnessCheckError, errors.NumericalError)
+    for cls in vars(errors).values():
+        if isinstance(cls, type) and cls not in (errors.ApmiError, *families):
+            assert sum(issubclass(cls, family) for family in families) == 1, cls
+    caught = re.findall(r"except \(?([\w, ]+?)\)? as", inspect.getsource(cli.main))
+    assert caught == ["SystemExit", "InvalidArgumentError, OSError", "NumericalError"]

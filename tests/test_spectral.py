@@ -173,6 +173,12 @@ class TestMutualInformation:
         with pytest.raises(DegenerateNoiseError):
             mutual_information(blocked, ScenePrior.IID, NoiseModel(0.0, 1.0))
 
+    def test_noise_without_finite_inverse_is_an_argument_error(self):
+        """W + rho*J = 5e-321 has no finite inverse: the exact MI rejects it
+        with the same error family as the predictors and the ensemble."""
+        with pytest.raises(InvalidArgumentError, match="too small to invert"):
+            mutual_information(gen_mls(5), ScenePrior.IID, NoiseModel(0.0, 1e-320))
+
 
 class TestJensenBound:
     def test_equality_for_flat_spectrum(self):
