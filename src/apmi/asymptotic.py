@@ -21,6 +21,7 @@ import numpy as np
 
 from .errors import InvalidArgumentError
 from .model import NoiseModel, ScenePrior, degenerate_noise, noise_level
+from .patterns import check_p
 
 __all__ = [
     "PredictionResult",
@@ -149,8 +150,7 @@ def predict_bernoulli_iid(p: float, W: float, J: float) -> PredictionResult:
     per-pixel MI tends to explog_exp1(p(1-p) / (W + p J)).
     """
     NoiseModel(W, J)
-    if not 0.0 <= p <= 1.0:
-        raise InvalidArgumentError(f"p must lie in [0, 1], got {p}")
+    check_p(p)
     c = p * (1.0 - p) / _invertible(W + p * J, "W + p*J")
     return PredictionResult(explog_exp1(c), "per_pixel", "quadrature",
                             est_abs_error=EXPLOG_ABS_TOL)
@@ -182,8 +182,9 @@ def predict_uniform_iid(W: float, J: float, bulk_variance: float = 1.0 / 24.0) -
     1/12 (the value the simulations in the acceptance suite validate).
     """
     NoiseModel(W, J)
-    if bulk_variance <= 0:
-        raise InvalidArgumentError(f"bulk_variance must be positive, got {bulk_variance}")
+    if not (math.isfinite(bulk_variance) and bulk_variance > 0):
+        raise InvalidArgumentError(
+            f"bulk_variance must be finite and positive, got {bulk_variance}")
     c = bulk_variance / _invertible(W + J / 2.0, "W + J/2")
     return PredictionResult(explog_exp1(c), "per_pixel", "quadrature",
                             est_abs_error=EXPLOG_ABS_TOL)
@@ -201,7 +202,9 @@ def predict_flat_onef(n: int, W: float, J: float, form: str = "midsum") -> Predi
 
     form="closed": the further approximation
     log(n/4 / (W+J/2)) + (1/2)/(W+J/2) * (log(n/2) - 1), which makes the
-    O(log n) growth explicit.
+    O(log n) growth explicit.  It replaces log(x + 1) by log(x) and the sum
+    by an integral, so it holds only at high SNR (small W + J/2) and large
+    n; elsewhere it can turn negative, which is rejected.
     """
     NoiseModel(W, J)
     _check_odd_n(n)
@@ -211,13 +214,16 @@ def predict_flat_onef(n: int, W: float, J: float, form: str = "midsum") -> Predi
         value = math.log1p(g * n / 4.0) + 2.0 * float(np.log1p(g / 4.0 / k).sum())
     elif form == "closed":
         value = math.log(g * n / 4.0) + g / 2.0 * (math.log(n / 2.0) - 1.0)
+        if value < 0:
+            raise InvalidArgumentError(
+                f"the closed form is negative ({value:.6g}) at n={n}, W={W}, J={J}: it holds "
+                "only at high SNR and large n; use the midsum form (--form midsum)")
     else:
         raise InvalidArgumentError(f"form must be 'midsum' or 'closed', got {form!r}")
     return PredictionResult(value, "total", "closed_form")
 
 
-def _normal_expect_log(gamma_: float, sd: float, mean: float,
-                       abs_tol: float = GAUSS_QUAD_ABS_TOL) -> tuple[float, float]:
+def _normal_expect_log(gamma_: float, sd: float, mean: float) -> tuple[float, float]:
     """E_G[log(gamma*(sd*G + mean)^2 + 1)] over G ~ N(0,1), truncated at
     +-GAUSS_TRUNC_SD standard deviations (tail contribution < 1e-20)."""
     from scipy import integrate
@@ -228,7 +234,7 @@ def _normal_expect_log(gamma_: float, sd: float, mean: float,
         return math.log1p(gamma_ * (sd * g + mean) ** 2) * norm * math.exp(-0.5 * g * g)
 
     val, err = integrate.quad(integrand, -GAUSS_TRUNC_SD, GAUSS_TRUNC_SD,
-                              epsabs=abs_tol, epsrel=1e-10, limit=200)
+                              epsabs=GAUSS_QUAD_ABS_TOL, epsrel=1e-10, limit=200)
     return float(val), float(err)
 
 
@@ -272,8 +278,7 @@ def predict_bernoulli_onef(n: int, p: float, W: float, J: float) -> PredictionRe
     """
     NoiseModel(W, J)
     _check_odd_n(n)
-    if not 0.0 <= p <= 1.0:
-        raise InvalidArgumentError(f"p must lie in [0, 1], got {p}")
+    check_p(p)
     g = 1.0 / _invertible(W + p * J, "W + p*J")
     dc, dc_err = _normal_expect_log(g, sd=math.sqrt(p * (1.0 - p)), mean=p * math.sqrt(n))
     bulk = 2.0 * _explog_bulk_sum(p * (1.0 - p) * g, n)

@@ -14,8 +14,8 @@ printed with 12 significant digits.  Files are written atomically (tmp +
 rename), so failures never leave partial outputs behind.
 
 Exit codes: 0 success, 2 argument error (an InvalidArgumentError, which
-includes DegenerateNoiseError, or an OSError), 3 numerical failure (a
-NumericalError, which includes FlatnessCheckError).
+includes DegenerateNoiseError, an OSError or a MemoryError), 3 numerical
+failure (a NumericalError, which includes FlatnessCheckError).
 
 A key=value config file (``--config``) supplies defaults for any long
 option of the invoked command; explicit command-line flags win.  The
@@ -50,16 +50,7 @@ from .ensemble import (
 )
 from .errors import InvalidArgumentError, NumericalError
 from .model import NoiseModel, ScenePrior, db_to_linear, effective_n, to_log_base
-from .patterns import (
-    gen_bernoulli,
-    gen_mls,
-    gen_mura,
-    gen_pinhole,
-    gen_uniform,
-    load_pattern,
-    save_pattern,
-    write_atomic,
-)
+from .patterns import PATTERNS, load_pattern, save_pattern, write_atomic
 from .spectral import mutual_information
 
 CSV_HEADER = ("p,n,W,J,prior,family,trials,seed,mi_mean,mi_std,mi_stderr,"
@@ -68,16 +59,6 @@ CSV_HEADER = ("p,n,W,J,prior,family,trials,seed,mi_mean,mi_std,mi_stderr,"
 # Upper bound on the points of a p grid (each runs an ensemble) and of the
 # fig2 W grid.
 MAX_GRID_POINTS = 10_000
-
-# Mask family -> (its generator's options, in call order; the call), late-bound
-# like asymptotic.PREDICTORS so that a patched generator is the one called.
-PATTERNS = {
-    "pinhole": (("n",), lambda *a: gen_pinhole(*a)),
-    "mls": (("degree",), lambda *a: gen_mls(*a)),
-    "mura": (("n",), lambda *a: gen_mura(*a)),
-    "bernoulli": (("n", "p", "seed"), lambda *a: gen_bernoulli(*a)),
-    "uniform": (("n", "seed"), lambda *a: gen_uniform(*a)),
-}
 
 EXIT_OK = 0
 EXIT_USAGE = 2
@@ -562,8 +543,9 @@ def main(argv: list[str] | None = None) -> int:
             # each warning (e.g. the odd-n reduction) becomes one stderr line
             warnings.showwarning = lambda msg, *_: print(f"warning: {msg}", file=sys.stderr)
             return _dispatch(args)
-    except (InvalidArgumentError, OSError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
+    except (InvalidArgumentError, OSError, MemoryError) as exc:
+        # a MemoryError may carry no message
+        print(f"error: {str(exc) or 'out of memory'}", file=sys.stderr)
         return EXIT_USAGE
     except NumericalError as exc:
         print(f"error: {exc}", file=sys.stderr)

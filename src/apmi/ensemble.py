@@ -2,10 +2,10 @@
 
 Each trial draws one random aperture, evaluates its exact MI from the
 circulant spectrum, and the ensemble aggregates mean/std/stderr over all
-trials.  Reproducibility contract: trial t uses the RNG seed
-SeedSequence((master_seed, t)), and aggregation runs over the trial-indexed
-value array, so results are bitwise identical regardless of worker count
-or execution order.
+trials.  Reproducibility contract: trial t is the mask
+gen_<family>(n, [p,] trial_seed(master_seed, t)) (gaussian rows have no
+generator), and aggregation runs over the trial-indexed value array, so
+results are bitwise identical regardless of worker count or execution order.
 
 Engine.  Trials run in blocks of at most BLOCK_BYTES of draws.  A sweep
 over p draws each trial's row once and thresholds it at every grid p (the
@@ -34,6 +34,7 @@ from .asymptotic import BERNOULLI_PREDICTOR, PredictionResult, predict
 from .errors import InvalidArgumentError
 from .model import (NoiseModel, ScenePrior, degenerate_noise, effective_n, noise_level,
                     spectral_weights, to_log_base)
+from .patterns import RANDOM_DRAWS, check_p
 from .spectral import mi_sums, power_spectrum
 
 __all__ = [
@@ -48,13 +49,7 @@ __all__ = [
     "SEED_POLICY",
 ]
 
-# family -> (Generator method that draws a trial's row, that row -> mask at p)
-DRAWS = {
-    "bernoulli": ("random", lambda u, p: (u < p).astype(float)),
-    "uniform": ("random", lambda u, p: u),
-    "gaussian": ("standard_normal", lambda u, p: u),
-}
-FAMILIES = tuple(DRAWS)
+FAMILIES = tuple(RANDOM_DRAWS)
 METRICS = ("per_pixel", "per_pixel_excl_dc", "total")
 RHO_MODES = ("realized", "nominal")
 
@@ -75,11 +70,6 @@ def trial_seed(master_seed: int, trial_index: int) -> int:
     """Deterministic per-trial seed; see SEED_POLICY."""
     ss = np.random.SeedSequence((master_seed, trial_index))
     return int(ss.generate_state(1, np.uint64)[0])
-
-
-def _check_p(p) -> None:
-    if p is None or not 0.0 <= p <= 1.0:
-        raise InvalidArgumentError(f"bernoulli family needs p in [0, 1], got {p}")
 
 
 @dataclass(frozen=True)
@@ -111,7 +101,7 @@ class EnsembleConfig:
         if self.rho_mode not in RHO_MODES:
             raise InvalidArgumentError(f"rho_mode must be one of {RHO_MODES}, got {self.rho_mode!r}")
         if self.family == "bernoulli":
-            _check_p(self.p)
+            check_p(self.p)
         if self.family == "gaussian":
             if self.rho_j_fixed is None:
                 raise InvalidArgumentError("gaussian family needs rho_j_fixed >= 0")
@@ -176,7 +166,7 @@ def _eval_range(config: EnsembleConfig, n: int, p_grid, start: int, stop: int) -
     here; _stats rejects it.
     """
     d = spectral_weights(config.prior, n)
-    draw, mask = DRAWS[config.family]
+    draw, mask = RANDOM_DRAWS[config.family]
     out = np.empty((len(p_grid), stop - start, 3))
     rows = max(1, BLOCK_BYTES // (8 * n))
     for lo in range(start, stop, rows):
@@ -195,10 +185,6 @@ def _eval_range(config: EnsembleConfig, n: int, p_grid, start: int, stop: int) -
     return out
 
 
-def _eval_range_star(args) -> np.ndarray:
-    return _eval_range(*args)
-
-
 def _collect(config: EnsembleConfig, n: int, p_grid) -> np.ndarray:
     """All trials at every p of p_grid, serially or over one process pool."""
     T = config.trials
@@ -207,7 +193,7 @@ def _collect(config: EnsembleConfig, n: int, p_grid) -> np.ndarray:
     chunk = -(-T // (4 * config.workers))
     spans = [(config, n, p_grid, s, min(s + chunk, T)) for s in range(0, T, chunk)]
     with ProcessPoolExecutor(max_workers=config.workers) as pool:
-        parts = list(pool.map(_eval_range_star, spans))
+        parts = list(pool.map(_eval_range, *zip(*spans)))
     return np.concatenate(parts, axis=1)
 
 
@@ -265,7 +251,7 @@ def sweep_p(config: EnsembleConfig, p_grid) -> list[SweepRow]:
         raise InvalidArgumentError("sweep_p requires the bernoulli family")
     grid = [float(p) for p in p_grid]
     for p in grid:
-        _check_p(p)
+        check_p(p)
     if not grid:
         return []
     n = effective_n(config.prior, config.n)

@@ -31,6 +31,7 @@ __all__ = [
     "gen_mura",
     "gen_bernoulli",
     "gen_uniform",
+    "PATTERNS",
     "save_pattern",
     "load_pattern",
 ]
@@ -282,28 +283,53 @@ def gen_mura(n: int) -> AperturePattern:
 
 ####################### random families #######################
 
-def gen_bernoulli(n: int, p: float, seed: int) -> AperturePattern:
-    """Random on-off mask: each element open independently with probability p."""
+# Random family -> (the Generator method that draws a row; that row -> the
+# mask at open fraction p).  The generators and every ensemble trial draw
+# through it: trial t is the mask gen_<family>(n, [p,] trial_seed(m, t)).
+RANDOM_DRAWS = {
+    "bernoulli": ("random", lambda u, p: (u < p).astype(float)),
+    "uniform": ("random", lambda u, p: u),
+    "gaussian": ("standard_normal", lambda u, p: u),
+}
+
+
+def check_p(p) -> None:
+    """An open fraction must be given and lie in [0, 1]."""
+    if p is None or not 0.0 <= p <= 1.0:
+        raise InvalidArgumentError(f"p must lie in [0, 1], got {p}")
+
+
+def _draw(family: str, n: int, seed: int, p: float | None = None) -> np.ndarray:
+    """The RANDOM_DRAWS[family] row of numpy's default generator at seed, as a mask at p."""
     if n < 1:
         raise InvalidArgumentError(f"need n >= 1, got {n}")
-    if not 0.0 <= p <= 1.0:
-        raise InvalidArgumentError(f"p must lie in [0, 1], got {p}")
     if seed < 0:
         raise InvalidArgumentError(f"need seed >= 0, got {seed}")
-    rng = np.random.default_rng(seed)
-    a = (rng.random(n) < p).astype(float)
-    return AperturePattern(a, PatternFamily.BERNOULLI, seed=seed,
-                           metadata={"p": p})
+    method, mask = RANDOM_DRAWS[family]
+    return mask(getattr(np.random.default_rng(seed), method)(n), p)
+
+
+def gen_bernoulli(n: int, p: float, seed: int) -> AperturePattern:
+    """Random on-off mask: each element open independently with probability p."""
+    check_p(p)
+    return AperturePattern(_draw("bernoulli", n, seed, p), PatternFamily.BERNOULLI,
+                           seed=seed, metadata={"p": p})
 
 
 def gen_uniform(n: int, seed: int) -> AperturePattern:
     """Gray-scale mask with entries drawn uniformly from [0, 1)."""
-    if n < 1:
-        raise InvalidArgumentError(f"need n >= 1, got {n}")
-    if seed < 0:
-        raise InvalidArgumentError(f"need seed >= 0, got {seed}")
-    rng = np.random.default_rng(seed)
-    return AperturePattern(rng.random(n), PatternFamily.UNIFORM, seed=seed)
+    return AperturePattern(_draw("uniform", n, seed), PatternFamily.UNIFORM, seed=seed)
+
+
+# Mask family -> (its generator's options, in call order; the call), late-bound
+# like asymptotic.PREDICTORS so that a patched generator is the one called.
+PATTERNS = {
+    "pinhole": (("n",), lambda *a: gen_pinhole(*a)),
+    "mls": (("degree",), lambda *a: gen_mls(*a)),
+    "mura": (("n",), lambda *a: gen_mura(*a)),
+    "bernoulli": (("n", "p", "seed"), lambda *a: gen_bernoulli(*a)),
+    "uniform": (("n", "seed"), lambda *a: gen_uniform(*a)),
+}
 
 
 ####################### serialization #######################

@@ -330,6 +330,12 @@ class TestUniformIID:
         with pytest.raises(InvalidArgumentError):
             predict_uniform_iid(0.0, 1.0, bulk_variance=0.0)
 
+    @pytest.mark.parametrize("variance", [math.nan, math.inf, -math.inf])
+    def test_rejects_non_finite_variance(self, variance):
+        """The error names bulk_variance, not the c it would feed explog_exp1."""
+        with pytest.raises(InvalidArgumentError, match=f"bulk_variance .*, got {variance}$"):
+            predict_uniform_iid(1.0, 1.0, bulk_variance=variance)
+
 
 class TestFlatOneF:
     def test_frozen_n5(self):
@@ -351,6 +357,13 @@ class TestFlatOneF:
             small = predict_flat_onef(101, 0.01, 1.0, form=form).value
             big = predict_flat_onef(405, 0.01, 1.0, form=form).value
             assert big / small < 4.0
+
+    def test_rejects_negative_closed_form(self):
+        """At low SNR and small n the closed form is a negative MI: rejected,
+        while the midsum form stays positive."""
+        with pytest.raises(InvalidArgumentError, match="closed form is negative.*midsum"):
+            predict_flat_onef(5, 100.0, 1.0, form="closed")
+        assert predict_flat_onef(5, 100.0, 1.0, form="midsum").value > 0
 
     def test_closed_form_undershoots_midsum(self):
         gaps = []

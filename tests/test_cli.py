@@ -689,3 +689,41 @@ class TestExitCodes:
             code, _, err = run(capsys, "predict", "flat-iid", "--W", "0")
             assert code == 3
             assert "error" in err
+
+
+@pytest.mark.parametrize("variance", ["nan", "inf", "-inf"])
+def test_uniform_iid_rejects_non_finite_bulk_variance(capsys, variance):
+    code, out, err = run(capsys, "predict", "uniform-iid", "--W", "1",
+                         f"--bulk-variance={variance}")
+    assert code == 2 and out == ""
+    assert err == f"error: bulk_variance must be finite and positive, got {variance}\n"
+
+
+def test_negative_closed_form_points_to_midsum(capsys):
+    code, out, err = run(capsys, "predict", "flat-1f", "--n", "5", "--W", "100",
+                         "--form", "closed")
+    assert code == 2 and out == ""
+    assert err.startswith("error: the closed form is negative") and err.count("\n") == 1
+    assert "--form midsum" in err
+
+
+@pytest.mark.parametrize("target, argv", [
+    ("apmi.patterns.gen_pinhole", ("generate", "--family", "pinhole", "--n", "5")),
+    ("apmi.patterns.gen_bernoulli",
+     ("mi", "--family", "bernoulli", "--n", "5", "--p", "0.5", "--W", "1")),
+    ("apmi.spectral.spectral_weights", ("mi", "--family", "pinhole", "--n", "5", "--W", "1")),
+    ("apmi.ensemble.spectral_weights",
+     ("sweep", "--n", "5", "--trials", "2", "--p-grid", "0.5", "--W", "1")),
+])
+@pytest.mark.parametrize("message, shown", [
+    ("Unable to allocate 745. GiB", "Unable to allocate 745. GiB"), ("", "out of memory")])
+def test_out_of_memory_exits_2(capsys, tmp_path, monkeypatch, target, argv, message, shown):
+    """An n too large to allocate is an argument error: one line, no traceback,
+    no output file.  The allocation is simulated, never made."""
+    def exhausted(*args):
+        raise MemoryError(message)
+    monkeypatch.setattr(target, exhausted)
+    code, out, err = run(capsys, *argv, "--out", str(tmp_path / "out"))
+    assert code == 2 and out == ""
+    assert err == f"error: {shown}\n"
+    assert list(tmp_path.iterdir()) == []

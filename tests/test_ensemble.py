@@ -12,6 +12,9 @@ from apmi import (
     NoiseModel,
     ScenePrior,
     compare,
+    gen_bernoulli,
+    gen_uniform,
+    mutual_information,
     optimal_p_iid,
     predict_bernoulli_iid,
     run_ensemble,
@@ -157,6 +160,40 @@ class TestRunEnsemble:
         rec = compare(stats, predict_bernoulli_iid(0.5, 0.01, 1.0))
         assert rec.relative_gap < 0.05
         assert abs(rec.z_score) < 5
+
+
+class TestTrialIsGeneratedMask:
+    """Trial t of an ensemble is the mask gen_<family>(n, [p,] trial_seed(m, t)):
+    its MI is bitwise that of mutual_information on the generated pattern."""
+
+    @staticmethod
+    def trial_values(monkeypatch, config):
+        """run_ensemble's stats and its per-trial (total, total_excl_dc, rho) rows."""
+        seen = []
+        original = ensemble._stats
+        monkeypatch.setattr(ensemble, "_stats",
+                            lambda c, n, p, values: seen.append(values) or original(c, n, p, values))
+        return run_ensemble(config), seen[0]
+
+    @pytest.mark.parametrize("p", [0.1, 0.5])
+    def test_bernoulli_iid(self, monkeypatch, p):
+        config = bernoulli_config(n=100, trials=6, p=p, master_seed=11)
+        stats, values = self.trial_values(monkeypatch, config)
+        expected = [mutual_information(gen_bernoulli(100, p, trial_seed(11, t)),
+                                       ScenePrior.IID, NOISE).per_pixel_excl_dc
+                    for t in range(6)]
+        assert (values[:, 1] / 100).tolist() == expected
+        assert stats.mean == float(np.mean(expected))
+
+    def test_uniform_one_over_f_odd_n(self, monkeypatch):
+        config = EnsembleConfig(n=101, trials=5, family="uniform", prior=ScenePrior.ONE_OVER_F,
+                                noise=NOISE, master_seed=3)
+        stats, values = self.trial_values(monkeypatch, config)
+        expected = [mutual_information(gen_uniform(101, trial_seed(3, t)),
+                                       ScenePrior.ONE_OVER_F, NOISE).total
+                    for t in range(5)]
+        assert values[:, 0].tolist() == expected
+        assert stats.mean == float(np.mean(expected))
 
 
 class TestSweep:

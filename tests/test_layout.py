@@ -8,7 +8,7 @@ import re
 from pathlib import Path
 
 import apmi
-from apmi import asymptotic, cli, errors, model
+from apmi import asymptotic, cli, ensemble, errors, model, patterns
 
 PACKAGE = Path(apmi.__file__).resolve().parent
 
@@ -63,6 +63,21 @@ def test_one_predictor_registry():
     assert cli.PREDICTORS is asymptotic.PREDICTORS
 
 
+def test_one_home_for_mask_families():
+    """patterns.PATTERNS is the one generator registry and patterns.RANDOM_DRAWS
+    the one random-row table: the CLI names no generator, the ensemble
+    defines no draw table, and each module seeds generators in one place."""
+    assert occurrences(r"(?m)^PATTERNS = ") == {"patterns.py": 1}
+    assert cli.PATTERNS is patterns.PATTERNS
+    assert "cli.py" not in occurrences(r"\bgen_\w+")
+    assert occurrences(r"(?m)^\w*DRAWS\w* = ") == {"patterns.py": 1}
+    assert "ensemble.py" not in occurrences(r"standard_normal|\(u < p\)")
+    assert ensemble.FAMILIES == tuple(patterns.RANDOM_DRAWS)
+    assert occurrences(r"p must lie in") == {"patterns.py": 1}
+    assert occurrences(r"\bDRAWS\b|\b_check_p\b|_eval_range_star") == {}
+    assert occurrences(r"default_rng\(") == {"ensemble.py": 1, "patterns.py": 1}
+
+
 MODULES = ("asymptotic", "ensemble", "errors", "model", "patterns", "spectral")
 
 
@@ -94,4 +109,5 @@ def test_two_error_families():
         if isinstance(cls, type) and cls not in (errors.ApmiError, *families):
             assert sum(issubclass(cls, family) for family in families) == 1, cls
     caught = re.findall(r"except \(?([\w, ]+?)\)? as", inspect.getsource(cli.main))
-    assert caught == ["SystemExit", "InvalidArgumentError, OSError", "NumericalError"]
+    assert caught == ["SystemExit", "InvalidArgumentError, OSError, MemoryError",
+                      "NumericalError"]
