@@ -22,7 +22,7 @@ from .asymptotic import (
 from .ensemble import EnsembleConfig, run_ensemble
 from .model import NoiseModel, ScenePrior, db_to_linear, gamma, spectral_weights
 from .patterns import gen_bernoulli, gen_mls, gen_mura, gen_pinhole
-from .spectral import circulant_spectrum, jensen_bound, mi_excluding_dc, mutual_information
+from .spectral import jensen_bound, mi_excluding_dc, mutual_information
 
 
 def _check(ok: bool, message: str) -> None:
@@ -48,11 +48,10 @@ def mls_flatness(degrees) -> float:
     that budget."""
     worst = 0.0
     for degree in degrees:
-        pattern = gen_mls(degree)  # generation runs its own spectral self-check too
-        n = pattern.n
-        spec = circulant_spectrum(pattern)
-        _check(spec.lambda1 == (n + 1) / 2, f"degree {degree}: DC {spec.lambda1} != {(n + 1) / 2}")
-        dev = float(np.max(np.abs(spec.lambda_sq[1:] - (n + 1) / 4)))
+        pattern = gen_mls(degree)  # generation checked this same spectrum too
+        n, dc = pattern.n, float(pattern.values.sum())
+        _check(dc == (n + 1) / 2, f"degree {degree}: DC {dc} != {(n + 1) / 2}")
+        dev = float(np.max(np.abs(pattern.lambda_sq[1:] - (n + 1) / 4)))
         _check(dev <= 1e-6 * n, f"degree {degree}: bulk deviation {dev:.3e}")
         worst = max(worst, dev / (1e-6 * n))
     return worst
@@ -60,8 +59,7 @@ def mls_flatness(degrees) -> float:
 
 def mura_and_pinhole_spectrum() -> None:
     gen_mura(13)  # generation enforces the two-level spectrum
-    spectrum = circulant_spectrum(gen_pinhole(8))
-    _check(np.allclose(spectrum.lambda_sq, 1.0, atol=1e-12), "pinhole spectrum is not flat")
+    _check(np.allclose(gen_pinhole(8).lambda_sq, 1.0, atol=1e-12), "pinhole spectrum is not flat")
 
 
 def pinhole_identity() -> float:
@@ -112,7 +110,7 @@ def flat_beats_half() -> None:
 def _check_frobenius(pattern, label: str) -> None:
     """Off-DC power of a binary mask equals n*s - s^2 within 1e-9*n^2."""
     n, s = pattern.n, float(pattern.values.sum())
-    power = circulant_spectrum(pattern).bulk_power
+    power = float(pattern.lambda_sq[1:].sum())
     _check(abs(power - (n * s - s * s)) <= 1e-9 * n * n, f"Frobenius identity off for {label}")
 
 

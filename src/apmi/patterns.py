@@ -15,12 +15,13 @@ import os
 from collections.abc import Iterable
 from dataclasses import dataclass, field
 from enum import Enum
+from functools import cached_property
 from pathlib import Path
 
 import numpy as np
 
 from .errors import FlatnessCheckError, InvalidArgumentError
-from .spectral import circulant_spectrum
+from .spectral import power_spectrum
 
 __all__ = [
     "PatternFamily",
@@ -60,7 +61,7 @@ class PatternFamily(str, Enum):
     CUSTOM = "custom"
 
 
-@dataclass
+@dataclass(frozen=True)
 class AperturePattern:
     """A 1D aperture: the generating row of the circulant system matrix.
 
@@ -69,6 +70,9 @@ class AperturePattern:
     seed   : RNG seed for the random families, None otherwise
     metadata : generator-specific record (polynomial taps, measured
         spectral levels, nominal p, ...)
+
+    The fields cannot be rebound.  lambda_sq is taken from values on first
+    use and kept, so it does not see a later in-place edit of values.
     """
 
     values: np.ndarray
@@ -84,7 +88,12 @@ class AperturePattern:
             raise InvalidArgumentError("pattern entries must be finite")
         if a.min() < 0.0 or a.max() > 1.0:
             raise InvalidArgumentError("pattern entries must lie in [0, 1]")
-        self.values = a
+        object.__setattr__(self, "values", a)
+
+    @cached_property
+    def lambda_sq(self) -> np.ndarray:
+        """Power spectrum |lambda_k|^2 of the row, k = 0..n-1, DC first."""
+        return power_spectrum(self.values)
 
     @property
     def n(self) -> int:
@@ -98,22 +107,21 @@ class AperturePattern:
 
 ####################### spectral self-check #######################
 
-def _levels(a: np.ndarray) -> dict:
-    """DC gain and bulk power-spectrum statistics of a row."""
-    spec = circulant_spectrum(a)
-    bulk = spec.lambda_sq[1:]
+def _levels(pattern: AperturePattern) -> dict:
+    """DC gain and bulk statistics of a pattern's power spectrum."""
+    bulk = pattern.lambda_sq[1:]
     return {
-        "lambda1": spec.lambda1,
+        "lambda1": float(pattern.values.sum()),
         "bulk_mean": float(bulk.mean()),
         "bulk_min": float(bulk.min()),
         "bulk_max": float(bulk.max()),
     }
 
 
-def _check_flat(a: np.ndarray, where: str) -> dict:
+def _check_flat(pattern: AperturePattern, where: str) -> dict:
     """Verify DC = (n+1)/2 and per-bin bulk flatness at (n+1)/4."""
-    n = a.size
-    levels = _levels(a)
+    n = pattern.n
+    levels = _levels(pattern)
     target_dc = (n + 1) / 2
     target_bulk = (n + 1) / 4
     dev = max(abs(levels["bulk_min"] - target_bulk),
@@ -216,12 +224,10 @@ def gen_mls(degree: int, seed_state: int | None = None) -> AperturePattern:
         rows[:, j] = state & 1
         state <<= 1
         state ^= (state >> m) * poly  # bit m is the only bit above m - 1
-    a = out[:n]
-
-    levels = _check_flat(a, f"gen_mls(degree={degree})")
-    meta = {"degree": m, "polynomial_taps": (m, *MLS_POLYNOMIALS[m], 0),
-            "seed_state": seed_state, **levels}
-    return AperturePattern(a, PatternFamily.MLS, metadata=meta)
+    pattern = AperturePattern(out[:n], PatternFamily.MLS, metadata={
+        "degree": m, "polynomial_taps": (m, *MLS_POLYNOMIALS[m], 0), "seed_state": seed_state})
+    pattern.metadata.update(_check_flat(pattern, f"gen_mls(degree={degree})"))
+    return pattern
 
 
 def _gf2_mulmod(a: int, b: int, poly: int, m: int) -> int:
@@ -271,14 +277,16 @@ def gen_mura(n: int) -> AperturePattern:
     a[0] = 1.0
     a[i * i % np.uint64(n)] = 1.0
 
-    levels = _levels(a)
+    pattern = AperturePattern(a, PatternFamily.MURA)
+    levels = _levels(pattern)
     target_dc = (n + 1) / 2
     target_mean = (n + 1) / 4
     if levels["lambda1"] != target_dc or \
             abs(levels["bulk_mean"] - target_mean) > 1e-9 * n:
         raise FlatnessCheckError(
             f"gen_mura(n={n}): DC/bulk-mean check failed ({levels})")
-    return AperturePattern(a, PatternFamily.MURA, metadata=levels)
+    pattern.metadata.update(levels)
+    return pattern
 
 
 ####################### random families #######################
@@ -475,6 +483,8 @@ def load_pattern(txt_path: str) -> AperturePattern:
         try:
             with open(json_path) as fh:
                 desc = json.load(fh)
+            if not isinstance(desc, dict) or not isinstance(desc.get("metadata", {}), dict):
+                raise ValueError("expected an object whose metadata, if any, is an object")
             family = PatternFamily(desc.get("family", "custom"))
         except (json.JSONDecodeError, ValueError) as exc:
             raise InvalidArgumentError(f"{json_path}: bad descriptor: {exc}") from None

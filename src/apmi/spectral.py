@@ -20,36 +20,13 @@ from .errors import InvalidArgumentError
 from .model import NoiseModel, ScenePrior, gamma, spectral_weights, to_log_base
 
 __all__ = [
-    "SpectrumResult",
     "MIResult",
     "power_spectrum",
     "mi_sums",
-    "circulant_spectrum",
     "mutual_information",
     "mi_excluding_dc",
     "jensen_bound",
 ]
-
-
-@dataclass(frozen=True)
-class SpectrumResult:
-    """Eigenvalue magnitudes of the circulant system matrix.
-
-    lambda1   : DC gain, equal to the sum of the aperture row
-    lambda_sq : |lambda_k|^2 for k = 0..n-1 (DC at index 0)
-    """
-
-    lambda1: float
-    lambda_sq: np.ndarray
-
-    @property
-    def n(self) -> int:
-        return self.lambda_sq.size
-
-    @property
-    def bulk_power(self) -> float:
-        """Total off-DC power sum_{k>=2} |lambda_k|^2."""
-        return float(self.lambda_sq[1:].sum())
 
 
 @dataclass(frozen=True)
@@ -85,14 +62,6 @@ def mi_sums(lambda_sq: np.ndarray, weights: np.ndarray, gamma_: float | np.ndarr
     return total, excl
 
 
-def circulant_spectrum(pattern) -> SpectrumResult:
-    """DFT power spectrum of an aperture pattern (or any real row vector)."""
-    a = np.asarray(getattr(pattern, "values", pattern), dtype=float)
-    if a.ndim != 1 or a.size < 1:
-        raise InvalidArgumentError("need a nonempty 1D row")
-    return SpectrumResult(lambda1=float(a.sum()), lambda_sq=power_spectrum(a))
-
-
 def mutual_information(pattern, prior: ScenePrior, noise: NoiseModel,
                        log_base: str = "nats") -> MIResult:
     """Exact MI of the circulant system built from `pattern`.
@@ -104,11 +73,11 @@ def mutual_information(pattern, prior: ScenePrior, noise: NoiseModel,
     -------
     MIResult with the total over all n frequencies, the per-pixel value
     total/n and the bulk per-pixel value with the DC term removed, all from
-    one FFT and in the requested log base.
+    the pattern's one power spectrum and in the requested log base.
     """
     n = pattern.n
-    total, bulk = mi_sums(circulant_spectrum(pattern).lambda_sq,
-                          spectral_weights(prior, n), gamma(noise, pattern.rho))
+    total, bulk = mi_sums(pattern.lambda_sq, spectral_weights(prior, n),
+                          gamma(noise, pattern.rho))
     total = to_log_base(total, log_base)
     return MIResult(total=total, per_pixel=total / n,
                     per_pixel_excl_dc=to_log_base(bulk, log_base) / n, log_base=log_base)
@@ -133,9 +102,8 @@ def jensen_bound(pattern, noise: NoiseModel, log_base: str = "nats") -> float:
     when all off-DC eigenvalue magnitudes are equal (spectrally flat masks).
     """
     g = gamma(noise, pattern.rho)
-    spec = circulant_spectrum(pattern)
-    n = spec.n
+    n = pattern.n
     if n < 2:
         raise InvalidArgumentError("bound needs n >= 2")
-    return to_log_base((n - 1) / n * math.log1p(g * spec.bulk_power / ((n - 1) * n)),
-                       log_base)
+    s = float(pattern.lambda_sq[1:].sum())
+    return to_log_base((n - 1) / n * math.log1p(g * s / ((n - 1) * n)), log_base)

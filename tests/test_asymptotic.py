@@ -285,8 +285,9 @@ class TestOptimalPIID:
             assert best >= predict_bernoulli_iid(float(p), W, J).value
 
     def test_weak_shot_noise_limit(self):
-        # sqrt cancellation leaves ~1e-7 of float noise at J this small
-        assert optimal_p_iid(1.0, 1e-9) == pytest.approx(0.5, abs=1e-6)
+        # p* = 1 / (1 + sqrt(1 + J/W)) has no cancellation: at J/W = 1e-9 it
+        # is 1/2 - J/(8W) to first order, exactly 0.499999999875 in floats
+        assert optimal_p_iid(1.0, 1e-9) == pytest.approx(0.5 - 1.25e-10, abs=1e-15)
 
     @pytest.mark.parametrize("J", [1e-17, 1e-20, 1e-300])
     def test_thermal_limit_without_cancellation(self, J):

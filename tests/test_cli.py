@@ -168,6 +168,18 @@ class TestMi:
         assert err.startswith("error: ") and err.count("\n") == 1
         assert "can't decode" in err
 
+    @pytest.mark.parametrize("descriptor", ["[]", '"x"', '{"metadata": [1]}'])
+    def test_non_object_descriptor(self, capsys, tmp_path, descriptor):
+        """A descriptor that is not a JSON object, or whose metadata is not
+        one, is a usage error, not a traceback."""
+        (tmp_path / "m.txt").write_text("1\n0\n1\n")
+        (tmp_path / "m.json").write_text(descriptor)
+        code, out, err = run(capsys, "mi", "--pattern-file", str(tmp_path / "m.txt"),
+                             "--W", "0.1")
+        assert code == 2 and out == ""
+        assert err.startswith("error: ") and err.count("\n") == 1
+        assert "m.json: bad descriptor: " in err
+
     def test_noise_flag_rules(self, capsys):
         code, _, err = run(capsys, "mi", "--family", "pinhole", "--n", "4",
                            "--W", "0.01", "--W-db", "-20")

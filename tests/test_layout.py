@@ -27,6 +27,13 @@ def test_one_fft_call_site():
     assert occurrences(r"np\.fft\.fft\(") == {"spectral.py": 1}
 
 
+def test_one_spectrum_per_pattern():
+    """A pattern's power spectrum is its lambda_sq, taken once through
+    power_spectrum; no second spectrum type or helper computes it again."""
+    assert occurrences(r"circulant_spectrum|SpectrumResult|bulk_power") == {}
+    assert occurrences(r"power_spectrum\(").get("patterns.py") == 1
+
+
 def test_one_draw_site_and_one_pool_site_in_ensemble():
     """The ensemble seeds generators in one place and builds at most one
     process pool per call, whatever the grid."""

@@ -29,6 +29,7 @@ from apmi import (
 )
 from apmi import patterns
 from apmi.patterns import IO_CHUNK, MLS_POLYNOMIALS, MURA_MAX_N
+from apmi.spectral import power_spectrum
 
 
 def mls_loop_reference(degree, seed_state=None):
@@ -69,6 +70,19 @@ def text_reference(values):
     """Pattern-file text by the per-element rule save_pattern implements."""
     return "".join(f"{int(v)}\n" if v in (0.0, 1.0) else f"{float(v)!r}\n"
                    for v in values)
+
+
+def levels_reference(values, flat):
+    """The spectral levels a generator records, from power_spectrum of its
+    row; with the per-bin deviation from (n+1)/4 for the exactly flat MLS."""
+    bulk = power_spectrum(values)[1:]
+    levels = {"lambda1": float(values.sum()), "bulk_mean": float(bulk.mean()),
+              "bulk_min": float(bulk.min()), "bulk_max": float(bulk.max())}
+    if flat:
+        target = (values.size + 1) / 4
+        levels["bulk_max_abs_dev"] = max(abs(levels["bulk_min"] - target),
+                                         abs(levels["bulk_max"] - target))
+    return levels
 
 
 def dft_power_direct(a):
@@ -255,6 +269,24 @@ class TestRandomFamilies:
                                       gen_uniform(64, seed=3).values)
 
 
+class TestRecordedLevels:
+    """The levels in a generated mask's metadata are bitwise those of its own
+    power spectrum."""
+
+    @pytest.mark.parametrize("degree", range(2, 13))
+    def test_mls(self, degree):
+        pattern = gen_mls(degree)
+        reference = levels_reference(pattern.values, flat=True)
+        assert pattern.metadata == {"degree": degree,
+                                    "polynomial_taps": (degree, *MLS_POLYNOMIALS[degree], 0),
+                                    "seed_state": pattern.n, **reference}
+
+    @pytest.mark.parametrize("n", [5, 13, 29, 101, 1009])
+    def test_mura(self, n):
+        pattern = gen_mura(n)
+        assert pattern.metadata == levels_reference(pattern.values, flat=False)
+
+
 class TestAperturePattern:
     def test_entries_validated(self):
         with pytest.raises(InvalidArgumentError):
@@ -352,6 +384,14 @@ class TestSerialization:
         path.write_text("1\n0\n1\n")
         (tmp_path / "mask.json").write_text("{not json")
         with pytest.raises(InvalidArgumentError, match=r"mask\.json: bad descriptor"):
+            load_pattern(str(path))
+
+    @pytest.mark.parametrize("descriptor", ["[]", '"x"', '{"metadata": [1]}'])
+    def test_load_non_object_descriptor_rejected(self, tmp_path, descriptor):
+        path = tmp_path / "mask.txt"
+        path.write_text("1\n0\n1\n")
+        (tmp_path / "mask.json").write_text(descriptor)
+        with pytest.raises(InvalidArgumentError, match=r"mask\.json: bad descriptor: "):
             load_pattern(str(path))
 
     def test_load_unknown_family_rejected(self, tmp_path):

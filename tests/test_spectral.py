@@ -1,5 +1,6 @@
 """Exact spectral MI: frozen examples, Parseval/symmetry properties, bounds."""
 
+import dataclasses
 import math
 
 import numpy as np
@@ -13,9 +14,9 @@ from apmi import (
     NoiseModel,
     PatternFamily,
     ScenePrior,
-    circulant_spectrum,
     gen_bernoulli,
     gen_mls,
+    gen_mura,
     gen_pinhole,
     jensen_bound,
     mi_excluding_dc,
@@ -28,26 +29,23 @@ NOISE = NoiseModel(W=0.01, J=1.0)
 
 class TestSpectrum:
     def test_all_ones_row(self):
-        spec = circulant_spectrum(np.ones(4))
-        np.testing.assert_allclose(spec.lambda_sq, [16, 0, 0, 0], atol=1e-12)
-        assert spec.lambda1 == pytest.approx(4.0)
+        pattern = AperturePattern(np.ones(4))
+        np.testing.assert_allclose(pattern.lambda_sq, [16, 0, 0, 0], atol=1e-12)
+        assert pattern.values.sum() == pytest.approx(4.0)
 
     def test_mls3(self):
-        spec = circulant_spectrum(gen_mls(3))
-        np.testing.assert_allclose(spec.lambda_sq, [16, 2, 2, 2, 2, 2, 2],
+        np.testing.assert_allclose(gen_mls(3).lambda_sq, [16, 2, 2, 2, 2, 2, 2],
                                    atol=1e-9)
 
     def test_delta_is_flat(self):
-        spec = circulant_spectrum(gen_pinhole(5))
-        np.testing.assert_allclose(spec.lambda_sq, np.ones(5), atol=1e-12)
+        np.testing.assert_allclose(gen_pinhole(5).lambda_sq, np.ones(5), atol=1e-12)
 
     def test_mls_parseval_exact(self):
         # for a binary row, sum |lambda_k|^2 = n * (ones count)
         for degree in (3, 5, 8):
             pattern = gen_mls(degree)
-            spec = circulant_spectrum(pattern)
             ones = pattern.values.sum()
-            assert spec.lambda_sq.sum() == pytest.approx(
+            assert pattern.lambda_sq.sum() == pytest.approx(
                 pattern.n * ones, rel=1e-12)
 
     @given(st.integers(min_value=2, max_value=300),
@@ -57,13 +55,13 @@ class TestSpectrum:
         """DC square, conjugate symmetry and Parseval for arbitrary rows."""
         rng = np.random.default_rng(seed)
         a = rng.random(n)
-        spec = circulant_spectrum(a)
-        assert spec.lambda_sq[0] == pytest.approx(spec.lambda1 ** 2,
-                                                  rel=1e-10)
-        np.testing.assert_allclose(spec.lambda_sq[1:],
-                                   spec.lambda_sq[1:][::-1],
+        lambda_sq = AperturePattern(a).lambda_sq
+        assert lambda_sq[0] == pytest.approx(float(a.sum()) ** 2,
+                                             rel=1e-10)
+        np.testing.assert_allclose(lambda_sq[1:],
+                                   lambda_sq[1:][::-1],
                                    rtol=1e-10, atol=1e-9)
-        assert spec.lambda_sq.sum() == pytest.approx(
+        assert lambda_sq.sum() == pytest.approx(
             n * float(np.sum(a ** 2)), rel=1e-10)
 
     def test_bulk_power_binary_identity(self):
@@ -71,13 +69,32 @@ class TestSpectrum:
         for seed in range(5):
             pattern = gen_bernoulli(128, 0.4, seed=seed)
             s = pattern.values.sum()
-            spec = circulant_spectrum(pattern)
-            assert spec.bulk_power == pytest.approx(128 * s - s ** 2,
-                                                    rel=1e-12)
+            assert pattern.lambda_sq[1:].sum() == pytest.approx(128 * s - s ** 2,
+                                                               rel=1e-12)
 
     def test_rejects_empty(self):
         with pytest.raises(InvalidArgumentError):
-            circulant_spectrum(np.array([]))
+            AperturePattern(np.array([]))
+
+    def test_generated_mask_spectrum_is_computed_once(self, monkeypatch):
+        """A generated MLS/MURA mask carries the spectrum its self-check
+        computed: generating it and taking its MI or bound is one FFT."""
+        calls = []
+        fft = np.fft.fft
+
+        def counted(a, *args, **kwargs):
+            calls.append(np.shape(a))
+            return fft(a, *args, **kwargs)
+        monkeypatch.setattr(np.fft, "fft", counted)
+        mutual_information(gen_mls(12), ScenePrior.IID, NOISE)
+        assert len(calls) == 1
+        jensen_bound(gen_mura(13), NOISE)
+        assert len(calls) == 2
+
+    def test_fields_cannot_be_rebound(self):
+        pattern = gen_mls(3)
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            pattern.values = np.zeros(7)
 
 
 class TestMutualInformation:
