@@ -11,9 +11,11 @@ Engine.  Trials run in blocks of at most BLOCK_BYTES of draws.  A sweep
 over p draws each trial's row once and thresholds it at every grid p (the
 seed does not depend on p), and each block makes one batched FFT and one
 log-sum per p.  With workers > 1, one process pool serves the whole sweep:
-each task is a chunk of trials evaluated at every p.  On a 2-vCPU VM,
-workers=2 ran the fig3 sweep (19 p x 1000 trials, n=249) 1.3-1.4x faster
-than workers=1.
+each task is a chunk of trials evaluated at every p.  On a 2-vCPU VM
+(in process, medians of 10 runs), workers=2 ran the fig3 sweep (19 p x
+1000 trials, n=249) in 0.15 s against 0.22 s for workers=1 (1.4x), and
+the IID sweep at n=4095 (5 p x 1000 trials) in 0.36 s against 0.64 s
+(1.8x).
 
 Metrics.  IID-prior ensembles default to the bulk per-pixel MI with the DC
 term excluded ("per_pixel_excl_dc") because that is the quantity the
@@ -54,8 +56,13 @@ METRICS = ("per_pixel", "per_pixel_excl_dc", "total")
 RHO_MODES = ("realized", "nominal")
 
 # Bound on the draws of one block of trials.  Batches of 256 KB to 1 MB ran
-# alike at n=249 and fastest at n=4095 (4 MB was ~50% slower there), and
-# 256 KB keeps the block's temporaries to ~2 MB of peak memory.
+# alike at n=249 and fastest at n=4095 (4 MB was ~50% slower there).
+# _eval_range allocates the block's draw, spectrum and power arrays (4x this
+# bound together) once per trial range and reuses them for every block and
+# p.  Allocated afresh per block and p, arrays of this size went back to the
+# kernel and were faulted in again: one serial range took 153,215 minor page
+# faults instead of 256 (5 p x 1000 trials, n=4095) and 29,896 instead of
+# 467 (fig3: 19 p x 1000 trials, n=249).
 BLOCK_BYTES = 1 << 18
 # Bound on the (p, trial) values a sweep holds at once.  A longer grid is
 # swept in groups of p that each draw the trials again: one group, and one
@@ -168,10 +175,12 @@ def _eval_range(config: EnsembleConfig, n: int, p_grid, start: int, stop: int) -
     d = spectral_weights(config.prior, n)
     draw, mask = RANDOM_DRAWS[config.family]
     out = np.empty((len(p_grid), stop - start, 3))
-    rows = max(1, BLOCK_BYTES // (8 * n))
+    rows = max(1, min(BLOCK_BYTES // (8 * n), stop - start))
+    # allocated once per range, not per block and p: see BLOCK_BYTES
+    buffers = np.empty((rows, n)), np.empty((rows, n), dtype=complex), np.empty((rows, n))
     for lo in range(start, stop, rows):
         hi = min(lo + rows, stop)
-        u = np.empty((hi - lo, n))
+        u, spectrum, power = (b[:hi - lo] for b in buffers)
         for i, t in enumerate(range(lo, hi)):
             getattr(np.random.default_rng(trial_seed(config.master_seed, t)), draw)(out=u[i])
         for k, p in enumerate(p_grid):
@@ -180,7 +189,7 @@ def _eval_range(config: EnsembleConfig, n: int, p_grid, start: int, stop: int) -
             noise = _noise(config, p, rho)
             g = 1.0 / np.where(degenerate_noise(noise), 1.0, noise)
             block = out[k, lo - start:hi - start]
-            block[:, 0], block[:, 1] = mi_sums(power_spectrum(a), d, g)
+            block[:, 0], block[:, 1] = mi_sums(power_spectrum(a, (spectrum, power)), d, g)
             block[:, 2] = rho
     return out
 

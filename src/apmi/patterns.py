@@ -67,7 +67,7 @@ class AperturePattern:
 
     values : entries in [0, 1], length n >= 1
     family : which generator produced it (CUSTOM for user-supplied rows)
-    seed   : RNG seed for the random families, None otherwise
+    seed   : RNG seed (an int >= 0) for the random families, None otherwise
     metadata : generator-specific record (polynomial taps, measured
         spectral levels, nominal p, ...)
 
@@ -89,6 +89,7 @@ class AperturePattern:
         if a.min() < 0.0 or a.max() > 1.0:
             raise InvalidArgumentError("pattern entries must lie in [0, 1]")
         object.__setattr__(self, "values", a)
+        _check_seed(self.seed)
 
     @cached_property
     def lambda_sq(self) -> np.ndarray:
@@ -391,7 +392,9 @@ def save_pattern(pattern: AperturePattern, base_path: str) -> tuple[str, str]:
 
     The text file round-trips exactly (repr of each float); the descriptor
     records family, n, seed and realized transmissivity plus any
-    generator metadata.  Both files are written through write_atomic.
+    generator metadata.  Both files are written through write_atomic.  The
+    descriptor is strict JSON: a metadata value holding NaN or Infinity
+    raises InvalidArgumentError before either file is written.
     """
     txt_path = base_path + ".txt"
     json_path = base_path + ".json"
@@ -404,8 +407,12 @@ def save_pattern(pattern: AperturePattern, base_path: str) -> tuple[str, str]:
     if pattern.metadata:
         desc["metadata"] = {k: (list(v) if isinstance(v, tuple) else v)
                             for k, v in pattern.metadata.items()}
-    write_atomic({txt_path: _text_lines(pattern.values),
-                  json_path: [json.dumps(desc, indent=2, sort_keys=True), "\n"]})
+    try:
+        text = json.dumps(desc, indent=2, sort_keys=True, allow_nan=False)
+    except ValueError as exc:  # only metadata can hold NaN or Infinity
+        key = next(k for k, v in desc["metadata"].items() if not _strict_json(v))
+        raise InvalidArgumentError(f"metadata {key!r} cannot be written as JSON: {exc}") from None
+    write_atomic({txt_path: _text_lines(pattern.values), json_path: [text, "\n"]})
     return txt_path, json_path
 
 
@@ -463,7 +470,9 @@ def load_pattern(txt_path: str) -> AperturePattern:
     A file of only "0" and "1" lines is decoded as bytes; any other file is
     parsed line by line, with the same values.  If a sibling .json
     descriptor exists its family/seed are restored; otherwise the pattern is
-    loaded as CUSTOM.
+    loaded as CUSTOM.  The descriptor must be strict JSON (no NaN, Infinity
+    or number that overflows a float), its seed null or an integer >= 0 and
+    its n, if given, the number of entries; else InvalidArgumentError.
     """
     try:
         with open(txt_path, "rb") as fh:
@@ -482,12 +491,44 @@ def load_pattern(txt_path: str) -> AperturePattern:
     if os.path.exists(json_path):
         try:
             with open(json_path) as fh:
-                desc = json.load(fh)
+                desc = json.load(fh, parse_constant=_reject_constant, parse_float=_finite_float)
             if not isinstance(desc, dict) or not isinstance(desc.get("metadata", {}), dict):
                 raise ValueError("expected an object whose metadata, if any, is an object")
             family = PatternFamily(desc.get("family", "custom"))
-        except (json.JSONDecodeError, ValueError) as exc:
+            seed = _check_seed(desc.get("seed"))
+            if "n" in desc and not (type(desc["n"]) is int and desc["n"] == vals.size):
+                raise ValueError(f"n must be {vals.size}, the number of entries "
+                                 f"in {txt_path}, got {desc['n']!r}")
+        except ValueError as exc:  # JSONDecodeError and UnicodeDecodeError included
             raise InvalidArgumentError(f"{json_path}: bad descriptor: {exc}") from None
-        seed = desc.get("seed")
         meta = desc.get("metadata", {})
     return AperturePattern(vals, family, seed=seed, metadata=meta)
+
+
+def _check_seed(seed):
+    """The one seed rule of a pattern and its descriptor: None or an int >= 0, not a bool."""
+    if seed is not None and not (type(seed) is int and seed >= 0):
+        raise InvalidArgumentError(f"seed must be None/null or an integer >= 0, got {seed!r}")
+    return seed
+
+
+def _strict_json(value) -> bool:
+    """Whether json.dumps(value) needs no NaN or Infinity."""
+    try:
+        json.dumps(value, allow_nan=False)
+    except ValueError:
+        return False
+    return True
+
+
+def _reject_constant(name: str):
+    """json parse_constant: NaN, Infinity and -Infinity are not JSON."""
+    raise ValueError(f"{name} is not JSON")
+
+
+def _finite_float(text: str) -> float:
+    """json parse_float: a number that overflows a float cannot be saved again."""
+    value = float(text)
+    if not math.isfinite(value):
+        raise ValueError(f"number {text} is out of range")
+    return value

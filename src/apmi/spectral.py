@@ -37,10 +37,18 @@ class MIResult:
     log_base: str
 
 
-def power_spectrum(a: np.ndarray) -> np.ndarray:
+def power_spectrum(a: np.ndarray, out: tuple[np.ndarray, np.ndarray] | None = None) -> np.ndarray:
     """|lambda_k|^2 of a real row, DC first, or of each row of a (T, n) batch;
-    unchecked (ensemble hot path)."""
-    return np.abs(np.fft.fft(a)) ** 2
+    unchecked (ensemble hot path).
+
+    out : optional (complex, float) pair of arrays shaped like a.  The FFT is
+        written into the first and the power into the second, which is
+        returned; the bits are the same as without out.  numpy.fft takes
+        out= from numpy 2.0 on, hence the numpy>=2.0 floor.
+    """
+    spectrum, power = out or (None, None)
+    power = np.abs(np.fft.fft(a, out=spectrum), out=power)
+    return np.square(power, out=power)
 
 
 def mi_sums(lambda_sq: np.ndarray, weights: np.ndarray, gamma_: float | np.ndarray):
@@ -54,7 +62,12 @@ def mi_sums(lambda_sq: np.ndarray, weights: np.ndarray, gamma_: float | np.ndarr
     if lambda_sq.ndim == 2:
         gamma_ = np.asarray(gamma_)[:, None]
     with np.errstate(over="ignore", invalid="ignore"):
-        terms = np.log1p(gamma_ * weights * lambda_sq / lambda_sq.shape[-1])
+        # log1p(gamma * weights * lambda_sq / n) in one temporary; lambda_sq
+        # may be a pattern's cached spectrum, so it is never written
+        terms = np.multiply(gamma_, weights)
+        terms *= lambda_sq
+        terms /= lambda_sq.shape[-1]
+        np.log1p(terms, out=terms)
         total = terms.sum(axis=-1)
         excl = total - terms[..., 0]
     if lambda_sq.ndim == 1:

@@ -180,6 +180,20 @@ class TestMi:
         assert err.startswith("error: ") and err.count("\n") == 1
         assert "m.json: bad descriptor: " in err
 
+    @pytest.mark.parametrize("descriptor", [
+        '{"seed": [1, 2], "n": 7, "metadata": {"a": NaN}}', '{"seed": "abc"}',
+        '{"seed": -3}', '{"n": 7}', '{"metadata": {"a": 1e999}}'])
+    def test_bad_descriptor_value(self, capsys, tmp_path, descriptor):
+        """A descriptor value that save_pattern could not write back, or that
+        contradicts the mask file, is a usage error."""
+        (tmp_path / "m.txt").write_text("0\n1\n1\n")
+        (tmp_path / "m.json").write_text(descriptor)
+        code, out, err = run(capsys, "mi", "--pattern-file", str(tmp_path / "m.txt"),
+                             "--W", "0.1")
+        assert code == 2 and out == ""
+        assert err.startswith("error: ") and err.count("\n") == 1
+        assert "m.json: bad descriptor: " in err
+
     def test_noise_flag_rules(self, capsys):
         code, _, err = run(capsys, "mi", "--family", "pinhole", "--n", "4",
                            "--W", "0.01", "--W-db", "-20")

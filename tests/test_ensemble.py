@@ -196,6 +196,32 @@ class TestTrialIsGeneratedMask:
         assert stats.mean == float(np.mean(expected))
 
 
+class TestBlockArrays:
+    """_eval_range allocates its draw, spectrum and power arrays once per
+    trial range and slices them for every block and p."""
+
+    @pytest.mark.parametrize("family", ["bernoulli", "uniform"])
+    def test_every_fft_writes_into_one_array(self, monkeypatch, family):
+        config = bernoulli_config(n=16, trials=13, family=family)
+        grid = (0.3, 0.6)
+        whole = ensemble._eval_range(config, 16, grid, 0, 13)
+        monkeypatch.setattr(ensemble, "BLOCK_BYTES", 8 * 16 * 5)  # blocks of 5, 5, 3
+        outs = []
+        fft = np.fft.fft
+
+        def recorded(a, *args, **kwargs):
+            outs.append(kwargs.get("out"))
+            return fft(a, *args, **kwargs)
+        monkeypatch.setattr(np.fft, "fft", recorded)
+        blocked = ensemble._eval_range(config, 16, grid, 0, 13)
+        assert [out.shape[0] for out in outs] == [5, 5, 5, 5, 3, 3]
+        assert all(np.shares_memory(out, outs[0]) for out in outs)
+        assert blocked.tobytes() == whole.tobytes()
+        # a pool chunk: trials [4, 13) in blocks of 5 and 4
+        assert ensemble._eval_range(config, 16, grid, 4, 13).tobytes() == \
+            whole[:, 4:].tobytes()
+
+
 class TestSweep:
     def test_empty_grid(self):
         assert sweep_p(bernoulli_config(), []) == []

@@ -5,6 +5,7 @@ quadratic-residue mask against a Legendre-symbol oracle, and the shift
 register table against an explicit period count.
 """
 
+import math
 import os
 import tempfile
 import threading
@@ -393,6 +394,63 @@ class TestSerialization:
         (tmp_path / "mask.json").write_text(descriptor)
         with pytest.raises(InvalidArgumentError, match=r"mask\.json: bad descriptor: "):
             load_pattern(str(path))
+
+    @pytest.mark.parametrize("descriptor, reason", [
+        ('{"seed": [1, 2], "n": 7, "metadata": {"a": NaN}}', "NaN is not JSON"),
+        ('{"metadata": {"a": Infinity}}', "Infinity is not JSON"),
+        ('{"rho": -Infinity}', "-Infinity is not JSON"),
+        ('{"metadata": {"a": [1e400]}}', "number 1e400 is out of range"),
+        ('{"seed": "abc"}', "seed must be None/null or an integer >= 0, got 'abc'"),
+        ('{"seed": [1, 2]}', "seed must be"),
+        ('{"seed": true}', "seed must be"),
+        ('{"seed": 1.0}', "seed must be"),
+        ('{"seed": -1}', "seed must be"),
+        ('{"n": 7}', r"n must be 3, the number of entries in .*mask\.txt, got 7"),
+        ('{"n": 3.0}', "n must be 3"),
+        ('{"n": "3"}', "n must be 3"),
+        ('{"n": false}', "n must be 3"),
+    ])
+    def test_load_bad_descriptor_value_rejected(self, tmp_path, descriptor, reason):
+        path = tmp_path / "mask.txt"
+        path.write_text("0\n1\n1\n")
+        (tmp_path / "mask.json").write_text(descriptor)
+        with pytest.raises(InvalidArgumentError, match=rf"mask\.json: bad descriptor: {reason}"):
+            load_pattern(str(path))
+
+    def test_load_descriptor_values_restored(self, tmp_path):
+        path = tmp_path / "mask.txt"
+        path.write_text("0\n1\n1\n")
+        (tmp_path / "mask.json").write_text(
+            '{"seed": 18446744073709551615, "n": 3, "metadata": {"p": 0.5}}')
+        loaded = load_pattern(str(path))
+        assert (loaded.seed, loaded.metadata) == (2**64 - 1, {"p": 0.5})
+        (tmp_path / "mask.json").write_text('{"seed": null}')
+        assert load_pattern(str(path)).seed is None
+
+    @pytest.mark.parametrize("seed", [-1, True, 1.0, "3", np.int64(3)])
+    def test_bad_seed_rejected(self, seed):
+        """A pattern holds only a seed its descriptor can hold."""
+        with pytest.raises(InvalidArgumentError, match="seed must be None/null or an integer >= 0"):
+            AperturePattern(np.array([0.0, 1.0, 1.0]), seed=seed)
+
+    @pytest.mark.parametrize("seed", [None, 0, 2**64 - 1])
+    def test_saved_pattern_loads_back(self, tmp_path, seed):
+        """Whatever save_pattern writes, load_pattern accepts unchanged."""
+        pattern = AperturePattern(np.array([0.0, 0.5, 1.0]), PatternFamily.BERNOULLI, seed=seed,
+                                  metadata={"p": 0.5, "taps": [3, 1]})
+        txt_path, _ = save_pattern(pattern, str(tmp_path / "mask"))
+        loaded = load_pattern(txt_path)
+        assert (loaded.family, loaded.seed, loaded.metadata) == (
+            pattern.family, seed, pattern.metadata)
+        np.testing.assert_array_equal(loaded.values, pattern.values)
+
+    @pytest.mark.parametrize("value", [float("nan"), [1.0, float("inf")], {"b": -math.inf}])
+    def test_save_non_finite_metadata_rejected(self, tmp_path, value):
+        """The descriptor is strict JSON; the error names the key and no file is left."""
+        pattern = AperturePattern(np.array([0.0, 1.0, 1.0]), metadata={"a": value})
+        with pytest.raises(InvalidArgumentError, match="metadata 'a' cannot be written as JSON"):
+            save_pattern(pattern, str(tmp_path / "mask"))
+        assert list(tmp_path.iterdir()) == []
 
     def test_load_unknown_family_rejected(self, tmp_path):
         path = tmp_path / "mask.txt"

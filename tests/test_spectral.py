@@ -22,9 +22,26 @@ from apmi import (
     mi_excluding_dc,
     mutual_information,
 )
+from apmi.model import spectral_weights
 from apmi.spectral import mi_sums, power_spectrum
 
 NOISE = NoiseModel(W=0.01, J=1.0)
+
+
+def bits(x):
+    """The bytes of a float or float array, so that -0.0, NaN and inf compare exactly."""
+    return np.asarray(x, dtype=float).tobytes()
+
+
+def one_expression_mi_sums(lambda_sq, weights, gamma_):
+    """The log-sum as one expression with a fresh temporary per operation;
+    mi_sums must give the same bits."""
+    if lambda_sq.ndim == 2:
+        gamma_ = np.asarray(gamma_)[:, None]
+    with np.errstate(over="ignore", invalid="ignore"):
+        terms = np.log1p(gamma_ * weights * lambda_sq / lambda_sq.shape[-1])
+        total = terms.sum(axis=-1)
+        return total, total - terms[..., 0]
 
 
 class TestSpectrum:
@@ -90,6 +107,20 @@ class TestSpectrum:
         assert len(calls) == 1
         jensen_bound(gen_mura(13), NOISE)
         assert len(calls) == 2
+
+    @pytest.mark.parametrize("n", [2, 8, 249, 4095])
+    def test_power_spectrum_into_given_arrays(self, n):
+        """With out=(spectrum, power), one row or a (T, n) batch has its power
+        written into the given float array, the bits of a call without out."""
+        rng = np.random.default_rng(n)
+        for a in (rng.random(n), (rng.random((6, n)) < 0.3).astype(float)):
+            spectrum, power = np.empty(a.shape, dtype=complex), np.empty(a.shape)
+            result = power_spectrum(a, out=(spectrum, power))
+            assert result is power
+            fresh = power_spectrum(a)
+            assert np.array_equal(result.view(np.uint64), fresh.view(np.uint64))
+            assert np.array_equal(fresh.view(np.uint64),
+                                  (np.abs(np.fft.fft(a)) ** 2).view(np.uint64))
 
     def test_fields_cannot_be_rebound(self):
         pattern = gen_mls(3)
@@ -195,6 +226,35 @@ class TestMutualInformation:
         with the same error family as the predictors and the ensemble."""
         with pytest.raises(InvalidArgumentError, match="too small to invert"):
             mutual_information(gen_mls(5), ScenePrior.IID, NoiseModel(0.0, 1e-320))
+
+
+class TestMiSums:
+    @pytest.mark.parametrize("prior", [ScenePrior.IID, ScenePrior.ONE_OVER_F])
+    @pytest.mark.parametrize("n", [9, 249])
+    def test_bitwise_equal_to_one_expression(self, prior, n):
+        """Scalar and per-row gamma, with one row whose terms overflow to inf;
+        neither the spectrum nor the weights are written."""
+        rng = np.random.default_rng(n)
+        spectra = power_spectrum((rng.random((7, n)) < 0.4).astype(float))
+        weights = spectral_weights(prior, n)
+        gammas = rng.random(7) * 100
+        gammas[3] = 1e308
+        before = spectra.tobytes(), weights.tobytes()
+        totals, bulks = mi_sums(spectra, weights, gammas)
+        expected = one_expression_mi_sums(spectra, weights, gammas)
+        assert (bits(totals), bits(bulks)) == tuple(map(bits, expected))
+        assert np.isinf(totals[3])
+        for spectrum, g in zip(spectra, gammas):
+            single = mi_sums(spectrum, weights, float(g))
+            assert tuple(map(bits, single)) == tuple(map(
+                bits, one_expression_mi_sums(spectrum, weights, float(g))))
+        assert (spectra.tobytes(), weights.tobytes()) == before
+
+    def test_pattern_spectrum_not_written(self):
+        pattern = gen_mls(5)
+        before = pattern.lambda_sq.copy()
+        mutual_information(pattern, ScenePrior.ONE_OVER_F, NOISE)
+        assert pattern.lambda_sq.tobytes() == before.tobytes()
 
 
 class TestJensenBound:
