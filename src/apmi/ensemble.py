@@ -7,9 +7,15 @@ gen_<family>(n, [p,] trial_seed(master_seed, t)) (gaussian rows have no
 generator), and aggregation runs over the trial-indexed value array, so
 results are bitwise identical regardless of worker count or execution order.
 
-Engine.  Trials run in blocks of at most BLOCK_BYTES of draws.  A sweep
-over p draws each trial's row once and thresholds it at every grid p (the
-seed does not depend on p), and each block makes one batched FFT and one
+Engine.  Trials are seeded in one vectorised pass: numpy's SeedSequence
+mixing runs on uint32 columns across trials, once for SEED_POLICY's seed
+and once for the PCG64 state that np.random.default_rng derives from it,
+and one reused generator draws every trial from its state.  This
+reproduces SEED_POLICY exactly; the first and last trial of each range are
+checked against the reference generator at run time (NumericalError).
+Trials run in blocks of at most BLOCK_BYTES of draws.  A sweep over p
+draws each trial's row once and thresholds it at every grid p (the seed
+does not depend on p), and each block makes one batched FFT and one
 log-sum per p.  With workers > 1, one process pool serves the whole sweep:
 each task is a chunk of trials evaluated at every p.  On a 2-vCPU VM
 (in process, medians of 10 runs), workers=2 ran the fig3 sweep (19 p x
@@ -33,7 +39,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .asymptotic import BERNOULLI_PREDICTOR, PredictionResult, predict
-from .errors import InvalidArgumentError
+from .errors import InvalidArgumentError, NumericalError
 from .model import (NoiseModel, ScenePrior, degenerate_noise, effective_n, noise_level,
                     spectral_weights, to_log_base)
 from .patterns import RANDOM_DRAWS, check_p
@@ -74,9 +80,109 @@ SEED_POLICY = ("numpy.random.SeedSequence((master_seed, trial_index))"
 
 
 def trial_seed(master_seed: int, trial_index: int) -> int:
-    """Deterministic per-trial seed; see SEED_POLICY."""
+    """Deterministic per-trial seed; see SEED_POLICY.
+
+    This is the reference.  Ensembles seed their trials in one vectorised
+    pass (_trial_states) that reproduces, bit for bit, the generator that
+    np.random.default_rng makes from trial_seed(master_seed, t), and that
+    checks itself against it at run time.
+    """
     ss = np.random.SeedSequence((master_seed, trial_index))
     return int(ss.generate_state(1, np.uint64)[0])
+
+
+# numpy's SeedSequence hash constants (NEP 19) and PCG64's 128-bit LCG multiplier
+_INIT_A, _MULT_A = 0x43B0D7E5, 0x931E8875
+_INIT_B, _MULT_B = 0x8B51F9DD, 0x58F38DED
+_MIX_MULT_L, _MIX_MULT_R = 0xCA01F9DD, 0x4973F715
+_PCG64_MULT = 0x2360ED051FC65DA44385DF649FCCF645
+_M32, _M128 = 2**32 - 1, 2**128 - 1
+
+
+def _hasher(h: int, mult: int):
+    """NEP 19's running hash on uint32 columns: xor by the hash constant,
+    step the constant (h *= mult) and multiply by its new value."""
+    def hashmix(value: np.ndarray) -> np.ndarray:
+        nonlocal h
+        value = value ^ np.uint32(h)
+        h = h * mult & _M32
+        value = value * np.uint32(h)
+        return value ^ value >> 16
+    return hashmix
+
+
+def _mix(x: np.ndarray, y: np.ndarray) -> np.ndarray:
+    """NEP 19's mix of a pool word x with a hashed word y, per column."""
+    r = np.uint32(_MIX_MULT_L) * x - np.uint32(_MIX_MULT_R) * y
+    return r ^ r >> 16
+
+
+def _seed_sequence_words(entropy: list[np.ndarray], n_words: int) -> np.ndarray:
+    """SeedSequence(entropy).generate_state(n_words, uint32) per column:
+    entropy is the list of uint32 entropy words, each an array over trials,
+    mixed into numpy's pool of 4 words as numpy mixes one sequence."""
+    hashmix = _hasher(_INIT_A, _MULT_A)
+    zero = np.zeros_like(entropy[0])
+    pool = [hashmix(entropy[i] if i < len(entropy) else zero) for i in range(4)]
+    for src in range(4):
+        for dst in range(4):
+            if src != dst:
+                pool[dst] = _mix(pool[dst], hashmix(pool[src]))
+    for word in entropy[4:]:
+        for dst in range(4):
+            pool[dst] = _mix(pool[dst], hashmix(word))
+    generate = _hasher(_INIT_B, _MULT_B)
+    return np.array([generate(pool[i % 4]) for i in range(n_words)])
+
+
+def _seed_sequence_u64(prefix: tuple[int, ...], x: np.ndarray, n_words: int) -> np.ndarray:
+    """SeedSequence((*prefix, x_i)).generate_state(n_words, uint64) for each
+    uint64 x_i, as (n_words, len(x)) words.  numpy coerces each int to its
+    little-endian 32-bit words ([0] for 0), so an x_i below 2**32 is one
+    entropy word and any other two."""
+    head = [v >> s & _M32 for v in prefix for s in range(0, max(v.bit_length(), 1), 32)]
+    low, high = (x & _M32).astype(np.uint32), (x >> 32).astype(np.uint32)
+    words = np.empty((2 * n_words, x.size), np.uint32)
+    for sel, tail in ((high == 0, [low]), (high != 0, [low, high])):
+        if sel.any():
+            count = np.count_nonzero(sel)
+            entropy = [np.full(count, w, np.uint32) for w in head] + [c[sel] for c in tail]
+            words[:, sel] = _seed_sequence_words(entropy, 2 * n_words)
+    words = words.astype(np.uint64)
+    return words[0::2] | words[1::2] << np.uint64(32)
+
+
+def _pcg64_states(seeds: np.ndarray) -> list[tuple[int, int]]:
+    """The PCG64 (state, inc) that np.random.default_rng seeds from each
+    uint64 seed.  The seed's SeedSequence gives 4 uint64 words, and PCG64
+    seeds from them by two LCG steps (numpy's pcg64_set_seed) on Python ints."""
+    states = []
+    for s_hi, s_lo, i_hi, i_lo in zip(*_seed_sequence_u64((), seeds, 4).tolist()):
+        inc = (i_hi << 65 | i_lo << 1 | 1) & _M128
+        states.append(((((s_hi << 64 | s_lo) + inc) * _PCG64_MULT + inc) & _M128, inc))
+    return states
+
+
+def _trial_states(master_seed: int, start: int, stop: int):
+    """Yield, for t in [start, stop), the bit_generator.state of the
+    generator that np.random.default_rng makes from trial_seed(master_seed, t).
+
+    States are computed for BLOCK_BYTES // 32 trials (4 uint64 words each)
+    at a time.  The first and last trial are checked against the generator
+    SEED_POLICY builds; a difference is a NumericalError.
+    """
+    chunk = BLOCK_BYTES // 32
+    for lo in range(start, stop, chunk):
+        trials = np.arange(lo, min(lo + chunk, stop), dtype=np.uint64)
+        seeds = _seed_sequence_u64((master_seed,), trials, 1)[0]  # trial_seed of each
+        for t, (state, inc) in enumerate(_pcg64_states(seeds), lo):
+            full = {"bit_generator": "PCG64", "state": {"state": state, "inc": inc},
+                    "has_uint32": 0, "uinteger": 0}
+            if t in (start, stop - 1) and \
+                    full != np.random.default_rng(trial_seed(master_seed, t)).bit_generator.state:
+                raise NumericalError(f"trial {t}: the vectorised trial seeding differs from "
+                                     f"SEED_POLICY's generator (master seed {master_seed})")
+            yield full
 
 
 @dataclass(frozen=True)
@@ -178,11 +284,15 @@ def _eval_range(config: EnsembleConfig, n: int, p_grid, start: int, stop: int) -
     rows = max(1, min(BLOCK_BYTES // (8 * n), stop - start))
     # allocated once per range, not per block and p: see BLOCK_BYTES
     buffers = np.empty((rows, n)), np.empty((rows, n), dtype=complex), np.empty((rows, n))
+    bit_generator = np.random.PCG64(0)
+    fill = getattr(np.random.Generator(bit_generator), draw)
+    states = _trial_states(config.master_seed, start, stop)
     for lo in range(start, stop, rows):
         hi = min(lo + rows, stop)
         u, spectrum, power = (b[:hi - lo] for b in buffers)
-        for i, t in enumerate(range(lo, hi)):
-            getattr(np.random.default_rng(trial_seed(config.master_seed, t)), draw)(out=u[i])
+        for row, state in zip(u, states):  # u first: zip stops before taking a state too many
+            bit_generator.state = state
+            fill(out=row)
         for k, p in enumerate(p_grid):
             a = mask(u, p)
             rho = a.mean(axis=1)

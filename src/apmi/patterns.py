@@ -61,6 +61,12 @@ class PatternFamily(str, Enum):
     CUSTOM = "custom"
 
 
+# Families whose generators write only 0s and 1s: a descriptor that names one
+# must sit beside a 0/1 row.  Bernoulli is not among them, because save_pattern
+# writes any row under any family and load_pattern reads back what it wrote.
+_ZERO_ONE_FAMILIES = (PatternFamily.PINHOLE, PatternFamily.MLS, PatternFamily.MURA)
+
+
 @dataclass(frozen=True)
 class AperturePattern:
     """A 1D aperture: the generating row of the circulant system matrix.
@@ -471,8 +477,11 @@ def load_pattern(txt_path: str) -> AperturePattern:
     parsed line by line, with the same values.  If a sibling .json
     descriptor exists its family/seed are restored; otherwise the pattern is
     loaded as CUSTOM.  The descriptor must be strict JSON (no NaN, Infinity
-    or number that overflows a float), its seed null or an integer >= 0 and
-    its n, if given, the number of entries; else InvalidArgumentError.
+    or number that overflows a float), its seed null or an integer >= 0, its
+    n, if given, the number of entries, and a pinhole, mls or mura family
+    must label a row of only 0s and 1s; else InvalidArgumentError.  The
+    descriptor's rho is not read: the pattern's rho is the realized mean of
+    its values.
     """
     try:
         with open(txt_path, "rb") as fh:
@@ -495,6 +504,8 @@ def load_pattern(txt_path: str) -> AperturePattern:
             if not isinstance(desc, dict) or not isinstance(desc.get("metadata", {}), dict):
                 raise ValueError("expected an object whose metadata, if any, is an object")
             family = PatternFamily(desc.get("family", "custom"))
+            if family in _ZERO_ONE_FAMILIES and not np.all((vals == 0) | (vals == 1)):
+                raise ValueError(f"family {family.value!r} needs a row of only 0s and 1s")
             seed = _check_seed(desc.get("seed"))
             if "n" in desc and not (type(desc["n"]) is int and desc["n"] == vals.size):
                 raise ValueError(f"n must be {vals.size}, the number of entries "

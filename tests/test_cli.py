@@ -194,6 +194,16 @@ class TestMi:
         assert err.startswith("error: ") and err.count("\n") == 1
         assert "m.json: bad descriptor: " in err
 
+    def test_zero_one_family_on_gray_row(self, capsys, tmp_path):
+        """A descriptor naming a 0/1 family beside a gray row is a usage error."""
+        (tmp_path / "m.txt").write_text("0.5\n0.5\n0.5\n")
+        (tmp_path / "m.json").write_text('{"family": "mls"}')
+        code, out, err = run(capsys, "mi", "--pattern-file", str(tmp_path / "m.txt"),
+                             "--W", "0.1")
+        assert code == 2 and out == ""
+        assert err == ("error: " + str(tmp_path / "m.json") + ": bad descriptor: "
+                       "family 'mls' needs a row of only 0s and 1s\n")
+
     def test_noise_flag_rules(self, capsys):
         code, _, err = run(capsys, "mi", "--family", "pinhole", "--n", "4",
                            "--W", "0.01", "--W-db", "-20")

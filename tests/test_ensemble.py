@@ -21,8 +21,10 @@ from apmi import (
     sweep_p,
     trial_seed,
 )
-from apmi import ensemble
+from apmi import NumericalError, ensemble
+from apmi.cli import main
 from apmi.ensemble import SEED_POLICY, EnsembleStats
+from apmi.patterns import RANDOM_DRAWS
 
 NOISE = NoiseModel(0.01, 1.0)
 
@@ -49,6 +51,75 @@ class TestTrialSeed:
         assert trial_seed(5, 9) == expected
         assert "SeedSequence((master_seed, trial_index))" in SEED_POLICY
         assert "uint64" in SEED_POLICY
+
+
+MASTER_SEEDS = [0, 1, 2**32 - 1, 2**32, 2**64 + 5, 2**100]  # 2**100: 5 entropy words
+
+
+class TestVectorisedSeeding:
+    """Ensembles seed their trials in one vectorised pass; trial_seed and
+    np.random.default_rng stay the reference it must match bit for bit."""
+
+    @pytest.mark.parametrize("master_seed", MASTER_SEEDS)
+    @pytest.mark.parametrize("start, stop", [(0, 7), (997, 1003)])
+    def test_trial_seeds(self, master_seed, start, stop):
+        t = np.arange(start, stop, dtype=np.uint64)
+        seeds = ensemble._seed_sequence_u64((master_seed,), t, 1)[0]
+        assert seeds.tolist() == [trial_seed(master_seed, i) for i in range(start, stop)]
+
+    @pytest.mark.parametrize("seed", [0, 1, 2**32 - 1, 2**32, 2**64 - 1])
+    def test_pcg64_state_of_one_and_two_word_seeds(self, seed):
+        """Seeds below 2**32 are one entropy word, which real trial seeds
+        almost never are."""
+        (state, inc), = ensemble._pcg64_states(np.array([seed], dtype=np.uint64))
+        reference = np.random.default_rng(seed).bit_generator.state
+        assert reference["state"] == {"state": state, "inc": inc}
+
+    @pytest.mark.parametrize("master_seed", MASTER_SEEDS)
+    @pytest.mark.parametrize("family", sorted(RANDOM_DRAWS))
+    @pytest.mark.parametrize("start, stop", [(0, 23), (997, 1003)])
+    def test_drawn_rows(self, monkeypatch, master_seed, family, start, stop):
+        """Every row _eval_range draws is the row of default_rng(trial_seed),
+        across blocks (of 2 rows) and state chunks (of 5 trials)."""
+        method, mask = RANDOM_DRAWS[family]
+        rows = []
+        monkeypatch.setitem(RANDOM_DRAWS, family,
+                            (method, lambda u, p: rows.append(u.copy()) or mask(u, p)))
+        monkeypatch.setattr(ensemble, "BLOCK_BYTES", 160)
+        config = bernoulli_config(n=8, trials=2, family=family, master_seed=master_seed,
+                                  rho_j_fixed=1.0 if family == "gaussian" else None)
+        ensemble._eval_range(config, 8, (0.5,), start, stop)
+        expected = [getattr(np.random.default_rng(trial_seed(master_seed, t)), method)(8)
+                    for t in range(start, stop)]
+        assert np.concatenate(rows).tobytes() == np.array(expected).tobytes()
+
+    @staticmethod
+    def flip_a_bit(monkeypatch, index):
+        """Make the state helper flip bit 0 of one state of each chunk."""
+        original = ensemble._pcg64_states
+
+        def flipped(seeds):
+            states = original(seeds)
+            state, inc = states[index]
+            states[index] = state ^ 1, inc
+            return states
+        monkeypatch.setattr(ensemble, "_pcg64_states", flipped)
+
+    @pytest.mark.parametrize("index", [0, -1])
+    def test_guard_raises(self, monkeypatch, index):
+        """The first and the last trial of a range are checked at run time."""
+        self.flip_a_bit(monkeypatch, index)
+        with pytest.raises(NumericalError, match="vectorised trial seeding differs"):
+            run_ensemble(bernoulli_config(trials=5))
+
+    def test_guard_exits_3(self, monkeypatch, capsys, tmp_path):
+        self.flip_a_bit(monkeypatch, 0)
+        code = main(["sweep", "--n", "16", "--trials", "4", "--W", "0.01", "--p-grid", "0.5",
+                     "--workers", "1", "--out", str(tmp_path / "s.csv")])
+        captured = capsys.readouterr()
+        assert code == 3 and captured.out == ""
+        assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
+        assert list(tmp_path.iterdir()) == []
 
 
 class TestConfigValidation:

@@ -452,6 +452,25 @@ class TestSerialization:
             save_pattern(pattern, str(tmp_path / "mask"))
         assert list(tmp_path.iterdir()) == []
 
+    @pytest.mark.parametrize("family", ["pinhole", "mls", "mura"])
+    def test_load_zero_one_family_needs_zero_one_row(self, tmp_path, family):
+        """A 0/1 family labels only a 0/1 row, however the values are written;
+        Bernoulli rows may hold any value (see test_saved_pattern_loads_back)."""
+        path = tmp_path / "mask.txt"
+        (tmp_path / "mask.json").write_text(f'{{"family": "{family}"}}')
+        path.write_text("0.5\n0.5\n0.5\n")
+        with pytest.raises(InvalidArgumentError, match=rf"mask\.json: bad descriptor: "
+                           rf"family '{family}' needs a row of only 0s and 1s"):
+            load_pattern(str(path))
+        path.write_text("1.0\r\n0\r\n1e0\r\n")
+        assert load_pattern(str(path)).family is PatternFamily(family)
+
+    def test_load_ignores_descriptor_rho(self, tmp_path):
+        path = tmp_path / "mask.txt"
+        path.write_text("0\n1\n1\n")
+        (tmp_path / "mask.json").write_text('{"family": "mls", "rho": 0.9}')
+        assert load_pattern(str(path)).rho == 2 / 3
+
     def test_load_unknown_family_rejected(self, tmp_path):
         path = tmp_path / "mask.txt"
         path.write_text("1\n0\n1\n")
