@@ -20,7 +20,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import InvalidArgumentError
-from .model import NoiseModel, ScenePrior, degenerate_noise, noise_level
+from .model import NoiseModel, ScenePrior, inverse_noise
 from .patterns import check_p
 
 __all__ = [
@@ -106,15 +106,6 @@ def explog_exp1(c: float | np.ndarray) -> float | np.ndarray:
     return float(out) if arr.ndim == 0 else out
 
 
-def _invertible(total: float, what: str) -> float:
-    """The total noise power `total` (named `what` in errors), if it has a
-    finite inverse (degenerate_noise)."""
-    if degenerate_noise(total):
-        raise InvalidArgumentError(f"{what} must be positive" if total == 0
-                                   else f"{what} is {noise_level(total)}")
-    return total
-
-
 def _check_odd_n(n: int) -> None:
     if n < 5 or n % 2 == 0:
         raise InvalidArgumentError(
@@ -128,7 +119,7 @@ def predict_pinhole(n: int, W: float, J: float) -> PredictionResult:
     NoiseModel(W, J)
     if n < 1:
         raise InvalidArgumentError(f"need n >= 1, got {n}")
-    return PredictionResult(math.log1p(1.0 / _invertible(n * W + J, "n*W + J")),
+    return PredictionResult(math.log1p(inverse_noise(n * W + J, "n*W + J")),
                             "per_pixel", "closed_form")
 
 
@@ -139,8 +130,8 @@ def predict_flat_iid(W: float, J: float) -> PredictionResult:
     log((1/4)/(W + J/2) + 1).
     """
     NoiseModel(W, J)
-    total = _invertible(W + J / 2.0, "W + J/2")
-    return PredictionResult(math.log1p(0.25 / total), "per_pixel", "closed_form")
+    return PredictionResult(math.log1p(inverse_noise(W + J / 2.0, "W + J/2", 0.25)),
+                            "per_pixel", "closed_form")
 
 
 def predict_bernoulli_iid(p: float, W: float, J: float) -> PredictionResult:
@@ -151,7 +142,7 @@ def predict_bernoulli_iid(p: float, W: float, J: float) -> PredictionResult:
     """
     NoiseModel(W, J)
     check_p(p)
-    c = p * (1.0 - p) / _invertible(W + p * J, "W + p*J")
+    c = inverse_noise(W + p * J, "W + p*J", p * (1.0 - p))
     return PredictionResult(explog_exp1(c), "per_pixel", "quadrature",
                             est_abs_error=EXPLOG_ABS_TOL)
 
@@ -185,7 +176,7 @@ def predict_uniform_iid(W: float, J: float, bulk_variance: float = 1.0 / 24.0) -
     if not (math.isfinite(bulk_variance) and bulk_variance > 0):
         raise InvalidArgumentError(
             f"bulk_variance must be finite and positive, got {bulk_variance}")
-    c = bulk_variance / _invertible(W + J / 2.0, "W + J/2")
+    c = inverse_noise(W + J / 2.0, "W + J/2", bulk_variance)
     return PredictionResult(explog_exp1(c), "per_pixel", "quadrature",
                             est_abs_error=EXPLOG_ABS_TOL)
 
@@ -208,7 +199,7 @@ def predict_flat_onef(n: int, W: float, J: float, form: str = "midsum") -> Predi
     """
     NoiseModel(W, J)
     _check_odd_n(n)
-    g = 1.0 / _invertible(W + J / 2.0, "W + J/2")
+    g = inverse_noise(W + J / 2.0, "W + J/2")
     if form == "midsum":
         k = np.arange(2, (n - 1) // 2 + 1)
         value = math.log1p(g * n / 4.0) + 2.0 * float(np.log1p(g / 4.0 / k).sum())
@@ -261,7 +252,7 @@ def predict_gaussian_onef(n: int, W: float, rho_j_product: float) -> PredictionR
     """
     NoiseModel(W, rho_j_product)
     _check_odd_n(n)
-    g = 1.0 / _invertible(W + rho_j_product, "W + rho_j")
+    g = inverse_noise(W + rho_j_product, "W + rho_j")
     dc, dc_err = _normal_expect_log(g, sd=1.0, mean=0.0)
     bulk = 2.0 * _explog_bulk_sum(g, n)
     err = dc_err + 2 * ((n - 1) // 2 - 1) * EXPLOG_ABS_TOL
@@ -279,7 +270,7 @@ def predict_bernoulli_onef(n: int, p: float, W: float, J: float) -> PredictionRe
     NoiseModel(W, J)
     _check_odd_n(n)
     check_p(p)
-    g = 1.0 / _invertible(W + p * J, "W + p*J")
+    g = inverse_noise(W + p * J, "W + p*J")
     dc, dc_err = _normal_expect_log(g, sd=math.sqrt(p * (1.0 - p)), mean=p * math.sqrt(n))
     bulk = 2.0 * _explog_bulk_sum(p * (1.0 - p) * g, n)
     err = dc_err + 2 * ((n - 1) // 2 - 1) * EXPLOG_ABS_TOL

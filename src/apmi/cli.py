@@ -11,7 +11,9 @@ Every output file gets a sibling ``<name>.manifest.json`` recording the
 command, all resolved parameters, the master seed, the tool version and a
 timestamp, so any run can be reproduced from its manifest.  Floats are
 printed with 12 significant digits.  Files are written atomically (tmp +
-rename), so failures never leave partial outputs behind.
+rename), so failures never leave partial outputs behind.  The library
+returns MI in nats; --log-base bits converts each value as it is printed.
+A relative gap has no unit and prints the same in either base.
 
 Exit codes: 0 success, 2 argument error (an InvalidArgumentError, which
 includes DegenerateNoiseError, an OSError or a MemoryError), 3 numerical
@@ -373,7 +375,7 @@ def _cmd_mi(args) -> int:
         pattern = _build_pattern(args)
     prior = ScenePrior.parse(args.prior)
     noise = NoiseModel(_resolve_w(args), args.J)
-    result = mutual_information(pattern, prior, noise, log_base=args.log_base)
+    result = mutual_information(pattern, prior, noise)
     payload = {
         "command": "mi",
         "family": pattern.family.value,
@@ -382,12 +384,12 @@ def _cmd_mi(args) -> int:
         "W": noise.W,
         "J": noise.J,
         "rho": pattern.rho,
-        "total": result.total,
-        "per_pixel": result.per_pixel,
-        "log_base": result.log_base,
+        "total": to_log_base(result.total, args.log_base),
+        "per_pixel": to_log_base(result.per_pixel, args.log_base),
+        "log_base": args.log_base,
     }
     if prior is ScenePrior.IID:
-        payload["per_pixel_excl_dc"] = result.per_pixel_excl_dc
+        payload["per_pixel_excl_dc"] = to_log_base(result.per_pixel_excl_dc, args.log_base)
     return _emit_scalar(payload, args)
 
 
@@ -446,14 +448,14 @@ def _run_sweep(args, command: str, W: float, prior: ScenePrior, out: str) -> int
     config = EnsembleConfig(
         n=args.n, trials=args.trials, family="bernoulli", prior=prior,
         noise=NoiseModel(W, args.J), master_seed=args.seed, p=p_grid[0],
-        metric=args.metric, rho_mode=args.rho_mode, log_base=args.log_base,
-        workers=workers)
+        metric=args.metric, rho_mode=args.rho_mode, workers=workers)
     sweep_rows = sweep_p(config, p_grid)
     rows = [[
         _g12(row.p), str(row.n), _g12(W), _g12(args.J), prior.value, config.family,
-        str(row.stats.trials), str(args.seed), _g12(row.stats.mean),
-        _g12(row.stats.std), _g12(row.stats.stderr), _g12(row.predicted),
-        _g12(row.relative_gap), row.stats.log_base,
+        str(row.stats.trials), str(args.seed),
+        *(_g12(to_log_base(x, args.log_base))
+          for x in (row.stats.mean, row.stats.std, row.stats.stderr, row.predicted)),
+        _g12(row.relative_gap), args.log_base,
     ] for row in sweep_rows]
     params = {
         "n": sweep_rows[0].n,  # after the odd-n reduction
@@ -526,10 +528,6 @@ REPRODUCE = {
 
 ####################### dispatch #######################
 
-def _dispatch(args) -> int:
-    return args.handler(args)
-
-
 def main(argv: list[str] | None = None) -> int:
     raw_argv = list(sys.argv[1:] if argv is None else argv)
     try:
@@ -542,7 +540,7 @@ def main(argv: list[str] | None = None) -> int:
         with warnings.catch_warnings():
             # each warning (e.g. the odd-n reduction) becomes one stderr line
             warnings.showwarning = lambda msg, *_: print(f"warning: {msg}", file=sys.stderr)
-            return _dispatch(args)
+            return args.handler(args)
     except (InvalidArgumentError, OSError, MemoryError) as exc:
         # a MemoryError may carry no message
         print(f"error: {str(exc) or 'out of memory'}", file=sys.stderr)

@@ -41,7 +41,7 @@ import numpy as np
 from .asymptotic import BERNOULLI_PREDICTOR, PredictionResult, predict
 from .errors import InvalidArgumentError, NumericalError
 from .model import (NoiseModel, ScenePrior, degenerate_noise, effective_n, noise_level,
-                    spectral_weights, to_log_base)
+                    spectral_weights)
 from .patterns import RANDOM_DRAWS, check_p
 from .spectral import mi_sums, power_spectrum
 
@@ -197,7 +197,6 @@ class EnsembleConfig:
     metric: str | None = None         # default: per_pixel_excl_dc (IID) / total (1/f)
     rho_mode: str = "realized"        # gamma from realized mask mean, or nominal
     rho_j_fixed: float | None = None  # gaussian family: fixed rho*J product
-    log_base: str = "nats"
     workers: int = 1
 
     def __post_init__(self):
@@ -221,7 +220,6 @@ class EnsembleConfig:
             NoiseModel(self.noise.W, self.rho_j_fixed)  # finite, >= 0, W + rho_j_fixed > 0
         if self.workers < 1:
             raise InvalidArgumentError(f"need workers >= 1, got {self.workers}")
-        to_log_base(0.0, self.log_base)  # rejects an unknown base
 
     @property
     def resolved_metric(self) -> str:
@@ -238,7 +236,6 @@ class EnsembleStats:
     stderr: float             # std / sqrt(trials)
     trials: int
     realized_rho_mean: float  # mean over trials of the realized mask mean
-    log_base: str
 
 
 @dataclass(frozen=True)
@@ -340,7 +337,6 @@ def _stats(config: EnsembleConfig, n: int, p, values: np.ndarray) -> EnsembleSta
         raise InvalidArgumentError(
             f"trial {t}: the MI is not finite at W + rho*J = {noise[t]}; "
             "the noise power is too small")
-    v = to_log_base(v, config.log_base)
     std = float(v.std(ddof=1))
     return EnsembleStats(
         kind=metric,
@@ -349,7 +345,6 @@ def _stats(config: EnsembleConfig, n: int, p, values: np.ndarray) -> EnsembleSta
         stderr=std / math.sqrt(config.trials),
         trials=config.trials,
         realized_rho_mean=float(rho.mean()),
-        log_base=config.log_base,
     )
 
 
@@ -364,7 +359,8 @@ def sweep_p(config: EnsembleConfig, p_grid) -> list[SweepRow]:
 
     Every trial is drawn once and thresholded at each p, so row k equals
     run_ensemble with p = p_grid[k].  IID rows predict the bulk per-pixel
-    MI; 1/f rows predict total MI.  An empty grid returns an empty list.
+    MI; 1/f rows predict total MI.  Means and predictions are in nats, and
+    the relative gap has no unit.  An empty grid returns an empty list.
     """
     if config.family != "bernoulli":
         raise InvalidArgumentError("sweep_p requires the bernoulli family")
@@ -383,8 +379,7 @@ def sweep_p(config: EnsembleConfig, p_grid) -> list[SweepRow]:
     rows = []
     for p, v, pred in zip(grid, values, preds):
         stats = _stats(config, n, p, v)
-        rows.append(SweepRow(p=p, n=n, stats=stats,
-                             predicted=to_log_base(pred.value, config.log_base),
+        rows.append(SweepRow(p=p, n=n, stats=stats, predicted=pred.value,
                              relative_gap=compare(stats, pred).relative_gap))
     return rows
 
@@ -402,13 +397,11 @@ def _check_kinds(metric: str, prediction_kind: str) -> None:
 
 
 def compare(stats: EnsembleStats, prediction: PredictionResult) -> ComparisonRecord:
-    """Relative gap and z-score of an ensemble mean against a prediction.
-
-    Prediction values are in nats and are converted to the ensemble's log
-    base.  The kinds must pair (_check_kinds).
+    """Relative gap and z-score of an ensemble mean against a prediction,
+    both in nats.  The kinds must pair (_check_kinds).
     """
     _check_kinds(stats.kind, prediction.kind)
-    value = to_log_base(prediction.value, stats.log_base)
+    value = prediction.value
     gap = abs(stats.mean - value) / max(abs(value), 1e-12)
     if stats.stderr > 0:
         z = (stats.mean - value) / stats.stderr

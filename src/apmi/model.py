@@ -7,7 +7,8 @@ combines a thermal floor W with signal-dependent shot noise rho*J.
 Everything downstream (exact MI, asymptotic predictors, ensembles) consumes
 the two quantities defined here: the per-frequency weight vector d and the
 inverse noise power gamma = 1/(W + rho*J).  The odd-n policy of the 1/f
-formulas and the nats-to-bits conversion live here too.
+formulas, the one raise for a noise power without a finite inverse and the
+nats-to-bits conversion live here too.
 """
 
 import enum
@@ -132,21 +133,27 @@ def noise_level(total: float) -> str:
     return "zero" if total == 0 else f"{float(total)}, too small to invert"
 
 
-def gamma(noise: NoiseModel, rho: float) -> float:
-    """Inverse total noise power 1/(W + rho*J) at transmissivity rho.
+def inverse_noise(total: float, what: str = "W + rho*J", numerator: float = 1.0) -> float:
+    """numerator / total for a scalar total noise power (named `what` in
+    errors), numerator > 0.  Every scalar check of a noise power raises here.
 
     Raises
     ------
     DegenerateNoiseError
-        If W + rho*J has no finite inverse (degenerate_noise); callers must
-        supply W > 0 or rho*J > 0.
+        If total has no finite inverse (degenerate_noise).
     """
+    if degenerate_noise(total):
+        raise DegenerateNoiseError(f"{what} must be positive" if total == 0
+                                   else f"{what} is {noise_level(total)}")
+    return numerator / total
+
+
+def gamma(noise: NoiseModel, rho: float) -> float:
+    """Inverse total noise power 1/(W + rho*J) at transmissivity rho; a
+    degenerate W + rho*J raises DegenerateNoiseError (inverse_noise)."""
     if not 0.0 <= rho <= 1.0:
         raise InvalidArgumentError(f"transmissivity must lie in [0, 1], got {rho}")
-    total = noise.W + rho * noise.J
-    if degenerate_noise(total):
-        raise DegenerateNoiseError(f"W + rho*J is {noise_level(total)}; no finite noise power")
-    return 1.0 / total
+    return inverse_noise(noise.W + rho * noise.J)
 
 
 def db_to_linear(x_db: float) -> float:

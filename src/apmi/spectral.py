@@ -8,7 +8,7 @@ the Gaussian channel splits into one log term per frequency:
 with lambda = DFT of the aperture row (unnormalized, DC at index 0),
 d the scene prior weights and gamma the inverse noise power.  Every exact MI,
 per pattern or per ensemble trial, goes through power_spectrum (the package's
-one FFT) and mi_sums.  Logs are natural; "bits" rescales at the end.
+one FFT) and mi_sums.  Logs are natural: every value here is in nats.
 """
 
 import math
@@ -17,7 +17,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import InvalidArgumentError
-from .model import NoiseModel, ScenePrior, gamma, spectral_weights, to_log_base
+from .model import NoiseModel, ScenePrior, gamma, spectral_weights
 
 __all__ = [
     "MIResult",
@@ -34,7 +34,6 @@ class MIResult:
     total: float
     per_pixel: float
     per_pixel_excl_dc: float  # (total - DC term) / n
-    log_base: str
 
 
 def power_spectrum(a: np.ndarray, out: tuple[np.ndarray, np.ndarray] | None = None) -> np.ndarray:
@@ -75,8 +74,7 @@ def mi_sums(lambda_sq: np.ndarray, weights: np.ndarray, gamma_: float | np.ndarr
     return total, excl
 
 
-def mutual_information(pattern, prior: ScenePrior, noise: NoiseModel,
-                       log_base: str = "nats") -> MIResult:
+def mutual_information(pattern, prior: ScenePrior, noise: NoiseModel) -> MIResult:
     """Exact MI of the circulant system built from `pattern`.
 
     gamma is computed from the pattern's realized transmissivity (mean of
@@ -85,28 +83,26 @@ def mutual_information(pattern, prior: ScenePrior, noise: NoiseModel,
     Returns
     -------
     MIResult with the total over all n frequencies, the per-pixel value
-    total/n and the bulk per-pixel value with the DC term removed, all from
-    the pattern's one power spectrum and in the requested log base.
+    total/n and the bulk per-pixel value with the DC term removed, all in
+    nats from the pattern's one power spectrum.
     """
     n = pattern.n
     total, bulk = mi_sums(pattern.lambda_sq, spectral_weights(prior, n),
                           gamma(noise, pattern.rho))
-    total = to_log_base(total, log_base)
-    return MIResult(total=total, per_pixel=total / n,
-                    per_pixel_excl_dc=to_log_base(bulk, log_base) / n, log_base=log_base)
+    return MIResult(total=total, per_pixel=total / n, per_pixel_excl_dc=bulk / n)
 
 
-def mi_excluding_dc(pattern, noise: NoiseModel, log_base: str = "nats") -> float:
+def mi_excluding_dc(pattern, noise: NoiseModel) -> float:
     """Bulk per-pixel MI under the IID prior, DC term removed.
 
     (1/n) * sum_{k>=2} log(gamma |lambda_k|^2 / n + 1).  This is the
     quantity the large-n limit theorems describe: the DC contribution is
     O(log n / n) and vanishes in the limit but biases finite-n comparisons.
     """
-    return mutual_information(pattern, ScenePrior.IID, noise, log_base).per_pixel_excl_dc
+    return mutual_information(pattern, ScenePrior.IID, noise).per_pixel_excl_dc
 
 
-def jensen_bound(pattern, noise: NoiseModel, log_base: str = "nats") -> float:
+def jensen_bound(pattern, noise: NoiseModel) -> float:
     """Concavity upper bound on the bulk per-pixel MI (IID prior).
 
         (n-1)/n * log(gamma * S / ((n-1) n) + 1),  S = sum_{k>=2} |lambda_k|^2
@@ -119,4 +115,4 @@ def jensen_bound(pattern, noise: NoiseModel, log_base: str = "nats") -> float:
     if n < 2:
         raise InvalidArgumentError("bound needs n >= 2")
     s = float(pattern.lambda_sq[1:].sum())
-    return to_log_base((n - 1) / n * math.log1p(g * s / ((n - 1) * n)), log_base)
+    return (n - 1) / n * math.log1p(g * s / ((n - 1) * n))

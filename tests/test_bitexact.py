@@ -36,16 +36,16 @@ CONFIGS = {
                               noise=NOISE, master_seed=3),
 }
 
-# kind, mean, std, stderr, trials, realized_rho_mean, log_base
+# kind, mean, std, stderr, trials, realized_rho_mean
 RECORDED = {
     "bernoulli-iid": ("per_pixel_excl_dc", "0x1.cae8473ca0f76p-2", "0x1.48615176bbbd9p-5",
-                      "0x1.48615176bbbd9p-7", 16, "0x1.2e00000000000p-2", "nats"),
+                      "0x1.48615176bbbd9p-7", 16, "0x1.2e00000000000p-2"),
     "bernoulli-1f": ("total", "0x1.b29f1c6d17044p+2", "0x1.144f2f32fcd07p-1",
-                     "0x1.144f2f32fcd07p-3", 16, "0x1.2fbefbefbefbfp-2", "nats"),
+                     "0x1.144f2f32fcd07p-3", 16, "0x1.2fbefbefbefbfp-2"),
     "gaussian": ("total", "0x1.73e786c542a7cp+2", "0x1.5b7cddd83c3d1p+0",
-                 "0x1.5b7cddd83c3d1p-2", 16, "-0x1.682cee6504000p-16", "nats"),
+                 "0x1.5b7cddd83c3d1p-2", 16, "-0x1.682cee6504000p-16"),
     "uniform": ("per_pixel_excl_dc", "0x1.2100f0246d2dep-3", "0x1.27eb184c3884cp-6",
-                "0x1.27eb184c3884cp-8", 16, "0x1.f80d4f6118634p-2", "nats"),
+                "0x1.27eb184c3884cp-8", 16, "0x1.f80d4f6118634p-2"),
 }
 
 

@@ -111,8 +111,8 @@ class TestMi:
         _, bits_out, _ = run(capsys, "mi", "--family", "pinhole", "--n", "4",
                              "--W", "0", "--log-base", "bits")
         nats, bits = json.loads(nats_out), json.loads(bits_out)
-        assert bits["per_pixel"] == pytest.approx(
-            nats["per_pixel"] / math.log(2), rel=1e-11)
+        for key in ("per_pixel", "total", "per_pixel_excl_dc"):
+            assert bits[key] == pytest.approx(nats[key] / math.log(2), rel=1e-11), key
         assert bits["log_base"] == "bits"
 
     def test_pattern_file_round_trip(self, capsys, tmp_path):
@@ -411,6 +411,29 @@ class TestSweep:
         assert manifest["parameters"]["n"] == 249
         assert manifest["parameters"]["n_requested"] == 250
 
+    @pytest.mark.parametrize("prior", ["iid", "1f"])
+    def test_bits(self, capsys, tmp_path, prior):
+        """--log-base bits divides each MI column by ln 2 and prints the
+        relative gap, which has no unit, exactly as the nats run does."""
+        # at seed 17 a gap taken from values already in bits (IID, p=0.2)
+        # differs from the nats gap in its 12th printed digit
+        argv = ["sweep", "--prior", prior, "--n", "63", "--trials", "20",
+                "--W", "0.01", "--p-grid", "0.2,0.5", "--seed", "17"]
+        rows = {}
+        for base in ("nats", "bits"):
+            out_csv = tmp_path / f"{base}.csv"
+            assert run(capsys, *argv, "--log-base", base, "--out", str(out_csv))[0] == 0
+            rows[base] = read_csv(out_csv)[1]
+        assert len(rows["nats"]) == len(rows["bits"]) == 2
+        for nats, bits in zip(rows["nats"], rows["bits"]):
+            for key in ("mi_mean", "mi_std", "mi_stderr", "mi_predicted"):
+                assert float(bits[key]) == pytest.approx(
+                    float(nats[key]) / math.log(2), rel=1e-11), key
+            assert bits["relative_gap"] == nats["relative_gap"]
+            assert (nats["log_base"], bits["log_base"]) == ("nats", "bits")
+        manifest = json.loads((tmp_path / "bits.manifest.json").read_text())
+        assert manifest["parameters"]["log_base"] == "bits"
+
     def test_worker_env_default(self, capsys, tmp_path, monkeypatch):
         serial = tmp_path / "serial.csv"
         run(capsys, "sweep", "--n", "32", "--trials", "16", "--W", "1",
@@ -616,6 +639,18 @@ def test_noise_without_finite_inverse_exits_2(capsys, tmp_path, argv):
     assert list(tmp_path.iterdir()) == []
 
 
+@pytest.mark.parametrize("argv, what", [
+    (("mi", "--family", "pinhole", "--n", "3"), "W + rho*J"),
+    (("predict", "flat-iid"), "W + J/2"),
+])
+def test_degenerate_noise_has_one_wording(capsys, argv, what):
+    """The exact MI and the predictors reject a total noise power without a
+    finite inverse in the same words."""
+    code, out, err = run(capsys, *argv, "--W", "1e-320", "--J", "0")
+    assert code == 2 and out == ""
+    assert err == f"error: {what} is 1e-320, too small to invert\n"
+
+
 @pytest.mark.parametrize("argv", [
     ("mi", "--family", "mls", "--degree", "5", "--W", "1e-307", "--J", "0"),
     ("predict", "bernoulli-1f", "--n", "11", "--p", "0.5", "--W", "1e-307", "--J", "0"),
@@ -720,8 +755,8 @@ class TestExitCodes:
     def test_numerical_failures_exit_3(self, capsys, monkeypatch):
         for exc in (FlatnessCheckError("bad spectrum"),
                     NumericalError("quadrature diverged")):
-            monkeypatch.setattr(cli_module, "_dispatch",
-                                lambda args, e=exc: (_ for _ in ()).throw(e))
+            monkeypatch.setattr(cli_module, "predict",
+                                lambda *args, e=exc, **kwargs: (_ for _ in ()).throw(e))
             code, _, err = run(capsys, "predict", "flat-iid", "--W", "0")
             assert code == 3
             assert "error" in err

@@ -158,8 +158,6 @@ class TestConfigValidation:
             bernoulli_config(rho_mode="expected")
         with pytest.raises(InvalidArgumentError):
             bernoulli_config(workers=0)
-        with pytest.raises(InvalidArgumentError):
-            bernoulli_config(log_base="dits")
 
     def test_metric_defaults(self):
         assert bernoulli_config().resolved_metric == "per_pixel_excl_dc"
@@ -202,11 +200,6 @@ class TestRunEnsemble:
         bulk = run_ensemble(bernoulli_config(metric="per_pixel_excl_dc"))
         assert per_pixel.mean == pytest.approx(total.mean / 128, rel=1e-12)
         assert bulk.mean < per_pixel.mean  # DC term is nonnegative
-
-    def test_bits_rescale(self):
-        nats = run_ensemble(bernoulli_config())
-        bits = run_ensemble(bernoulli_config(log_base="bits"))
-        assert bits.mean == pytest.approx(nats.mean / math.log(2), rel=1e-12)
 
     def test_even_n_one_over_f_reduced(self):
         cfg = bernoulli_config(n=250, prior=ScenePrior.ONE_OVER_F)
@@ -343,10 +336,9 @@ class TestSweep:
 
 class TestCompare:
     @staticmethod
-    def stats(mean, stderr, kind="per_pixel", log_base="nats"):
+    def stats(mean, stderr, kind="per_pixel"):
         return EnsembleStats(kind=kind, mean=mean, std=stderr * math.sqrt(9),
-                             stderr=stderr, trials=9, realized_rho_mean=0.5,
-                             log_base=log_base)
+                             stderr=stderr, trials=9, realized_rho_mean=0.5)
 
     @staticmethod
     def prediction(value, kind="per_pixel"):
@@ -373,12 +365,6 @@ class TestCompare:
         rec = compare(self.stats(0.4, 0.01, kind="per_pixel_excl_dc"),
                       self.prediction(0.4))
         assert rec.z_score == 0.0
-
-    def test_bits_stats_convert_prediction(self):
-        # ensemble in bits vs predictor in nats: ln 2 bridges them
-        rec = compare(self.stats(0.4 / math.log(2), 0.01, log_base="bits"),
-                      self.prediction(0.4))
-        assert rec.relative_gap < 1e-12
 
     def test_zero_stderr(self):
         assert compare(self.stats(0.4, 0.0), self.prediction(0.4)).z_score == 0.0

@@ -56,6 +56,23 @@ def test_one_log_base_conversion():
     assert occurrences(r"log\(2") == {"model.py": 1}
 
 
+def test_log_base_only_at_the_cli():
+    """The library computes in nats; only the CLI converts what it prints."""
+    found = occurrences(r"\bto_log_base\(")
+    assert set(found) == {"cli.py", "model.py"} and found["model.py"] == 1
+    for name in ("spectral.py", "ensemble.py", "asymptotic.py", "patterns.py", "checks.py"):
+        assert "log_base" not in (PACKAGE / name).read_text(), name
+
+
+def test_one_degenerate_noise_raise():
+    """A scalar noise power without a finite inverse is rejected in one
+    place, model.inverse_noise, which gamma and every predictor call."""
+    assert occurrences(r"raise DegenerateNoiseError\b") == {"model.py": 1}
+    assert "raise DegenerateNoiseError" in inspect.getsource(model.inverse_noise)
+    assert "inverse_noise(" in inspect.getsource(model.gamma)
+    assert occurrences(r"_invertible|no finite noise power") == {}
+
+
 def test_one_odd_n_reducer():
     assert occurrences("odd-n formula") == {"model.py": 1}
 

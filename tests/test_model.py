@@ -105,7 +105,7 @@ class TestGamma:
         assert gamma(NoiseModel(0.0, 1.0), 0.25) == pytest.approx(4.0, rel=1e-12)
 
     def test_degenerate_rejected(self):
-        with pytest.raises(DegenerateNoiseError):
+        with pytest.raises(DegenerateNoiseError, match=r"^W \+ rho\*J must be positive$"):
             gamma(NoiseModel(0.0, 1.0), 0.0)
 
     @pytest.mark.parametrize("W, J, rho", [(0.0, 1e-320, 0.5), (1e-320, 0.0, 1.0)])

@@ -171,19 +171,6 @@ class TestMutualInformation:
         res = mutual_information(gen_mls(6), ScenePrior.ONE_OVER_F, NOISE)
         assert res.per_pixel * 63 == pytest.approx(res.total, rel=1e-12)
 
-    def test_bits_rescale(self):
-        nats = mutual_information(gen_mls(5), ScenePrior.IID, NOISE)
-        bits = mutual_information(gen_mls(5), ScenePrior.IID, NOISE,
-                                  log_base="bits")
-        assert bits.total == pytest.approx(nats.total / math.log(2),
-                                           rel=1e-12)
-        assert bits.log_base == "bits"
-
-    def test_invalid_log_base(self):
-        with pytest.raises(InvalidArgumentError):
-            mutual_information(gen_mls(3), ScenePrior.IID, NOISE,
-                               log_base="dits")
-
     def test_decreasing_in_thermal_noise(self):
         pattern = gen_bernoulli(100, 0.5, seed=3)
         values = [mutual_information(pattern, ScenePrior.IID,
@@ -275,10 +262,3 @@ class TestJensenBound:
     def test_needs_two_elements(self):
         with pytest.raises(InvalidArgumentError):
             jensen_bound(gen_pinhole(1), NOISE)
-
-    def test_bits_rescale(self):
-        pattern = gen_bernoulli(64, 0.5, seed=1)
-        assert jensen_bound(pattern, NOISE, log_base="bits") == pytest.approx(
-            jensen_bound(pattern, NOISE) / math.log(2), rel=1e-12)
-        assert mi_excluding_dc(pattern, NOISE, log_base="bits") == pytest.approx(
-            mi_excluding_dc(pattern, NOISE) / math.log(2), rel=1e-12)
