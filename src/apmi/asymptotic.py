@@ -13,7 +13,6 @@ All predictor values are in nats.  Per-pixel predictors describe the bulk
 include the DC term explicitly.
 """
 
-import itertools
 import math
 from dataclasses import dataclass
 
@@ -24,20 +23,10 @@ from .model import NoiseModel, ScenePrior, inverse_noise
 from .patterns import check_p
 
 __all__ = [
-    "PredictionResult",
-    "PREDICTORS",
-    "BERNOULLI_PREDICTOR",
-    "predict",
-    "explog_exp1",
-    "predict_pinhole",
-    "predict_flat_iid",
-    "predict_bernoulli_iid",
-    "optimal_p_iid",
-    "predict_uniform_iid",
-    "predict_flat_onef",
-    "predict_gaussian_onef",
-    "predict_bernoulli_onef",
-    "optimal_p_onef",
+    "PredictionResult", "PREDICTORS", "BERNOULLI_PREDICTOR", "predict", "explog_exp1",
+    "predict_pinhole", "predict_flat_iid", "predict_bernoulli_iid", "optimal_p_iid",
+    "predict_uniform_iid", "predict_flat_onef", "predict_gaussian_onef",
+    "predict_bernoulli_onef", "optimal_p_onef",
 ]
 
 # Documented numerical contract of the kernel and the Gaussian quadrature.
@@ -56,60 +45,60 @@ _BULK_CHUNK = 1 << 15
 
 @dataclass(frozen=True)
 class PredictionResult:
-    """An asymptotic MI prediction.
+    """An asymptotic MI prediction."""
 
-    value         : predicted MI in nats
-    kind          : "per_pixel" or "total"
-    method        : "closed_form" or "quadrature"
-    est_abs_error : bound on the numerical error of `value`
-                    (0.0 for closed forms)
-    """
-
-    value: float
-    kind: str
-    method: str
-    est_abs_error: float = 0.0
+    value: float                # predicted MI in nats
+    kind: str                   # "per_pixel" or "total"
+    method: str                 # "closed_form" or "quadrature"
+    est_abs_error: float = 0.0  # bound on the numerical error of `value` (0.0 for closed forms)
 
 
 def explog_exp1(c: float | np.ndarray) -> float | np.ndarray:
     """E[log(c*Y + 1)] for Y ~ Exp(1), c >= 0, elementwise over an array.
 
-    Uses the exponential-integral identity e^(1/c) E1(1/c); for c below
-    ~1/600 the product is numerically degenerate and an asymptotic series
-    c - c^2 + 2c^3 - ... (truncation error <= 9! c^10) takes over.
-    Absolute error is far below EXPLOG_ABS_TOL everywhere.
+    Uses the exponential-integral identity e^(1/c) E1(1/c); for c below ~1/600
+    the product is numerically degenerate and the asymptotic series c - c^2 + 2c^3
+    - ... - 7! c^8 (truncation error <= 8! c^9) takes over.  Absolute error is
+    far below EXPLOG_ABS_TOL everywhere.
 
     A scalar argument returns a Python float, an array argument a float
     array of the same shape.  Each element is computed with the same
     operations in the same order whatever the shape, so an element of an
     array result is bitwise equal to the scalar result.
     """
-    from scipy import special
-
     arr = np.asarray(c, dtype=float)
     bad = ~np.isfinite(arr) | (arr < 0)
     if bad.any():
         raise InvalidArgumentError(f"need finite c >= 0, got {arr[bad].flat[0]}")
     out = np.zeros(arr.shape)
-    series = (arr > 0) & (arr < _SERIES_CUTOFF)
-    small = arr[series]
-    acc = np.zeros(small.shape)
-    term = small.copy()
-    for k in range(1, 9):
-        acc += term
-        term *= -k * small
-    out[series] = acc
-    identity = arr >= _SERIES_CUTOFF
-    x = 1.0 / arr[identity]
-    # math.exp, not np.exp: numpy's SIMD exp differs by 1 ulp on some inputs.
-    out[identity] = np.array([math.exp(v) for v in x.tolist()]) * special.exp1(x)
+    for mask, branch in (((arr > 0) & (arr < _SERIES_CUTOFF), _explog_series),
+                         (arr >= _SERIES_CUTOFF, _explog_identity)):
+        if mask.all():  # one branch covers every element: no gather or scatter
+            out = branch(arr)
+        elif mask.any():
+            out[mask] = branch(arr[mask])
     return float(out) if arr.ndim == 0 else out
+
+
+def _explog_series(small: np.ndarray) -> np.ndarray:
+    """c - c^2 + 2c^3 - ... - 7! c^8, summed from the first term on."""
+    acc, term, neg_k_small = small.copy(), small.copy(), np.empty_like(small)
+    for k in range(1, 8):
+        term *= np.multiply(-k, small, out=neg_k_small)
+        acc += term
+    return acc
+
+
+def _explog_identity(arr: np.ndarray) -> np.ndarray:
+    """e^x E1(x) at x = 1/arr; math.exp, as numpy's SIMD exp is 1 ulp off on some x."""
+    from scipy import special
+    x = 1.0 / arr
+    return np.array([math.exp(v) for v in x.ravel().tolist()]).reshape(x.shape) * special.exp1(x)
 
 
 def _check_odd_n(n: int) -> None:
     if n < 5 or n % 2 == 0:
-        raise InvalidArgumentError(
-            f"the 1/f-prior formulas need odd n >= 5, got {n}")
+        raise InvalidArgumentError(f"the 1/f-prior formulas need odd n >= 5, got {n}")
 
 
 ####################### IID-prior (white scene) predictors #######################
@@ -186,8 +175,7 @@ def predict_uniform_iid(W: float, J: float, bulk_variance: float = 1.0 / 24.0) -
 def predict_flat_onef(n: int, W: float, J: float, form: str = "midsum") -> PredictionResult:
     """Total MI of a flat half-open mask under the 1/f prior (odd n).
 
-    form="midsum": DC term plus twice the sum over the paired bulk
-    frequencies,
+    form="midsum": DC term plus twice the sum over the paired bulk frequencies,
 
         log((n/4)/(W+J/2) + 1) + 2 sum_{k=2}^{(n-1)/2} log((1/4)/(W+J/2)/k + 1)
 
@@ -229,16 +217,33 @@ def _normal_expect_log(gamma_: float, sd: float, mean: float) -> tuple[float, fl
     return float(val), float(err)
 
 
-def _explog_bulk_sum(scale: float, n: int) -> float:
-    """Correctly rounded sum of explog_exp1(scale / k) over k = 2..(n-1)/2.
+def _exact_fsum(chunks) -> float:
+    """math.fsum of every element of the float arrays `chunks`, bit for bit, by
+    error-free extraction (Rump, Ogita & Oishi, SIAM J. Sci. Comput. 31(1), 2008):
+    for 2^M >= N + 2 and a power of two sigma > 2^M max|r|, q = (sigma + r) - sigma
+    and r - q are exact, and np.sum(q) is exact in any order.  Levels with sigma
+    scaled by 2^(M - 52) reduce r to 0; math.fsum rounds the level sums' total once."""
+    parts = []
+    for r in chunks:
+        m = (r.size + 1).bit_length()  # the least M with 2^M >= N + 2
+        top = float(np.max(np.abs(r), initial=0.0))
+        sigma = 2.0 ** (m + math.frexp(top)[1]) if top < 2.0 ** (1023 - m) else 0.0
+        while sigma >= 2.0 ** -969 and r.any():  # so that ulp(sigma)/2 is normal
+            q = np.add(sigma, r)
+            q -= sigma
+            r = r - q
+            parts.append(float(np.sum(q)))
+            sigma *= 2.0 ** (m - 52)
+        parts += r[r != 0].tolist()  # the rest of a non-finite or subnormal-range chunk
+    return math.fsum(parts)
 
-    math.fsum is exact up to the final rounding, so evaluating the terms in
-    chunks of _BULK_CHUNK changes neither the value nor its last bit.
-    """
+
+def _explog_bulk_sum(scale: float, n: int) -> float:
+    """Correctly rounded sum of explog_exp1(scale / k) over k = 2..(n-1)/2,
+    equal to math.fsum of the per-term values; _BULK_CHUNK terms per call."""
     top = (n - 1) // 2
-    chunks = (explog_exp1(scale / np.arange(start, min(start + _BULK_CHUNK, top + 1))).tolist()
-              for start in range(2, top + 1, _BULK_CHUNK))
-    return math.fsum(itertools.chain.from_iterable(chunks))
+    return _exact_fsum(explog_exp1(scale / np.arange(start, min(start + _BULK_CHUNK, top + 1)))
+                       for start in range(2, top + 1, _BULK_CHUNK))
 
 
 def predict_gaussian_onef(n: int, W: float, rho_j_product: float) -> PredictionResult:
@@ -309,20 +314,15 @@ def optimal_p_onef(n: int, W: float, J: float, tol: float = 1e-4) -> float:
     _check_odd_n(n)
     if not (math.isfinite(tol) and tol > 0):
         raise InvalidArgumentError(f"tol must be finite and positive, got {tol}")
-
-    def objective(p):
-        return predict_bernoulli_onef(n, p, W, J).value
-
-    return _golden_max(objective, 0.005, 0.995, tol)
+    return _golden_max(lambda p: predict_bernoulli_onef(n, p, W, J).value, 0.005, 0.995, tol)
 
 
 ####################### predictor registry #######################
 
-# Predictor name -> (the options its function takes, in call order; the
-# call).  Each call looks its function up in this module when it runs, so a
-# patched module attribute (a tracer, a test double) is the one called.  The
-# options are also the JSON parameters of `apmi predict`; the "-1f"
-# predictors run at the odd n of model.effective_n.
+# Predictor name -> (the options its function takes, in call order; the call).
+# Each call looks its function up in this module when it runs, so a patched module
+# attribute (a tracer, a test double) is the one called.  The options are also the
+# JSON parameters of `apmi predict`; the "-1f" predictors run at the odd n of model.effective_n.
 PREDICTORS = {
     "pinhole": (("n", "W", "J"), lambda *a: predict_pinhole(*a)),
     "flat-iid": (("W", "J"), lambda *a: predict_flat_iid(*a)),

@@ -159,6 +159,31 @@ class TestExplogKernel:
                 exact = mpmath.exp(x) * mpmath.e1(x)
                 assert abs(float(value) - exact) <= asymptotic.EXPLOG_ABS_TOL, c
 
+    @pytest.mark.parametrize("c", [float(np.nextafter(1.0 / 600.0, 0.0)), 1e-4])
+    def test_series_truncation_bound_against_mpmath(self, c):
+        # The 8-term series ends at -7! c^8, so its error is bounded by the
+        # first omitted term, 8! c^9 (about 4e-21 just below the cutoff).
+        mpmath = pytest.importorskip("mpmath")
+        bound = math.factorial(8) * c ** 9
+        with mpmath.workdps(60):
+            cm = mpmath.mpf(c)
+            exact = mpmath.exp(1 / cm) * mpmath.e1(1 / cm)
+            series = sum((-1) ** k * mpmath.factorial(k) * cm ** (k + 1) for k in range(8))
+            assert abs(series - exact) <= bound
+            assert abs(mpmath.mpf(explog_exp1(c)) - exact) <= bound + 2 * math.ulp(float(exact))
+
+    @pytest.mark.parametrize("cs", [
+        np.logspace(-8, -3, 600).reshape(20, 30),  # every element on the series
+        np.logspace(-2, 8, 600).reshape(20, 30),   # every element on the identity
+        np.array(1e-5), np.array(3.0),
+    ])
+    def test_single_branch_arrays_bitwise_equal_scalar_reference(self, cs):
+        got = explog_exp1(cs)
+        expected = np.array([explog_scalar_reference(c) for c in cs.ravel().tolist()])
+        np.testing.assert_array_equal(np.asarray(got).ravel().view(np.int64),
+                                      expected.view(np.int64))
+        assert np.shape(got) == cs.shape
+
 
 @pytest.mark.parametrize("predict, args", [
     (predict_pinhole, (1, 1e-320, 0.0)),
@@ -429,10 +454,66 @@ class TestBernoulliOneF:
             predict_bernoulli_onef(101, 1.5, 0.01, 1.0)
 
 
+class TestExactFsum:
+    """asymptotic._exact_fsum returns math.fsum of all its elements, bit for bit."""
+
+    @staticmethod
+    def adversarial(kind, rng):
+        if kind == "cancellation":
+            x = rng.standard_normal(5000) * 10.0 ** rng.integers(-20, 20, 5000)
+            v = np.concatenate([x, -x, rng.standard_normal(50) * 1e-25, [1e300, 3.0, -1e300]])
+        elif kind == "spread":
+            v = rng.choice([-1.0, 1.0], 5000) * 10.0 ** rng.uniform(-300, 300, 5000)
+        elif kind == "subnormal":
+            v = rng.integers(-(1 << 40), 1 << 40, 3000) * 5e-324
+        elif kind == "subnormal-and-normal":
+            v = np.concatenate([rng.integers(-1000, 1000, 2000) * 5e-324,
+                                rng.standard_normal(2000) * 2.0 ** -1000, [1.0, -1.0]])
+        elif kind == "zeros":
+            v = np.zeros(4000)
+        elif kind == "signed-zeros":
+            v = -np.zeros(4000)
+        elif kind == "mixed-zeros":
+            v = rng.choice([0.0, -0.0], 4000)
+        elif kind == "equal":  # the same largest magnitude throughout, one sign
+            v = np.full(4094, np.nextafter(2.0 ** 700, 0.0))
+        else:  # "half-ulp": 4094 terms below 2, so the first sigma is 2^13
+            # All terms but +-1.5 sit just below ulp(sigma)/2 = 2^-40: each is left
+            # whole in the residual, and their sum, the total, is about half the next sigma.
+            v = np.concatenate([[1.5, -1.5], rng.uniform(0.9, 1.0, 4092) * 2.0 ** -40])
+        return rng.permutation(v)
+
+    @pytest.mark.parametrize("seed", [11, 29, 83])
+    @pytest.mark.parametrize("kind", ["cancellation", "spread", "subnormal",
+                                      "subnormal-and-normal", "zeros", "signed-zeros",
+                                      "mixed-zeros", "equal", "half-ulp"])
+    def test_adversarial(self, kind, seed):
+        rng = np.random.default_rng(seed)
+        v = self.adversarial(kind, rng)
+        want = math.fsum(v.tolist()).hex()
+        assert asymptotic._exact_fsum([v]).hex() == want
+        cuts = np.sort(rng.integers(0, v.size + 1, 6))
+        assert asymptotic._exact_fsum(np.split(v, cuts)).hex() == want
+
+    # 2^M - 2 and 2^M - 1 terms: the largest chunk at one M and the smallest at the next
+    @pytest.mark.parametrize("size", [0, 1, 2, 3, 6, 7, 1022, 1023, 32766, 32767])
+    @pytest.mark.parametrize("seed", [11, 29, 83])
+    def test_chunk_sizes(self, size, seed):
+        rng = np.random.default_rng(seed)
+        v = rng.standard_normal(size) * 10.0 ** rng.uniform(-30, 30, size)
+        assert asymptotic._exact_fsum([v]).hex() == math.fsum(v.tolist()).hex()
+        same_sign = np.abs(v) * 2.0 ** 500
+        assert (asymptotic._exact_fsum([same_sign]).hex()
+                == math.fsum(same_sign.tolist()).hex())
+
+    def test_no_chunks(self):
+        assert asymptotic._exact_fsum([]).hex() == math.fsum([]).hex()
+
+
 class TestOneFBulkSums:
     """The chunked bulk sums equal the one-call-per-term fsum exactly."""
 
-    @pytest.mark.parametrize("n", [5, 249, 100001])
+    @pytest.mark.parametrize("n", [5, 249, 100001, 1000001])
     def test_gaussian(self, n):
         W, rho_j = 0.01, 1.0
         g = 1.0 / (W + rho_j)
@@ -441,7 +522,7 @@ class TestOneFBulkSums:
                                for k in range(2, (n - 1) // 2 + 1))
         assert predict_gaussian_onef(n, W, rho_j).value == dc + bulk
 
-    @pytest.mark.parametrize("n", [5, 249, 100001])
+    @pytest.mark.parametrize("n", [5, 249, 100001, 1000001])
     def test_bernoulli(self, n):
         p, W, J = 0.3, 0.01, 1.0
         g = 1.0 / (W + p * J)
@@ -450,6 +531,18 @@ class TestOneFBulkSums:
         bulk = 2.0 * math.fsum(explog_scalar_reference(p * (1.0 - p) * g / k)
                                for k in range(2, (n - 1) // 2 + 1))
         assert predict_bernoulli_onef(n, p, W, J).value == dc + bulk
+
+    def test_gaussian_branch_change_inside_a_later_chunk(self):
+        # gamma = 1/0.012 puts c = gamma/k on the series from k ~ 50000 on: the first
+        # chunk (k <= 32769) is all identity, the second (k <= 65537) mixes both
+        # branches and the rest are all series.
+        n, W, rho_j = 200001, 0.002, 0.01
+        g = 1.0 / (W + rho_j)
+        assert g / 32770 >= 1.0 / 600.0 > g / 65537
+        dc, _ = asymptotic._normal_expect_log(g, sd=1.0, mean=0.0)
+        bulk = 2.0 * math.fsum(explog_scalar_reference(g / k)
+                               for k in range(2, (n - 1) // 2 + 1))
+        assert predict_gaussian_onef(n, W, rho_j).value == dc + bulk
 
 
 class TestOptimalPOneF:
