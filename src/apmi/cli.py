@@ -29,6 +29,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import functools
 import io
 import json
 import math
@@ -42,17 +43,10 @@ import numpy as np
 
 from . import __version__
 from .asymptotic import BERNOULLI_PREDICTOR, PREDICTORS, optimal_p_iid, optimal_p_onef, predict
-from .checks import selftest
-from .ensemble import (
-    METRICS,
-    RHO_MODES,
-    SEED_POLICY,
-    EnsembleConfig,
-    sweep_p,
-)
 from .errors import InvalidArgumentError, NumericalError
-from .model import NoiseModel, ScenePrior, db_to_linear, effective_n, to_log_base
-from .patterns import PATTERNS, load_pattern, save_pattern, write_atomic
+from .model import (METRICS, RHO_MODES, NoiseModel, ScenePrior, db_to_linear, effective_n,
+                    to_log_base)
+from .patterns import PATTERNS, SEED_POLICY, load_pattern, save_pattern, write_atomic
 from .spectral import mutual_information
 
 CSV_HEADER = ("p,n,W,J,prior,family,trials,seed,mi_mean,mi_std,mi_stderr,"
@@ -242,6 +236,7 @@ def _inject_config(argv: list[str]) -> list[str]:
 
 ####################### parser #######################
 
+@functools.cache  # built on the first main call, not at import; parsing leaves it unchanged
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="apmi",
@@ -442,6 +437,8 @@ def _cmd_optimize_p(args) -> int:
 def _run_sweep(args, command: str, W: float, prior: ScenePrior, out: str) -> int:
     """One seeded Bernoulli ensemble per grid p, from the ensemble options in
     args, paired with its predictor and written as a CSV plus manifest."""
+    from .ensemble import EnsembleConfig, sweep_p  # only the ensemble commands load it
+
     out = _out_path(out)
     p_grid = _parse_p_grid(args.p_grid)
     workers = _resolve_workers(args)
@@ -519,10 +516,16 @@ def _cmd_fig2(args) -> int:
     return _emit_table("reproduce fig2", rows, params, out, None)
 
 
+def _cmd_selftest(args) -> int:
+    from .checks import selftest  # only this command loads the battery
+
+    return EXIT_OK if selftest() else EXIT_NUMERICAL
+
+
 REPRODUCE = {
     "fig2": _cmd_fig2,
     "fig3": _cmd_fig3,
-    "selftest": lambda args: EXIT_OK if selftest() else EXIT_NUMERICAL,
+    "selftest": _cmd_selftest,
 }
 
 

@@ -40,9 +40,9 @@ import numpy as np
 
 from .asymptotic import BERNOULLI_PREDICTOR, PredictionResult, predict
 from .errors import InvalidArgumentError, NumericalError
-from .model import (NoiseModel, ScenePrior, degenerate_noise, effective_n, noise_level,
-                    spectral_weights)
-from .patterns import RANDOM_DRAWS, check_p
+from .model import (METRICS, RHO_MODES, NoiseModel, ScenePrior, degenerate_noise, effective_n,
+                    noise_level, spectral_weights)
+from .patterns import RANDOM_DRAWS, SEED_POLICY, check_p
 from .spectral import mi_sums, power_spectrum
 
 __all__ = [
@@ -58,8 +58,6 @@ __all__ = [
 ]
 
 FAMILIES = tuple(RANDOM_DRAWS)
-METRICS = ("per_pixel", "per_pixel_excl_dc", "total")
-RHO_MODES = ("realized", "nominal")
 
 # Bound on the draws of one block of trials.  Batches of 256 KB to 1 MB ran
 # alike at n=249 and fastest at n=4095 (4 MB was ~50% slower there).
@@ -74,9 +72,6 @@ BLOCK_BYTES = 1 << 18
 # swept in groups of p that each draw the trials again: one group, and one
 # pool, for up to 2,796 p at 1000 trials.
 VALUES_BYTES = 1 << 26
-
-SEED_POLICY = ("numpy.random.SeedSequence((master_seed, trial_index))"
-               ".generate_state(1, numpy.uint64)[0]")
 
 
 def trial_seed(master_seed: int, trial_index: int) -> int:

@@ -33,6 +33,12 @@ __all__ = [
 
 LN2 = math.log(2.0)
 
+# What an ensemble records, and which rho sets a trial's shot noise.  The
+# CLI offers both as choices, so they live here and not in the ensemble
+# engine, which the CLI loads only for the commands that run ensembles.
+METRICS = ("per_pixel", "per_pixel_excl_dc", "total")
+RHO_MODES = ("realized", "nominal")
+
 
 class ScenePrior(enum.Enum):
     """Spectral shape of the scene covariance."""

@@ -298,6 +298,12 @@ def gen_mura(n: int) -> AperturePattern:
 
 ####################### random families #######################
 
+# How ensemble.trial_seed derives trial t's seed from a master seed; every
+# manifest with a master seed records it.  It lives beside the draws it
+# seeds, so the CLI writes manifests without loading the ensemble engine.
+SEED_POLICY = ("numpy.random.SeedSequence((master_seed, trial_index))"
+               ".generate_state(1, numpy.uint64)[0]")
+
 # Random family -> (the Generator method that draws a row; that row -> the
 # mask at open fraction p).  The generators and every ensemble trial draw
 # through it: trial t is the mask gen_<family>(n, [p,] trial_seed(m, t)).

@@ -602,7 +602,7 @@ def test_out_without_file_name_rejected(capsys, tmp_path, monkeypatch, argv, out
     """Rejected before any ensemble runs: a sweep that got that far
     would fail on the missing sweep_p."""
     monkeypatch.chdir(tmp_path)
-    monkeypatch.setattr(cli_module, "sweep_p", None)
+    monkeypatch.setattr("apmi.ensemble.sweep_p", None)
     code, stdout, err = run(capsys, *argv, "--out", out)
     assert code == 2 and stdout == ""
     assert err == f"error: --out must name a file, got {out!r}\n"
@@ -741,6 +741,42 @@ def test_cli_import_loads_no_scipy():
                           capture_output=True, text=True, timeout=120)
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.strip() == "[]"
+
+
+def test_cold_commands_load_only_what_they_run():
+    """Only sweep, reproduce fig3 and reproduce selftest load the ensemble
+    engine, the selftest battery and the process pool.  Importing the CLI
+    builds no parser, and a package name loads only its own module's imports."""
+    unwanted = ("apmi.ensemble", "apmi.checks", "multiprocessing", "concurrent.futures.process")
+    code = "\n".join([
+        "import sys, apmi, apmi.cli as cli",
+        f"loaded = lambda: sorted(m for m in {unwanted!r} if m in sys.modules)",
+        "print(loaded(), cli._build_parser.cache_info().currsize)",
+        "assert cli.main(['predict', 'flat-iid', '--W', '0.01']) == 0",
+        "assert cli.main(['mi', '--family', 'mls', '--degree', '5', '--W', '0.01']) == 0",
+        "assert apmi.predict is apmi.asymptotic.predict",
+        "print(loaded())",
+    ])
+    src = str(Path(apmi.__file__).resolve().parent.parent)
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+        filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    proc = subprocess.run([sys.executable, "-c", code], env=env,
+                          capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    lines = proc.stdout.splitlines()
+    assert (lines[0], lines[-1]) == ("[] 0", "[]")
+
+
+def test_parser_keeps_no_state_between_calls(capsys):
+    """main builds its parser once per process, and a call sees none of the
+    options an earlier call gave."""
+    code, out, _ = run(capsys, "predict", "flat-iid", "--W", "0.01", "--log-base", "bits")
+    assert code == 0 and strict_json(out)["log_base"] == "bits"
+    code, out, err = run(capsys, "predict", "flat-iid")
+    assert (code, out, err) == (2, "", "error: one of --W or --W-db is required\n")
+    code, out, _ = run(capsys, "predict", "flat-iid", "--W", "0.01")
+    assert code == 0 and strict_json(out)["log_base"] == "nats"
+    assert cli_module._build_parser() is cli_module._build_parser()
 
 
 class TestExitCodes:

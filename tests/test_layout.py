@@ -2,6 +2,7 @@
 package once had (several FFT -> log1p sums, several nats-to-bits
 conversions, two odd-n reducers) growing back."""
 
+import ast
 import importlib
 import inspect
 import re
@@ -117,10 +118,33 @@ def test_package_reexports_every_public_name():
 
 
 def test_package_init_imports_no_name_explicitly():
-    """apmi/__init__.py star-imports each module and lists no name itself."""
+    """apmi/__init__.py re-exports lazily from its module table: it imports
+    no module of the package and lists no public name itself.  Each module
+    in the table comes after the package modules it imports."""
     source = (PACKAGE / "__init__.py").read_text()
     imports = re.findall(r"(?m)^(?:from|import)\b.*$", source)
-    assert imports == [f"from .{name} import *" for name in MODULES]
+    assert imports == ["from importlib import import_module"]
+    assert sorted(apmi._MODULES) == sorted(MODULES)
+    words = {node.id if isinstance(node, ast.Name) else node.value
+             for node in ast.walk(ast.parse(source))
+             if isinstance(node, (ast.Name, ast.Constant))}
+    assert not words & set(apmi.__all__)
+    for i, name in enumerate(apmi._MODULES):
+        imported = re.findall(r"(?m)^from \.(\w+) import", (PACKAGE / f"{name}.py").read_text())
+        assert set(imported) <= set(apmi._MODULES[:i]), name
+
+
+def test_star_import_and_dir_cover_every_public_name():
+    """`from apmi import *` and dir(apmi) give every module's public names."""
+    namespace = {}
+    exec("from apmi import *", namespace)
+    listed = dir(apmi)
+    for module_name in MODULES:
+        module = importlib.import_module(f"apmi.{module_name}")
+        public = getattr(module, "__all__", [n for n in vars(module) if not n.startswith("_")])
+        for name in public:
+            assert namespace.get(name) is getattr(module, name), f"{module_name}.{name}"
+            assert name in listed, f"{module_name}.{name}"
 
 
 def test_two_error_families():
