@@ -10,9 +10,12 @@ expectation is routed through a single audited kernel:
 
 All predictor values are in nats.  Per-pixel predictors describe the bulk
 (DC-excluded) per-pixel MI; the 1/f-prior predictors return total MI and
-include the DC term explicitly.
+include the DC term explicitly.  Their bulk sums over k = 2..(n-1)/2 share one
+engine, _bulk_sum: an exact head of at least 4095 terms and a closed
+Euler-Maclaurin tail, so their cost does not grow with n.
 """
 
+import itertools
 import math
 from dataclasses import dataclass
 
@@ -38,9 +41,19 @@ GAUSS_TRUNC_SD = 10.0
 # an 8-term asymptotic series is accurate to ~1e-21 there.
 _SERIES_CUTOFF = 1.0 / 600.0
 
-# Terms per explog_exp1 call in the 1/f bulk sums: large enough to amortise
-# the call, small enough that the temporaries stay a few hundred kB at n ~ 1e6.
+# Terms per call in the head of a 1/f bulk sum: large enough to amortise the
+# call, small enough that the temporaries stay a few hundred kB when a large s
+# makes the head long.
 _BULK_CHUNK = 1 << 15
+
+# Series coefficients a_j of the 1/f bulk terms in c = s/k, j = 1..8: explog_exp1's
+# (-1)^(j-1) (j-1)! and log1p's (-1)^(j-1) / j.
+_EXPLOG_SERIES = tuple((-1) ** (j - 1) * math.factorial(j - 1) for j in range(1, 9))
+_LOG1P_SERIES = tuple((-1) ** (j - 1) / j for j in range(1, 9))
+
+# B_2m / (2m)! for m = 1..8, the Euler-Maclaurin weights of the bulk-sum tails.
+_EULER_MACLAURIN = tuple(b / math.factorial(2 * m) for m, b in enumerate(
+    (1 / 6, -1 / 30, 1 / 42, -1 / 30, 5 / 66, -691 / 2730, 7 / 6, -3617 / 510), 1))
 
 
 @dataclass(frozen=True)
@@ -189,8 +202,7 @@ def predict_flat_onef(n: int, W: float, J: float, form: str = "midsum") -> Predi
     _check_odd_n(n)
     g = inverse_noise(W + J / 2.0, "W + J/2")
     if form == "midsum":
-        k = np.arange(2, (n - 1) // 2 + 1)
-        value = math.log1p(g * n / 4.0) + 2.0 * float(np.log1p(g / 4.0 / k).sum())
+        value = math.log1p(g * n / 4.0) + 2.0 * _bulk_sum(np.log1p, _LOG1P_SERIES, g / 4.0, n)
     elif form == "closed":
         value = math.log(g * n / 4.0) + g / 2.0 * (math.log(n / 2.0) - 1.0)
         if value < 0:
@@ -238,12 +250,46 @@ def _exact_fsum(chunks) -> float:
     return math.fsum(parts)
 
 
-def _explog_bulk_sum(scale: float, n: int) -> float:
-    """Correctly rounded sum of explog_exp1(scale / k) over k = 2..(n-1)/2,
-    equal to math.fsum of the per-term values; _BULK_CHUNK terms per call."""
+def _power_tail(j: int, s: float, a: int, b: int) -> float:
+    """sum_{k=a}^{b} (s/k)^j for integers 30 <= a <= b and j <= 8, by
+    Euler-Maclaurin through B_16: the remainder is below 1e-19 of the sum (1e-50
+    at a > 4096).  It is evaluated in s/a and s/b, below 1 in the bulk sums,
+    so no power overflows."""
+    ia, ib = 1 / a, 1 / b
+    x, y = s * ia, s * ib
+    log_ratio = math.log1p((b - a) / a)
+    # s^j (a^(1-j) - b^(1-j)) / (j-1) = s x^(j-1) (1 - (a/b)^(j-1)) / (j-1): no cancellation
+    integral = (s * log_ratio if j == 1
+                else -s * x ** (j - 1) * math.expm1((1 - j) * log_ratio) / (j - 1))
+    parts = [integral, (x ** j + y ** j) / 2.0]
+    rising = j  # j (j+1) ... (j+2m-2), the factor of the (2m-1)-th derivative of k^-j
+    for m, coef in enumerate(_EULER_MACLAURIN, 1):
+        parts.append(coef * rising * (x ** j * ia ** (2 * m - 1) - y ** j * ib ** (2 * m - 1)))
+        rising *= (j + 2 * m - 1) * (j + 2 * m)
+    return math.fsum(parts)
+
+
+def _bulk_sum(term, series: tuple, s: float, n: int) -> float:
+    """sum_{k=2}^{(n-1)/2} term(s / k), where term(c) is an elementwise array
+    function equal to sum_j series[j-1] c^j for c < _SERIES_CUTOFF.
+
+    The head k <= K = max(4096, floor(s / _SERIES_CUTOFF) + 1) calls term on
+    up to _BULK_CHUNK values at a time and sums the values exactly.  Every
+    later c = s/k is below the cutoff, so the tail is
+    sum_j series[j-1] sum_{k>K} (s/k)^j, one _power_tail per j: the work does
+    not grow with n.  One math.fsum rounds the head terms and the tail parts
+    together, so without a tail (n <= 8193 or s >= top * _SERIES_CUTOFF) the
+    result is math.fsum of the per-term values, bit for bit."""
     top = (n - 1) // 2
-    return _exact_fsum(explog_exp1(scale / np.arange(start, min(start + _BULK_CHUNK, top + 1)))
-                       for start in range(2, top + 1, _BULK_CHUNK))
+    head, tail = top, []
+    if s < top * _SERIES_CUTOFF:  # a float test first: s may be too large for an int
+        head = min(top, max(4096, int(s / _SERIES_CUTOFF) + 1))
+        if head < top:
+            tail = [a * _power_tail(j, s, head + 1, top) for j, a in enumerate(series, 1)]
+    starts = range(2, head + 1, _BULK_CHUNK)
+    return _exact_fsum(itertools.chain(
+        (term(s / np.arange(i, min(i + _BULK_CHUNK, head + 1))) for i in starts),
+        [np.array(tail, dtype=float)]))
 
 
 def predict_gaussian_onef(n: int, W: float, rho_j_product: float) -> PredictionResult:
@@ -259,7 +305,7 @@ def predict_gaussian_onef(n: int, W: float, rho_j_product: float) -> PredictionR
     _check_odd_n(n)
     g = inverse_noise(W + rho_j_product, "W + rho_j")
     dc, dc_err = _normal_expect_log(g, sd=1.0, mean=0.0)
-    bulk = 2.0 * _explog_bulk_sum(g, n)
+    bulk = 2.0 * _bulk_sum(explog_exp1, _EXPLOG_SERIES, g, n)
     err = dc_err + 2 * ((n - 1) // 2 - 1) * EXPLOG_ABS_TOL
     return PredictionResult(dc + bulk, "total", "quadrature", est_abs_error=err)
 
@@ -277,7 +323,7 @@ def predict_bernoulli_onef(n: int, p: float, W: float, J: float) -> PredictionRe
     check_p(p)
     g = inverse_noise(W + p * J, "W + p*J")
     dc, dc_err = _normal_expect_log(g, sd=math.sqrt(p * (1.0 - p)), mean=p * math.sqrt(n))
-    bulk = 2.0 * _explog_bulk_sum(p * (1.0 - p) * g, n)
+    bulk = 2.0 * _bulk_sum(explog_exp1, _EXPLOG_SERIES, p * (1.0 - p) * g, n)
     err = dc_err + 2 * ((n - 1) // 2 - 1) * EXPLOG_ABS_TOL
     return PredictionResult(dc + bulk, "total", "quadrature", est_abs_error=err)
 

@@ -345,7 +345,9 @@ def _cmd_generate(args) -> int:
         "seed": pattern.seed,
         "out": args.out,
     }
-    manifest = _manifest("generate", params, pattern.seed)
+    # The pattern's generator is seeded with the seed itself, not with a trial seed
+    # of SEED_POLICY, so the seed is a parameter and not a master seed.
+    manifest = _manifest("generate", params, None)
     txt_path, json_path = save_pattern(pattern, args.out)
     try:
         write_atomic({args.out + ".manifest.json": [manifest]})

@@ -6,6 +6,8 @@ quadrature of its defining integral; the normal-quadrature DC terms of the
 transmissivity optimizers are checked against brute-force grids.
 """
 
+import functools
+import itertools
 import math
 import re
 
@@ -510,39 +512,140 @@ class TestExactFsum:
         assert asymptotic._exact_fsum([]).hex() == math.fsum([]).hex()
 
 
-class TestOneFBulkSums:
-    """The chunked bulk sums equal the one-call-per-term fsum exactly."""
+@functools.cache
+def _mpmath_head(kind, s, last):
+    mpmath = pytest.importorskip("mpmath")
+    with mpmath.workdps(40):
+        sm = mpmath.mpf(s)
+        if kind == "explog":
+            return mpmath.fsum(mpmath.exp(k / sm) * mpmath.e1(k / sm) for k in range(2, last + 1))
+        return mpmath.fsum(mpmath.log1p(sm / k) for k in range(2, last + 1))
 
-    @pytest.mark.parametrize("n", [5, 249, 100001, 1000001])
+
+def bulk_mpmath(kind, s, n):
+    """40-digit sum over k = 2..(n-1)/2 of explog_exp1(s/k) ("explog") or
+    log1p(s/k) ("log1p"), with no Euler-Maclaurin: e^x E1(x) at x = k/s (or
+    log1p) term by term up to k = 100 s, then 14 terms of the series in s/k,
+    sum_j a_j s^j sum_{k>=a} k^-j, each power sum a Hurwitz zeta (digamma at j = 1).
+    The first omitted series term is below 14! 100^-14 ~ 1e-17 of s/k, and the
+    omitted terms add up to below 1e-17 of s, far under an ulp of the sum."""
+    mpmath = pytest.importorskip("mpmath")
+    top = (n - 1) // 2
+    last = min(top, math.ceil(100 * s))
+    with mpmath.workdps(40):
+        total, sm, a, b = _mpmath_head(kind, s, last), mpmath.mpf(s), last + 1, top + 1
+        for j in range(1, 15) if last < top else ():
+            coef = ((-1) ** (j - 1) * mpmath.factorial(j - 1) if kind == "explog"
+                    else mpmath.mpf((-1) ** (j - 1)) / j)
+            power_sum = (mpmath.digamma(b) - mpmath.digamma(a) if j == 1
+                         else mpmath.zeta(j, a) - mpmath.zeta(j, b))
+            total += coef * sm ** j * power_sum
+        return total
+
+
+def assert_within_ulps(value, exact, ulps):
+    assert abs(value - exact) <= ulps * math.ulp(float(exact)), (value, float(exact))
+
+
+class TestOneFBulkSums:
+    """Up to n = 8193 a 1/f bulk sum is math.fsum of its per-term values, bit
+    for bit; beyond it the Euler-Maclaurin tail keeps it within 2 ulp of mpmath."""
+
+    @staticmethod
+    def check(value, dc, s, n):
+        if n <= 8193:  # head only
+            bulk = 2.0 * math.fsum(explog_scalar_reference(s / k)
+                                   for k in range(2, (n - 1) // 2 + 1))
+            assert value == dc + bulk
+        else:
+            assert_within_ulps(value, dc + 2 * bulk_mpmath("explog", s, n), 2)
+
+    @pytest.mark.parametrize("n", [5, 249, 8193, 100001, 1000001])
     def test_gaussian(self, n):
         W, rho_j = 0.01, 1.0
         g = 1.0 / (W + rho_j)
         dc, _ = asymptotic._normal_expect_log(g, sd=1.0, mean=0.0)
-        bulk = 2.0 * math.fsum(explog_scalar_reference(g / k)
-                               for k in range(2, (n - 1) // 2 + 1))
-        assert predict_gaussian_onef(n, W, rho_j).value == dc + bulk
+        self.check(predict_gaussian_onef(n, W, rho_j).value, dc, g, n)
 
-    @pytest.mark.parametrize("n", [5, 249, 100001, 1000001])
+    @pytest.mark.parametrize("n", [5, 249, 8193, 100001, 1000001])
     def test_bernoulli(self, n):
         p, W, J = 0.3, 0.01, 1.0
         g = 1.0 / (W + p * J)
         dc, _ = asymptotic._normal_expect_log(g, sd=math.sqrt(p * (1.0 - p)),
                                               mean=p * math.sqrt(n))
-        bulk = 2.0 * math.fsum(explog_scalar_reference(p * (1.0 - p) * g / k)
-                               for k in range(2, (n - 1) // 2 + 1))
-        assert predict_bernoulli_onef(n, p, W, J).value == dc + bulk
+        self.check(predict_bernoulli_onef(n, p, W, J).value, dc, p * (1.0 - p) * g, n)
 
     def test_gaussian_branch_change_inside_a_later_chunk(self):
-        # gamma = 1/0.012 puts c = gamma/k on the series from k ~ 50000 on: the first
-        # chunk (k <= 32769) is all identity, the second (k <= 65537) mixes both
-        # branches and the rest are all series.
+        # gamma = 1/0.012 puts c = gamma/k on the series from k = 50001 on, so the head
+        # ends at K = 50001: its first chunk (k <= 32769) is all identity, and its
+        # second ends on the first series term.  The tail runs from 50002 to 100000.
         n, W, rho_j = 200001, 0.002, 0.01
         g = 1.0 / (W + rho_j)
-        assert g / 32770 >= 1.0 / 600.0 > g / 65537
+        assert g / 32770 >= 1.0 / 600.0 > g / 50001 and int(g * 600) + 1 == 50001
         dc, _ = asymptotic._normal_expect_log(g, sd=1.0, mean=0.0)
-        bulk = 2.0 * math.fsum(explog_scalar_reference(g / k)
-                               for k in range(2, (n - 1) // 2 + 1))
-        assert predict_gaussian_onef(n, W, rho_j).value == dc + bulk
+        self.check(predict_gaussian_onef(n, W, rho_j).value, dc, g, n)
+
+    @pytest.mark.parametrize("n", [249, 8193])
+    def test_flat(self, n):
+        W, J = 0.01, 1.0
+        g = 1.0 / (W + J / 2.0)
+        bulk = 2.0 * math.fsum(np.log1p(g / 4.0 / np.arange(2, (n - 1) // 2 + 1)).tolist())
+        assert predict_flat_onef(n, W, J).value == math.log1p(g * n / 4.0) + bulk
+
+    def test_flat_with_tail(self):
+        W, J, n = 0.01, 1.0, 1000001
+        g = 1.0 / (W + J / 2.0)
+        exact = math.log1p(g * n / 4.0) + 2 * bulk_mpmath("log1p", g / 4.0, n)
+        assert_within_ulps(predict_flat_onef(n, W, J).value, exact, 2)
+
+    # n = 8195 has a one-term tail (k = 4097); the widest s has a 500-term mpmath head.
+    @pytest.mark.parametrize("s", [1e-4, 0.01, 0.21, 0.82, 5.0])
+    @pytest.mark.parametrize("kind, term, series", [
+        ("explog", explog_exp1, asymptotic._EXPLOG_SERIES),
+        ("log1p", np.log1p, asymptotic._LOG1P_SERIES),
+    ])
+    def test_against_mpmath(self, kind, term, series, s):
+        for n in (1001, 8195, 1000001, 10**9 + 1):
+            assert_within_ulps(asymptotic._bulk_sum(term, series, s, n),
+                               bulk_mpmath(kind, s, n), 2)
+
+    @pytest.mark.parametrize("a", [30, 4097, 10**6])
+    def test_power_tail_against_zeta(self, a):
+        mpmath = pytest.importorskip("mpmath")
+        with mpmath.workdps(40):
+            for b, j, s in itertools.product((a, a + 1, 2 * a, 10**9), range(1, 9), (1e-3, 5.0)):
+                sm = mpmath.mpf(s)
+                exact = (sm * (mpmath.digamma(b + 1) - mpmath.digamma(a)) if j == 1
+                         else sm ** j * (mpmath.zeta(j, a) - mpmath.zeta(j, b + 1)))
+                assert_within_ulps(asymptotic._power_tail(j, s, a, b), exact, j + 2)
+
+    def test_work_does_not_grow_with_n(self, monkeypatch):
+        """Each predictor call of the p* search at n = 1e9+1 evaluates at most
+        K = 4096 terms: s = p(1-p)/(W + pJ) < 1 keeps K at its floor."""
+        counts, kernel, predict = [], asymptotic.explog_exp1, asymptotic.predict_bernoulli_onef
+
+        def counting_kernel(c):
+            counts[-1] += np.size(c)
+            return kernel(c)
+
+        def counting_predict(*args):
+            counts.append(0)
+            return predict(*args)
+
+        monkeypatch.setattr(asymptotic, "explog_exp1", counting_kernel)
+        monkeypatch.setattr(asymptotic, "predict_bernoulli_onef", counting_predict)
+        p_star = optimal_p_onef(10**9 + 1, 0.01, 1.0)
+        assert 0.005 < p_star < 0.995
+        assert len(counts) > 10 and all(0 < c <= 4096 for c in counts), counts
+
+    def test_huge_s_takes_the_head_only(self):
+        # Whether a tail exists is a float test, made before s / _SERIES_CUTOFF
+        # (infinite for both s here) is turned into a term count.
+        n, s = 10001, 1e306
+        got = asymptotic._bulk_sum(explog_exp1, asymptotic._EXPLOG_SERIES, s, n)
+        assert got == math.fsum(explog_exp1(s / np.arange(2, 5001)).tolist())
+        with pytest.raises(InvalidArgumentError):
+            asymptotic._bulk_sum(explog_exp1, asymptotic._EXPLOG_SERIES, math.inf, n)
 
 
 class TestOptimalPOneF:

@@ -71,6 +71,22 @@ class TestGenerate:
         assert ((tmp_path / "a.txt").read_text()
                 == (tmp_path / "b.txt").read_text())
 
+    @pytest.mark.parametrize("argv, expected", [
+        (("--family", "bernoulli", "--p", "0.5"), lambda: apmi.gen_bernoulli(16, 0.5, 7)),
+        (("--family", "uniform"), lambda: apmi.gen_uniform(16, 7)),
+    ])
+    def test_seed_is_a_parameter_not_a_master_seed(self, capsys, tmp_path, argv, expected):
+        """A generated pattern is drawn from a generator seeded with --seed
+        itself, so its manifest names no master seed and no trial-seed policy."""
+        code, _, _ = run(capsys, "generate", *argv, "--n", "16", "--seed", "7",
+                         "--out", str(tmp_path / "a"))
+        assert code == 0
+        manifest = json.loads((tmp_path / "a.manifest.json").read_text())
+        assert manifest["parameters"]["seed"] == 7
+        assert manifest["master_seed"] is None and "seed_policy" not in manifest
+        loaded = apmi.load_pattern(str(tmp_path / "a.txt"))
+        assert loaded.values.tolist() == expected().values.tolist()
+
     def test_missing_parameter_exits_2(self, capsys, tmp_path):
         code, _, err = run(capsys, "generate", "--family", "mls",
                            "--out", str(tmp_path / "m"))
