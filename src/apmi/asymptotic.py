@@ -22,8 +22,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import InvalidArgumentError
-from .model import NoiseModel, ScenePrior, inverse_noise
-from .patterns import check_p
+from .model import NoiseModel, ScenePrior, check_p, inverse_noise
 
 __all__ = [
     "PredictionResult", "PREDICTORS", "BERNOULLI_PREDICTOR", "predict", "explog_exp1",
@@ -292,6 +291,16 @@ def _bulk_sum(term, series: tuple, s: float, n: int) -> float:
         [np.array(tail, dtype=float)]))
 
 
+def _random_onef(n: int, g: float, var: float, mean: float) -> PredictionResult:
+    """Expected total MI under the 1/f prior (odd n), at inverse noise g, of a random
+    mask whose lambda_1/sqrt(n) tends to N(mean, var) and each bulk |lambda_k|^2/n to
+    var * Exp(1); the error estimate adds EXPLOG_ABS_TOL per bulk term to the DC's."""
+    dc, dc_err = _normal_expect_log(g, sd=math.sqrt(var), mean=mean)
+    bulk = 2.0 * _bulk_sum(explog_exp1, _EXPLOG_SERIES, var * g, n)
+    err = dc_err + 2 * ((n - 1) // 2 - 1) * EXPLOG_ABS_TOL
+    return PredictionResult(dc + bulk, "total", "quadrature", est_abs_error=err)
+
+
 def predict_gaussian_onef(n: int, W: float, rho_j_product: float) -> PredictionResult:
     """Expected total MI of a circulant with IID standard-Gaussian row entries
     under the 1/f prior, at fixed inverse noise gamma = 1/(W + rho_j_product).
@@ -303,11 +312,7 @@ def predict_gaussian_onef(n: int, W: float, rho_j_product: float) -> PredictionR
     """
     NoiseModel(W, rho_j_product)
     _check_odd_n(n)
-    g = inverse_noise(W + rho_j_product, "W + rho_j")
-    dc, dc_err = _normal_expect_log(g, sd=1.0, mean=0.0)
-    bulk = 2.0 * _bulk_sum(explog_exp1, _EXPLOG_SERIES, g, n)
-    err = dc_err + 2 * ((n - 1) // 2 - 1) * EXPLOG_ABS_TOL
-    return PredictionResult(dc + bulk, "total", "quadrature", est_abs_error=err)
+    return _random_onef(n, inverse_noise(W + rho_j_product, "W + rho_j"), 1.0, 0.0)
 
 
 def predict_bernoulli_onef(n: int, p: float, W: float, J: float) -> PredictionResult:
@@ -321,11 +326,7 @@ def predict_bernoulli_onef(n: int, p: float, W: float, J: float) -> PredictionRe
     NoiseModel(W, J)
     _check_odd_n(n)
     check_p(p)
-    g = inverse_noise(W + p * J, "W + p*J")
-    dc, dc_err = _normal_expect_log(g, sd=math.sqrt(p * (1.0 - p)), mean=p * math.sqrt(n))
-    bulk = 2.0 * _bulk_sum(explog_exp1, _EXPLOG_SERIES, p * (1.0 - p) * g, n)
-    err = dc_err + 2 * ((n - 1) // 2 - 1) * EXPLOG_ABS_TOL
-    return PredictionResult(dc + bulk, "total", "quadrature", est_abs_error=err)
+    return _random_onef(n, inverse_noise(W + p * J, "W + p*J"), p * (1.0 - p), p * math.sqrt(n))
 
 
 ####################### transmissivity optimization #######################

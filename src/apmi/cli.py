@@ -542,6 +542,11 @@ def main(argv: list[str] | None = None) -> int:
             args = parser.parse_args(argv2)
         except SystemExit as exc:  # argparse exits 0 for --help/--version, 2 on errors
             return exc.code
+        # Below 2**53 a float holds every integer, and an array of such a size
+        # either fits or raises MemoryError.
+        for name in ("n", "trials"):
+            _require((getattr(args, name, 0) or 0) < 2**53,
+                     f"--{name} must be below 2**53 ({2**53})")
         with warnings.catch_warnings():
             # each warning (e.g. the odd-n reduction) becomes one stderr line
             warnings.showwarning = lambda msg, *_: print(f"warning: {msg}", file=sys.stderr)

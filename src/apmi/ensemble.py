@@ -33,6 +33,7 @@ the DC term.
 
 import itertools
 import math
+import os
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 
@@ -40,9 +41,9 @@ import numpy as np
 
 from .asymptotic import BERNOULLI_PREDICTOR, PredictionResult, predict
 from .errors import InvalidArgumentError, NumericalError
-from .model import (METRICS, RHO_MODES, NoiseModel, ScenePrior, degenerate_noise, effective_n,
-                    noise_level, spectral_weights)
-from .patterns import RANDOM_DRAWS, SEED_POLICY, check_p
+from .model import (METRICS, RHO_MODES, NoiseModel, ScenePrior, check_p, degenerate_noise,
+                    effective_n, noise_level, spectral_weights)
+from .patterns import RANDOM_DRAWS, SEED_POLICY
 from .spectral import mi_sums, power_spectrum
 
 __all__ = [
@@ -204,7 +205,8 @@ class EnsembleConfig:
         if self.family not in FAMILIES:
             raise InvalidArgumentError(f"family must be one of {FAMILIES}, got {self.family!r}")
         if self.metric is not None and self.metric not in METRICS:
-            raise InvalidArgumentError(f"metric must be one of {METRICS}, got {self.metric!r}")
+            raise InvalidArgumentError(
+                f"metric must be one of {tuple(METRICS)}, got {self.metric!r}")
         if self.rho_mode not in RHO_MODES:
             raise InvalidArgumentError(f"rho_mode must be one of {RHO_MODES}, got {self.rho_mode!r}")
         if self.family == "bernoulli":
@@ -303,7 +305,10 @@ def _collect(config: EnsembleConfig, n: int, p_grid) -> np.ndarray:
         return _eval_range(config, n, p_grid, 0, T)
     chunk = -(-T // (4 * config.workers))
     spans = [(config, n, p_grid, s, min(s + chunk, T)) for s in range(0, T, chunk)]
-    with ProcessPoolExecutor(max_workers=config.workers) as pool:
+    # Chunks follow the requested count, so the bits do not depend on the machine;
+    # the pool stops at the usable CPUs, as a fork pool starts every worker at once.
+    cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count()
+    with ProcessPoolExecutor(max_workers=min(config.workers, cpus or 1)) as pool:
         parts = list(pool.map(_eval_range, *zip(*spans)))
     return np.concatenate(parts, axis=1)
 
@@ -320,12 +325,8 @@ def _stats(config: EnsembleConfig, n: int, p, values: np.ndarray) -> EnsembleSta
             f"(rho={_gamma_rho(config, p, rho)[t]}); "
             "supply W > 0 or a family with rho*J > 0")
     metric = config.resolved_metric
-    if metric == "total":
-        v = values[:, 0]
-    elif metric == "per_pixel":
-        v = values[:, 0] / n
-    else:
-        v = values[:, 1] / n
+    kind, column = METRICS[metric]
+    v = values[:, column] / n if kind == "per_pixel" else values[:, column]
     bad = np.flatnonzero(~np.isfinite(v))
     if bad.size:
         t = int(bad[0])
@@ -380,13 +381,8 @@ def sweep_p(config: EnsembleConfig, p_grid) -> list[SweepRow]:
 
 
 def _check_kinds(metric: str, prediction_kind: str) -> None:
-    """Per-pixel predictions pair with either per-pixel metric; total with total."""
-    per_pixel_kinds = ("per_pixel", "per_pixel_excl_dc")
-    if prediction_kind == "total":
-        ok = metric == "total"
-    else:
-        ok = metric in per_pixel_kinds
-    if not ok:
+    """An ensemble metric pairs with the prediction kind METRICS names for it."""
+    if metric not in METRICS or METRICS[metric][0] != prediction_kind:
         raise InvalidArgumentError(
             f"metric kind mismatch: ensemble {metric!r} vs prediction {prediction_kind!r}")
 

@@ -7,8 +7,8 @@ combines a thermal floor W with signal-dependent shot noise rho*J.
 Everything downstream (exact MI, asymptotic predictors, ensembles) consumes
 the two quantities defined here: the per-frequency weight vector d and the
 inverse noise power gamma = 1/(W + rho*J).  The odd-n policy of the 1/f
-formulas, the one raise for a noise power without a finite inverse and the
-nats-to-bits conversion live here too.
+formulas, the open-fraction check, the one raise for a noise power without a
+finite inverse and the nats-to-bits conversion live here too.
 """
 
 import enum
@@ -36,7 +36,10 @@ LN2 = math.log(2.0)
 # What an ensemble records, and which rho sets a trial's shot noise.  The
 # CLI offers both as choices, so they live here and not in the ensemble
 # engine, which the CLI loads only for the commands that run ensembles.
-METRICS = ("per_pixel", "per_pixel_excl_dc", "total")
+# Metric -> (the prediction kind it pairs with, its column of a trial's
+# (mi_total, mi_total_excl_dc, rho) row); a per_pixel metric is divided by n.
+METRICS = {"per_pixel": ("per_pixel", 0), "per_pixel_excl_dc": ("per_pixel", 1),
+           "total": ("total", 0)}
 RHO_MODES = ("realized", "nominal")
 
 
@@ -84,6 +87,12 @@ class NoiseModel:
             raise InvalidArgumentError("noise powers must be nonnegative")
         if self.W == 0 and self.J == 0:
             raise InvalidArgumentError("W and J cannot both be zero")
+
+
+def check_p(p) -> None:
+    """An open fraction must be given and lie in [0, 1]."""
+    if p is None or not 0.0 <= p <= 1.0:
+        raise InvalidArgumentError(f"p must lie in [0, 1], got {p}")
 
 
 def spectral_weights(prior: ScenePrior, n: int) -> np.ndarray:

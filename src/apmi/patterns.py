@@ -21,6 +21,7 @@ from pathlib import Path
 import numpy as np
 
 from .errors import FlatnessCheckError, InvalidArgumentError
+from .model import check_p
 from .spectral import power_spectrum
 
 __all__ = [
@@ -114,32 +115,31 @@ class AperturePattern:
 
 ####################### spectral self-check #######################
 
-def _levels(pattern: AperturePattern) -> dict:
-    """DC gain and bulk statistics of a pattern's power spectrum."""
+def _check_spectrum(pattern: AperturePattern, where: str, per_bin: bool) -> None:
+    """Verify a generated half-open mask's spectrum and add its levels to the
+    metadata: DC = (n+1)/2 and a bulk at (n+1)/4, either every bin within
+    FLATNESS_RTOL * n (per_bin, which records bulk_max_abs_dev) or the bulk
+    mean within 1e-9 * n."""
+    n = pattern.n
     bulk = pattern.lambda_sq[1:]
-    return {
+    levels = {
         "lambda1": float(pattern.values.sum()),
         "bulk_mean": float(bulk.mean()),
         "bulk_min": float(bulk.min()),
         "bulk_max": float(bulk.max()),
     }
-
-
-def _check_flat(pattern: AperturePattern, where: str) -> dict:
-    """Verify DC = (n+1)/2 and per-bin bulk flatness at (n+1)/4."""
-    n = pattern.n
-    levels = _levels(pattern)
-    target_dc = (n + 1) / 2
-    target_bulk = (n + 1) / 4
-    dev = max(abs(levels["bulk_min"] - target_bulk),
-              abs(levels["bulk_max"] - target_bulk))
-    levels["bulk_max_abs_dev"] = dev
-    if levels["lambda1"] != target_dc or dev > FLATNESS_RTOL * n:
+    target_dc, target_bulk = (n + 1) / 2, (n + 1) / 4
+    if per_bin:
+        dev = levels["bulk_max_abs_dev"] = max(abs(levels["bulk_min"] - target_bulk),
+                                               abs(levels["bulk_max"] - target_bulk))
+        what, tol = "max bulk deviation", FLATNESS_RTOL * n
+    else:
+        what, dev, tol = "bulk mean deviation", abs(levels["bulk_mean"] - target_bulk), 1e-9 * n
+    if levels["lambda1"] != target_dc or dev > tol:
         raise FlatnessCheckError(
             f"{where}: spectral self-check failed "
-            f"(lambda1={levels['lambda1']}, expected {target_dc}; "
-            f"max bulk deviation {dev:.3e} > {FLATNESS_RTOL * n:.3e})")
-    return levels
+            f"(lambda1={levels['lambda1']}, expected {target_dc}; {what} {dev:.3e} > {tol:.3e})")
+    pattern.metadata.update(levels)
 
 
 ####################### deterministic families #######################
@@ -233,7 +233,7 @@ def gen_mls(degree: int, seed_state: int | None = None) -> AperturePattern:
         state ^= (state >> m) * poly  # bit m is the only bit above m - 1
     pattern = AperturePattern(out[:n], PatternFamily.MLS, metadata={
         "degree": m, "polynomial_taps": (m, *MLS_POLYNOMIALS[m], 0), "seed_state": seed_state})
-    pattern.metadata.update(_check_flat(pattern, f"gen_mls(degree={degree})"))
+    _check_spectrum(pattern, f"gen_mls(degree={degree})", per_bin=True)
     return pattern
 
 
@@ -285,14 +285,7 @@ def gen_mura(n: int) -> AperturePattern:
     a[i * i % np.uint64(n)] = 1.0
 
     pattern = AperturePattern(a, PatternFamily.MURA)
-    levels = _levels(pattern)
-    target_dc = (n + 1) / 2
-    target_mean = (n + 1) / 4
-    if levels["lambda1"] != target_dc or \
-            abs(levels["bulk_mean"] - target_mean) > 1e-9 * n:
-        raise FlatnessCheckError(
-            f"gen_mura(n={n}): DC/bulk-mean check failed ({levels})")
-    pattern.metadata.update(levels)
+    _check_spectrum(pattern, f"gen_mura(n={n})", per_bin=False)
     return pattern
 
 
@@ -312,12 +305,6 @@ RANDOM_DRAWS = {
     "uniform": ("random", lambda u, p: u),
     "gaussian": ("standard_normal", lambda u, p: u),
 }
-
-
-def check_p(p) -> None:
-    """An open fraction must be given and lie in [0, 1]."""
-    if p is None or not 0.0 <= p <= 1.0:
-        raise InvalidArgumentError(f"p must lie in [0, 1], got {p}")
 
 
 def _draw(family: str, n: int, seed: int, p: float | None = None) -> np.ndarray:

@@ -850,3 +850,32 @@ def test_out_of_memory_exits_2(capsys, tmp_path, monkeypatch, target, argv, mess
     assert code == 2 and out == ""
     assert err == f"error: {shown}\n"
     assert list(tmp_path.iterdir()) == []
+
+
+HUGE = str(10**400 + 1)
+
+
+@pytest.mark.parametrize("argv, option", [
+    (("predict", "pinhole", "--n", HUGE, "--W", "0.01"), "n"),
+    (("predict", "flat-1f", "--n", HUGE, "--W", "0.01"), "n"),
+    (("predict", "bernoulli-1f", "--n", HUGE, "--p", "0.5", "--W", "0.01"), "n"),
+    (("predict", "gaussian-1f", "--n", HUGE, "--rho-j", "1", "--W", "0.01"), "n"),
+    (("optimize-p", "--prior", "1f", "--n", HUGE, "--W", "0.01"), "n"),
+    (("sweep", "--n", HUGE, "--W", "0.01"), "n"),
+    (("sweep", "--trials", str(10**20), "--W", "0.01"), "trials"),
+    (("mi", "--family", "pinhole", "--n", str(10**20), "--W", "0.01"), "n"),
+    (("generate", "--family", "bernoulli", "--n", str(10**20), "--p", "0.5"), "n"),
+    (("reproduce", "fig3", "--trials", str(2**53)), "trials"),
+])
+def test_size_of_2_53_or_more_exits_2(capsys, tmp_path, argv, option):
+    """An --n or --trials that a float cannot hold exactly is an argument
+    error before any work: one line naming the option, no output file."""
+    code, out, err = run(capsys, *argv, "--out", str(tmp_path / "out"))
+    assert (code, out) == (2, "")
+    assert err == f"error: --{option} must be below 2**53 (9007199254740992)\n"
+    assert list(tmp_path.iterdir()) == []
+
+
+def test_largest_size_still_predicts(capsys):
+    code, out, err = run(capsys, "predict", "flat-1f", "--n", str(2**53 - 1), "--W", "0.01")
+    assert code == 0 and strict_json(out)["value"] == 70.8051402873

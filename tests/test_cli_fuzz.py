@@ -20,7 +20,8 @@ from apmi.ensemble import METRICS, RHO_MODES
 # Every option that sets an amount of work (n, degree, trials, grid, points,
 # workers) is always given on the command line, so it wins over any config
 # line and the work stays small: n <= 64, degree <= 10, trials <= 8,
-# <= 5 grid points, points <= 50, one worker.
+# <= 5 grid points, points <= 50, one worker.  An n or trials of 2**53 or
+# more is drawn too: it is rejected before any work.
 # Valid values are drawn three times as often as arbitrary ones, so that
 # many draws get past argument parsing into the numerical code.
 numbers = st.one_of(st.floats(0, 1), st.floats(0, 1), st.floats(0, 100), st.floats(),
@@ -28,6 +29,13 @@ numbers = st.one_of(st.floats(0, 1), st.floats(0, 1), st.floats(0, 100), st.floa
 seeds = st.integers()
 grids = st.one_of(st.lists(st.floats(0.01, 0.99).map(str), min_size=1, max_size=5),
                   st.lists(numbers, max_size=5)).map(",".join) | st.text(max_size=6)
+
+
+def size(low, high):
+    """An --n or --trials value in [low, high], or (one time in four) one of
+    2**53 or more."""
+    small = st.integers(low, high)
+    return st.one_of(small, small, small, st.integers(2**53, 10**400))
 
 
 def strict_json(text):
@@ -55,9 +63,9 @@ NOISE = (st.one_of(always("W", numbers), always("W", numbers), always("W-db", nu
                    st.none()),
          st.one_of(st.none(), st.none(), st.none(), always("W-db", numbers)),
          maybe("J", numbers), maybe("log-base", choice("nats", "bits")))
-PATTERN = (always("family", choice(*PATTERNS)), always("n", st.integers(-2, 64)),
+PATTERN = (always("family", choice(*PATTERNS)), always("n", size(-2, 64)),
            always("degree", st.integers(-1, 10)), maybe("p", numbers), maybe("seed", seeds))
-ENSEMBLE = (always("n", st.integers(-2, 64)), always("trials", st.integers(-1, 8)),
+ENSEMBLE = (always("n", size(-2, 64)), always("trials", size(-1, 8)),
             always("p-grid", grids), maybe("seed", seeds), maybe("metric", choice(*METRICS)),
             maybe("rho-mode", choice(*RHO_MODES)), st.just("--workers=1"))
 PRIOR = maybe("prior", choice("iid", "1f"))
@@ -65,11 +73,11 @@ PRIOR = maybe("prior", choice("iid", "1f"))
 ARGV = st.one_of(
     st.tuples(st.just("generate"), *PATTERN),
     st.tuples(st.just("mi"), *PATTERN, PRIOR, *NOISE),
-    st.tuples(st.just("predict"), choice(*PREDICTORS), always("n", st.integers(-2, 64)),
+    st.tuples(st.just("predict"), choice(*PREDICTORS), always("n", size(-2, 64)),
               maybe("p", numbers), maybe("rho-j", numbers),
               maybe("form", choice("midsum", "closed")), maybe("bulk-variance", numbers),
               *NOISE),
-    st.tuples(st.just("optimize-p"), PRIOR, always("n", st.integers(-2, 64)),
+    st.tuples(st.just("optimize-p"), PRIOR, always("n", size(-2, 64)),
               maybe("tol", numbers), *NOISE),
     st.tuples(st.just("sweep"), PRIOR, *ENSEMBLE, *NOISE),
     st.tuples(st.just("reproduce"), st.sampled_from(["fig2", "fig3"]),
@@ -96,6 +104,7 @@ CONFIG = st.one_of(
 @example(["sweep", "--n=8", "--trials=4", "--p-grid=0.5,0.2", "--workers=1", "--W=0",
           "--J=1e-320"], b"")
 @example(["predict", "bernoulli-1f", "--n=11", "--p=0.5", "--W=1e-307", "--J=0"], b"")
+@example(["predict", "pinhole", f"--n={2**53}", "--W=0.01"], b"")
 def test_error_contract(argv, config):
     with tempfile.TemporaryDirectory() as tmp:
         cfg = Path(tmp) / "run.cfg"

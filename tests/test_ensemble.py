@@ -333,6 +333,39 @@ class TestSweep:
         rows = sweep_p(bernoulli_config(trials=16, workers=workers), [0.2, 0.5, 0.8])
         assert len(rows) == 3 and len(created) == pools
 
+    @pytest.mark.parametrize("affinity", [True, False])
+    def test_pool_capped_at_usable_cpus(self, monkeypatch, affinity):
+        """workers=10000 still splits the trials into 4 * 10000 chunks, but the
+        pool gets no more workers than the usable CPUs (sched_getaffinity, or
+        cpu_count where that does not exist).  The fake pool starts no process."""
+        sizes, spans = [], []
+
+        class FakePool:
+            def __init__(self, max_workers):
+                sizes.append(max_workers)
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                return False
+
+            def map(self, fn, *columns):
+                spans.extend(zip(*columns))
+                return [np.zeros((len(grid), stop - start, 3))
+                        for _, _, grid, start, stop in zip(*columns)]
+
+        monkeypatch.setattr(ensemble, "ProcessPoolExecutor", FakePool)
+        if affinity:
+            monkeypatch.setattr(ensemble.os, "sched_getaffinity", lambda pid: {0, 1, 2},
+                                raising=False)
+        else:
+            monkeypatch.delattr(ensemble.os, "sched_getaffinity", raising=False)
+            monkeypatch.setattr(ensemble.os, "cpu_count", lambda: 3)
+        values = ensemble._collect(bernoulli_config(trials=40000, workers=10000), 128, (0.5,))
+        assert sizes == [3]
+        assert len(spans) == 40000 and values.shape == (1, 40000, 3)
+
 
 class TestCompare:
     @staticmethod

@@ -98,9 +98,25 @@ def test_one_home_for_mask_families():
     assert occurrences(r"(?m)^\w*DRAWS\w* = ") == {"patterns.py": 1}
     assert "ensemble.py" not in occurrences(r"standard_normal|\(u < p\)")
     assert ensemble.FAMILIES == tuple(patterns.RANDOM_DRAWS)
-    assert occurrences(r"p must lie in") == {"patterns.py": 1}
+    assert occurrences(r"p must lie in") == {"model.py": 1}
     assert occurrences(r"\bDRAWS\b|\b_check_p\b|_eval_range_star") == {}
     assert occurrences(r"default_rng\(") == {"ensemble.py": 1, "patterns.py": 1}
+
+
+def test_one_home_per_rule():
+    """The MLS and MURA generators share one spectral self-check, the random-mask
+    1/f predictors one body, the ensemble reads each metric's pairing from
+    model.METRICS, and the predictors reach the open-fraction check without
+    the pattern layer."""
+    assert occurrences(r"\b_levels\b|\b_check_flat\b") == {}
+    assert occurrences(r"raise FlatnessCheckError\b") == {"patterns.py": 1}
+    source = (PACKAGE / "asymptotic.py").read_text()
+    assert len(re.findall(r"(?<!def )_normal_expect_log\(", source)) == 1
+    assert len(re.findall(r"\* EXPLOG_ABS_TOL", source)) == 1
+    metric_names = "|".join(model.METRICS)
+    assert not re.search(rf"[\"'](?:{metric_names})[\"']", inspect.getsource(ensemble._check_kinds))
+    assert not re.findall(r"(?m)^from \.(?:patterns|spectral) import", source)
+    assert set(re.findall(r"(?m)^from \.(\w+) import", source)) == {"errors", "model"}
 
 
 MODULES = ("asymptotic", "ensemble", "errors", "model", "patterns", "spectral")
