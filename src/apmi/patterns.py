@@ -49,7 +49,7 @@ FLATNESS_RTOL = 1e-6
 # 0/1 lines is one 64 KB byte buffer.
 IO_CHUNK = 1 << 15
 
-# gen_mura squares i <= (n-1)/2 in uint64, which is exact below this n.
+# _qr_row squares i <= (n-1)/2 in uint64, which is exact below this n.
 MURA_MAX_N = 1 << 33
 
 
@@ -79,7 +79,9 @@ class AperturePattern:
         spectral levels, nominal p, ...)
 
     The fields cannot be rebound.  lambda_sq is taken from values on first
-    use and kept, so it does not see a later in-place edit of values.
+    use and kept, so it does not see a later in-place edit of values
+    (load_pattern sets it by theorem for a row that proves its mls or mura
+    label).
     """
 
     values: np.ndarray
@@ -154,9 +156,11 @@ def gen_pinhole(n: int) -> AperturePattern:
 
 
 # One fixed primitive polynomial over GF(2) per degree, lowest-weight taps:
-# x^m + sum(x^t for t in taps) + 1.  Each entry was verified maximal
-# (period 2^m - 1 under the multiply-by-x recurrence below) before being
-# frozen here; gen_mls re-verifies spectral flatness at every call.
+# x^m + sum(x^t for t in taps) + 1.  Each entry is proven primitive
+# (x has order exactly 2^m - 1 modulo it) by
+# tests/test_patterns.py::TestMLS::test_polynomials_are_primitive_by_order;
+# gen_mls re-verifies spectral flatness at every call, and a loaded mls row
+# gets its spectrum by theorem from this primitivity (_proven_spectrum).
 MLS_POLYNOMIALS: dict[int, tuple[int, ...]] = {
     2: (1,),
     3: (1,),
@@ -266,10 +270,15 @@ def gen_mura(n: int) -> AperturePattern:
     """Quadratic-residue mask for a prime n with n % 4 == 1.
 
     Convention: element 0 is open, element i is open iff i is a nonzero
-    quadratic residue mod n, giving (n+1)/2 open elements.  For these
-    primes the bulk spectrum is two-valued, (1 +- sqrt(n))^2 / 4, so only
-    the DC gain (n+1)/2 and the exact bulk mean (n+1)/4 are enforced; the
-    measured bulk levels are recorded in the metadata.
+    quadratic residue mod n, giving (n+1)/2 open elements.  By the quadratic
+    Gauss sum, lambda_0 = (n+1)/2 and, for k >= 1,
+
+        lambda_k = (1 + chi_k * sqrt(n)) / 2,   chi_k = 2 a_k - 1,
+
+    chi_k being the Legendre symbol of k, so the bulk spectrum is two-valued,
+    |lambda_k|^2 = (1 +- sqrt(n))^2 / 4.  Only the DC gain (n+1)/2 and the
+    exact bulk mean (n+1)/4 are enforced here; the measured bulk levels are
+    recorded in the metadata.
     """
     if n >= MURA_MAX_N:
         raise InvalidArgumentError(
@@ -278,15 +287,58 @@ def gen_mura(n: int) -> AperturePattern:
         raise InvalidArgumentError(
             f"n={n} is not a prime of the form 4d+1 (required for "
             "quadratic-residue masks)")
-    # The nonzero residues are the squares of 1..(n-1)/2.
+    pattern = AperturePattern(_qr_row(n), PatternFamily.MURA)
+    _check_spectrum(pattern, f"gen_mura(n={n})", per_bin=False)
+    return pattern
+
+
+def _qr_row(n: int) -> np.ndarray:
+    """Element 0 and the nonzero quadratic residues mod n open: the squares of
+    1..(n-1)/2, taken in uint64, which is exact below MURA_MAX_N."""
     i = np.arange(1, (n + 1) // 2, dtype=np.uint64)
     a = np.zeros(n)
     a[0] = 1.0
     a[i * i % np.uint64(n)] = 1.0
+    return a
 
-    pattern = AperturePattern(a, PatternFamily.MURA)
-    _check_spectrum(pattern, f"gen_mura(n={n})", per_bin=False)
-    return pattern
+
+def _proven_spectrum(pattern: AperturePattern) -> np.ndarray | None:
+    """|lambda_k|^2 of an mls- or mura-labelled row by theorem, DC first; None
+    for any other label or a row that does not prove its label.  Such a row
+    holds only 0s and 1s (load_pattern checks it for these labels).
+
+    An mls row of length n = 2^m - 1 proves it by being nonzero and
+    satisfying, cyclically, the recurrence of MLS_POLYNOMIALS[m],
+    a[j+m] = XOR of a[j+t] over t in taps and 0.  The polynomial is primitive,
+    so the row is a rotation of the m-sequence: |lambda_0|^2 = ((n+1)/2)^2
+    and |lambda_k|^2 = (n+1)/4 for k >= 1 (Golomb, Shift Register Sequences,
+    1967).  A mura row proves it by being _qr_row(n) of a prime n = 1 mod 4
+    below MURA_MAX_N; gen_mura gives its lambda_k.
+    """
+    a, n = pattern.values, pattern.n
+    if pattern.family is PatternFamily.MLS:
+        m = n.bit_length()
+        if n != (1 << m) - 1 or m not in MLS_POLYNOMIALS:
+            return None
+        bits = a == 1.0
+        if not bits.any():
+            return None
+        wrapped = np.concatenate((bits, bits[:m]))
+        feedback = bits.copy()  # the x^0 term
+        for t in MLS_POLYNOMIALS[m]:
+            feedback ^= wrapped[t:t + n]
+        if not np.array_equal(feedback, wrapped[m:]):
+            return None
+        spectrum = np.full(n, (n + 1) / 4)
+    elif pattern.family is PatternFamily.MURA:
+        if not (n < MURA_MAX_N and n % 4 == 1 and _is_prime(n)
+                and np.array_equal(a, _qr_row(n))):
+            return None
+        spectrum = np.square(1.0 + (2.0 * a - 1.0) * math.sqrt(n)) / 4
+    else:
+        return None
+    spectrum[0] = ((n + 1) / 2) ** 2
+    return spectrum
 
 
 ####################### random families #######################
@@ -474,7 +526,8 @@ def load_pattern(txt_path: str) -> AperturePattern:
     n, if given, the number of entries, and a pinhole, mls or mura family
     must label a row of only 0s and 1s; else InvalidArgumentError.  The
     descriptor's rho is not read: the pattern's rho is the realized mean of
-    its values.
+    its values.  A row that proves its mls or mura label gets its lambda_sq
+    by theorem (_proven_spectrum) and makes no FFT.
     """
     try:
         with open(txt_path, "rb") as fh:
@@ -506,7 +559,11 @@ def load_pattern(txt_path: str) -> AperturePattern:
         except ValueError as exc:  # JSONDecodeError and UnicodeDecodeError included
             raise InvalidArgumentError(f"{json_path}: bad descriptor: {exc}") from None
         meta = desc.get("metadata", {})
-    return AperturePattern(vals, family, seed=seed, metadata=meta)
+    pattern = AperturePattern(vals, family, seed=seed, metadata=meta)
+    spectrum = _proven_spectrum(pattern)
+    if spectrum is not None:  # into lambda_sq's cache slot, as __post_init__ sets values
+        object.__setattr__(pattern, "lambda_sq", spectrum)
+    return pattern
 
 
 def _check_seed(seed):

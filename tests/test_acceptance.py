@@ -1,4 +1,4 @@
-"""Acceptance gate: ten end-to-end claims the package must satisfy.
+"""Acceptance gate: eleven end-to-end claims the package must satisfy.
 
 Each test prints one PASS/FAIL line (visible with `pytest -s`) and asserts
 the claim with its pinned tolerance.  The claims combine exact closed-form
@@ -49,11 +49,12 @@ def run_check(num: int, check, *args):
 
 class TestAcceptance:
     def test_criterion_01_mls_spectral_flatness(self):
-        """Degrees 3..12: bulk |lambda_k|^2 flat at (n+1)/4 within 1e-6*n,
-        DC exactly (n+1)/2."""
+        """MLS degrees 3..12 and MURA n = 13, 29, saved and reloaded: the
+        theorem spectrum (flat bulk at (n+1)/4 for MLS) lies within 1e-6*n of
+        the FFT in every bin, DC exactly (n+1)/2."""
         worst = run_check(1, checks.mls_flatness, range(3, 13))
-        report(1, True, f"degrees 3..12 flat; worst deviation at "
-                        f"{worst:.2e} of the 1e-6*n budget")
+        report(1, True, f"degrees 3..12 and MURA 13, 29 match the FFT; worst "
+                        f"deviation at {worst:.2e} of the 1e-6*n budget")
 
     def test_criterion_02_pinhole_equivalence(self):
         """Exact MI of a pinhole equals ln(1/(nW+J)+1), and predict_pinhole,
@@ -198,3 +199,13 @@ class TestAcceptance:
             worst = max(worst, dev)
         report(10, worst <= 3.0,
                f"worst deviation {worst:.2f} standard errors (<= 3)")
+
+    def test_criterion_11_dense_logdet_reference(self):
+        """Exact MI equals log det(I + (gamma/n) A Sigma A^T) by slogdet
+        within 1e-13 relative for every family, reloaded MLS and MURA rows
+        included, under both priors at odd n; at even n under 1/f the pinned
+        convention offset holds."""
+        worst, offset = run_check(11, checks.dense_logdet)
+        report(11, worst <= 1e-13,
+               f"worst odd-n relative error {worst:.1e} (<= 1e-13); "
+               f"even-n 1/f offset {offset:.4e} (pinned)")

@@ -573,16 +573,17 @@ class TestReproduce:
                               env=env, capture_output=True, text=True, timeout=120)
         assert proc.returncode == 0, proc.stdout + proc.stderr
         names = ["model basics (weights, gamma, dB)",
-                 "MLS spectral flatness, degrees 3..10",
+                 "MLS and MURA theorem spectra vs the FFT, degrees 3..10",
                  "MURA self-check and pinhole spectrum",
                  "pinhole MI identity",
                  "exponential-expectation kernel",
                  "p* stationarity and 0.01-grid dominance",
                  "flat predictor beats Bernoulli(1/2)",
                  "Jensen bound and Frobenius identity",
-                 "ensemble determinism across workers"]
+                 "ensemble determinism across workers",
+                 "exact MI against the dense log det"]
         assert proc.stdout.splitlines() == (
-            [f"ok    {name}" for name in names] + ["selftest: 9/9 checks passed"])
+            [f"ok    {name}" for name in names] + ["selftest: 10/10 checks passed"])
 
     def test_fig2_points_bounded(self, tmp_path):
         out_csv = tmp_path / "fig2.csv"

@@ -35,6 +35,13 @@ def test_one_spectrum_per_pattern():
     assert occurrences(r"power_spectrum\(").get("patterns.py") == 1
 
 
+def test_one_quadratic_residue_construction():
+    """gen_mura and the theorem-spectrum proof of a loaded mura row build the
+    quadratic-residue row in one place, patterns._qr_row."""
+    assert occurrences(r"i \* i %") == {"patterns.py": 1}
+    assert "i * i %" in inspect.getsource(patterns._qr_row)
+
+
 def test_one_draw_site_and_one_pool_site_in_ensemble():
     """The ensemble seeds generators in one place and builds at most one
     process pool per call, whatever the grid."""

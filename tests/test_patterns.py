@@ -19,13 +19,16 @@ from apmi import (
     AperturePattern,
     FlatnessCheckError,
     InvalidArgumentError,
+    NoiseModel,
     PatternFamily,
+    ScenePrior,
     gen_bernoulli,
     gen_mls,
     gen_mura,
     gen_pinhole,
     gen_uniform,
     load_pattern,
+    mutual_information,
     save_pattern,
 )
 from apmi import patterns
@@ -48,6 +51,18 @@ def mls_loop_reference(degree, seed_state=None):
         if state >> m & 1:
             state ^= poly
     return a
+
+
+def prime_factors(n):
+    """The distinct prime factors of n, by trial division."""
+    factors, q = [], 2
+    while q * q <= n:
+        if n % q == 0:
+            factors.append(q)
+            while n % q == 0:
+                n //= q
+        q += 1
+    return factors + ([n] if n > 1 else [])
 
 
 def euler_criterion_reference(n):
@@ -163,6 +178,29 @@ class TestMLS:
                 if state == 1:
                     break
             assert period == 2 ** degree - 1, f"degree {degree}"
+
+    def test_polynomials_are_primitive_by_order(self):
+        """x has order exactly 2^m - 1 modulo each tabulated polynomial:
+        x^(2^m - 1) = 1 and x^((2^m - 1)/q) != 1 for each prime q dividing
+        2^m - 1.  That is primitivity, for every degree; a loaded mls row's
+        theorem spectrum rests on it."""
+        for m, taps in MLS_POLYNOMIALS.items():
+            poly = (1 << m) | 1
+            for t in taps:
+                poly |= 1 << t
+
+            def x_power(e):
+                result, base = 1, 0b10  # base is x
+                while e:
+                    if e & 1:
+                        result = patterns._gf2_mulmod(result, base, poly, m)
+                    base = patterns._gf2_mulmod(base, base, poly, m)
+                    e >>= 1
+                return result
+            order = (1 << m) - 1
+            assert x_power(order) == 1, f"degree {m}"
+            for q in prime_factors(order):
+                assert x_power(order // q) != 1, f"degree {m}, q={q}"
 
     def test_high_degrees_generate(self):
         # degrees 14..20 run the spectral self-check at generation time
@@ -542,6 +580,68 @@ class TestCodecPaths:
         finally:
             writer.join(timeout=10)
         assert not writer.is_alive()
+
+
+@pytest.fixture
+def fft_calls(monkeypatch):
+    """The shapes of the np.fft.fft calls made while the test runs."""
+    calls = []
+    fft = np.fft.fft
+
+    def counted(a, *args, **kwargs):
+        calls.append(np.shape(a))
+        return fft(a, *args, **kwargs)
+    monkeypatch.setattr(np.fft, "fft", counted)
+    return calls
+
+
+def _flipped(values, i):
+    values = values.copy()
+    values[i] = 1.0 - values[i]
+    return values
+
+
+class TestProvenSpectrum:
+    """A loaded row that proves its mls or mura label takes its spectrum by
+    theorem and makes no FFT; any other row makes the one FFT it always made."""
+
+    NOISE = NoiseModel(W=0.01, J=1.0)
+
+    @pytest.mark.parametrize("make", [
+        lambda: gen_mls(20),
+        lambda: gen_mls(12, seed_state=1234),
+        lambda: gen_mura(65537),
+    ], ids=["mls20", "mls12-seed-state", "mura65537"])
+    def test_proven_row_makes_no_fft(self, tmp_path, fft_calls, make):
+        txt_path, _ = save_pattern(make(), str(tmp_path / "mask"))
+        fft_calls.clear()
+        loaded = load_pattern(txt_path)
+        for prior in ScenePrior:
+            mutual_information(loaded, prior, self.NOISE)
+        assert fft_calls == []
+        np.testing.assert_allclose(loaded.lambda_sq, power_spectrum(loaded.values),
+                                   rtol=1e-13, atol=0)
+
+    @pytest.mark.parametrize("family, make", [
+        ("mls", lambda: _flipped(gen_mls(10).values, 100)),
+        ("mls", lambda: gen_mls(10).values[::-1]),
+        ("mls", lambda: np.zeros(1023)),
+        ("mls", lambda: gen_mls(10).values[:-1]),
+        ("mura", lambda: _flipped(gen_mura(29).values, 5)),
+        ("mura", lambda: patterns._qr_row(21)),
+    ], ids=["mls-bit-flipped", "mls-reversed", "mls-all-zero", "mls-wrong-length",
+            "mura-bit-flipped", "mura-non-prime"])
+    def test_unproven_row_makes_one_fft(self, tmp_path, fft_calls, family, make):
+        pattern = AperturePattern(make(), PatternFamily(family))
+        txt_path, _ = save_pattern(pattern, str(tmp_path / "mask"))
+        fft_calls.clear()
+        loaded = load_pattern(txt_path)
+        got = [mutual_information(loaded, prior, self.NOISE) for prior in ScenePrior]
+        assert len(fft_calls) == 1
+        assert loaded.family is PatternFamily(family)
+        # the bits of the row's own FFT, as every loaded row had before
+        custom = AperturePattern(loaded.values)
+        assert got == [mutual_information(custom, prior, self.NOISE) for prior in ScenePrior]
 
 
 def test_flatness_guard_trips_on_bad_table(monkeypatch):
