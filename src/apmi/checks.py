@@ -58,7 +58,8 @@ def _reloaded(pattern, folder: str):
     txt_path, _ = save_pattern(pattern, os.path.join(folder, f"{pattern.family.value}{pattern.n}"))
     loaded = load_pattern(txt_path)
     _check("lambda_sq" in vars(loaded),
-           f"reloaded {pattern.family.value} row of n={pattern.n} did not take its theorem spectrum")
+           f"reloaded {pattern.family.value} row of n={pattern.n} "
+           "did not take its theorem spectrum")
     return loaded
 
 
@@ -171,7 +172,8 @@ def _dense_total(pattern, prior: ScenePrior, noise: NoiseModel) -> float:
     sigma = (cosines @ spectral_weights(prior, n) / n)[lag]
     a = pattern.values[lag]
     sign, logdet = np.linalg.slogdet(np.eye(n) + gamma(noise, pattern.rho) / n * (a @ sigma @ a.T))
-    _check(sign > 0, f"{pattern.family.value} n={n}: I + (gamma/n) A Sigma A^T is not positive definite")
+    _check(sign > 0, f"{pattern.family.value} n={n}: "
+                     "I + (gamma/n) A Sigma A^T is not positive definite")
     return float(logdet)
 
 
