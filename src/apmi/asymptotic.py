@@ -73,22 +73,38 @@ def explog_exp1(c: float | np.ndarray) -> float | np.ndarray:
     - ... - 7! c^8 (truncation error <= 8! c^9) takes over.  Absolute error is
     far below EXPLOG_ABS_TOL everywhere.
 
-    A scalar argument returns a Python float, an array argument a float
-    array of the same shape.  Each element is computed with the same
-    operations in the same order whatever the shape, so an element of an
-    array result is bitwise equal to the scalar result.
+    A scalar (a Python or numpy int or float) is computed in math and returns
+    a Python float; an array returns a float array of the same shape.  Both
+    run each element's operations in the same order, so an array element is
+    bitwise the scalar result; the tests pin both branches and the cutoff.
     """
+    if isinstance(c, (int, float, np.integer, np.floating)):
+        c = float(c) + 0.0  # -0.0 becomes 0.0, as in the array path
+        if not 0.0 <= c < math.inf:
+            raise InvalidArgumentError(f"need finite c >= 0, got {c}")
+        if c >= _SERIES_CUTOFF:
+            from scipy import special
+            return math.exp(1.0 / c) * float(special.exp1(1.0 / c))
+        acc = term = c  # _explog_series, one element
+        for k in range(1, 8):
+            term *= -k * c
+            acc += term
+        return acc
     arr = np.asarray(c, dtype=float)
-    bad = ~np.isfinite(arr) | (arr < 0)
-    if bad.any():
+    lo, hi = (arr.min(), arr.max()) if arr.size else (0.0, 0.0)
+    if not (lo >= 0 and hi < math.inf):  # also false for a NaN: min and max propagate it
+        bad = ~np.isfinite(arr) | (arr < 0)
         raise InvalidArgumentError(f"need finite c >= 0, got {arr[bad].flat[0]}")
-    out = np.zeros(arr.shape)
-    for mask, branch in (((arr > 0) & (arr < _SERIES_CUTOFF), _explog_series),
-                         (arr >= _SERIES_CUTOFF, _explog_identity)):
-        if mask.all():  # one branch covers every element: no gather or scatter
-            out = branch(arr)
-        elif mask.any():
-            out[mask] = branch(arr[mask])
+    if lo >= _SERIES_CUTOFF:
+        out = _explog_identity(arr)
+    elif lo > 0 and hi < _SERIES_CUTOFF:
+        out = _explog_series(arr)
+    else:
+        out = np.zeros(arr.shape)
+        for mask, branch in (((arr > 0) & (arr < _SERIES_CUTOFF), _explog_series),
+                             (arr >= _SERIES_CUTOFF, _explog_identity)):
+            if mask.any():
+                out[mask] = branch(arr[mask])
     return float(out) if arr.ndim == 0 else out
 
 
@@ -105,7 +121,8 @@ def _explog_identity(arr: np.ndarray) -> np.ndarray:
     """e^x E1(x) at x = 1/arr; math.exp, as numpy's SIMD exp is 1 ulp off on some x."""
     from scipy import special
     x = 1.0 / arr
-    return np.array([math.exp(v) for v in x.ravel().tolist()]).reshape(x.shape) * special.exp1(x)
+    exp = np.fromiter(map(math.exp, x.ravel().tolist()), float, x.size)
+    return exp.reshape(x.shape) * special.exp1(x)
 
 
 def _check_odd_n(n: int) -> None:
@@ -260,10 +277,11 @@ def _power_tail(j: int, s: float, a: int, b: int) -> float:
     # s^j (a^(1-j) - b^(1-j)) / (j-1) = s x^(j-1) (1 - (a/b)^(j-1)) / (j-1): no cancellation
     integral = (s * log_ratio if j == 1
                 else -s * x ** (j - 1) * math.expm1((1 - j) * log_ratio) / (j - 1))
-    parts = [integral, (x ** j + y ** j) / 2.0]
+    xj, yj = x ** j, y ** j
+    parts = [integral, (xj + yj) / 2.0]
     rising = j  # j (j+1) ... (j+2m-2), the factor of the (2m-1)-th derivative of k^-j
     for m, coef in enumerate(_EULER_MACLAURIN, 1):
-        parts.append(coef * rising * (x ** j * ia ** (2 * m - 1) - y ** j * ib ** (2 * m - 1)))
+        parts.append(coef * rising * (xj * ia ** (2 * m - 1) - yj * ib ** (2 * m - 1)))
         rising *= (j + 2 * m - 1) * (j + 2 * m)
     return math.fsum(parts)
 

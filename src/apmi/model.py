@@ -81,7 +81,7 @@ class NoiseModel:
     J: float
 
     def __post_init__(self):
-        if not (np.isfinite(self.W) and np.isfinite(self.J)):
+        if not (math.isfinite(self.W) and math.isfinite(self.J)):
             raise InvalidArgumentError("noise powers must be finite")
         if self.W < 0 or self.J < 0:
             raise InvalidArgumentError("noise powers must be nonnegative")
@@ -127,18 +127,22 @@ def spectral_weights(prior: ScenePrior, n: int) -> np.ndarray:
             d[:half] = 1.0 / np.arange(1, half + 1)
             d[half:] = d[:half]
         else:
-            ks = np.arange(2, (n + 1) // 2 + 1)
+            h = (n + 1) // 2
             d[0] = 1.0
-            d[ks - 1] = 1.0 / ks
-            d[n + 1 - ks] = 1.0 / ks
+            d[1:h] = 1.0 / np.arange(2, h + 1)
+            d[h:] = d[1:h][::-1]
         return d
     raise InvalidArgumentError(f"unknown prior {prior!r}")
 
 
 def degenerate_noise(total):
     """True where a total noise power W + rho*J (a float or an array) has no
-    finite inverse: it is zero, or so small (below about 5.6e-309) that
-    1/total overflows.  Every check of a total noise power uses this test."""
+    finite inverse: zero, or below about 5.6e-309, where 1/total overflows.
+    Every noise check uses this test; a scalar is tested in math as a Python
+    float (no numpy overflow warning), pinned by the tests to the array result."""
+    if isinstance(total, (int, float)):
+        total = float(total)
+        return total == 0 or not math.isfinite(1.0 / total)
     with np.errstate(divide="ignore", over="ignore"):
         return ~np.isfinite(np.reciprocal(np.asarray(total, dtype=float)))
 

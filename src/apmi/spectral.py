@@ -40,13 +40,15 @@ def power_spectrum(a: np.ndarray, out: tuple[np.ndarray, np.ndarray] | None = No
     """|lambda_k|^2 of a real row, DC first, or of each row of a (T, n) batch;
     unchecked (ensemble hot path).
 
-    out : optional (complex, float) pair of arrays shaped like a.  The FFT is
-        written into the first and the power into the second, which is
-        returned; the bits are the same as without out.  numpy.fft takes
-        out= from numpy 2.0 on, hence the numpy>=2.0 floor.
+    out : optional (complex, float) pair of arrays shaped like a.  The row is
+        copied into the first (a new complex array without out) and
+        transformed in place, with the bits of fft(a) and no cast temporary;
+        the power is written into the second, which is returned.  numpy.fft
+        takes out= from numpy 2.0 on, hence the numpy>=2.0 floor.
     """
-    spectrum, power = out or (None, None)
-    power = np.abs(np.fft.fft(a, out=spectrum), out=power)
+    spectrum, power = out or (np.empty(a.shape, complex), None)
+    spectrum[...] = a
+    power = np.abs(np.fft.fft(spectrum, out=spectrum), out=power)
     return np.square(power, out=power)
 
 

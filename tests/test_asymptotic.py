@@ -130,20 +130,38 @@ class TestExplogKernel:
         assert explog_exp1(c) <= math.log1p(c) + 1e-12
 
     def test_array_bitwise_equals_scalar_reference(self):
-        cutoff = 1.0 / 600.0
+        """A scalar is computed in math, not numpy.  Each form of an input (a
+        float, an int where exact, an np.float64) gives a Python float with the
+        bits of the matching array element and of the reference kernel."""
+        cutoff = asymptotic._SERIES_CUTOFF
         cs = np.concatenate([np.logspace(-8, 8, 20001),
-                             [0.0, cutoff, np.nextafter(cutoff, 0.0),
-                              np.nextafter(cutoff, 1.0)]])
+                             [0.0, -0.0, cutoff, np.nextafter(cutoff, 0.0),
+                              np.nextafter(cutoff, 1.0), 5e-324, 1e300]])
         got = explog_exp1(cs)
         assert isinstance(got, np.ndarray) and got.shape == cs.shape
         expected = np.array([explog_scalar_reference(float(c)) for c in cs])
         np.testing.assert_array_equal(got.view(np.int64), expected.view(np.int64))
-        np.testing.assert_array_equal(explog_exp1(cs.reshape(5, -1)),
-                                      got.reshape(5, -1))
-        for c in cs[::1000]:
-            value = explog_exp1(float(c))
-            assert type(value) is float
-            assert value == explog_scalar_reference(float(c))
+        np.testing.assert_array_equal(explog_exp1(cs.reshape(8, -1)),
+                                      got.reshape(8, -1))
+        for c, want in zip(cs.tolist(), expected.tolist()):
+            for form in [c, np.float64(c)] + ([int(c)] if c.is_integer() else []):
+                value = explog_exp1(form)
+                assert type(value) is float
+                assert value.hex() == want.hex(), (c, type(form))
+
+    @pytest.mark.parametrize("bad, shown", [(math.nan, "nan"), (math.inf, "inf"),
+                                            (-math.inf, "-inf"), (-1, "-1.0")])
+    def test_scalar_and_array_reject_with_one_message(self, bad, shown):
+        for form in (bad, np.float64(bad), np.array(bad), np.array([0.5, bad, 2.0])):
+            with pytest.raises(InvalidArgumentError,
+                               match=f"^need finite c >= 0, got {re.escape(shown)}$"):
+                explog_exp1(form)
+
+    def test_zero_dim_and_empty_arrays(self):
+        for c in (0.0, 1e-4, 0.5):
+            value = explog_exp1(np.array(c))
+            assert type(value) is float and value == explog_exp1(c)
+        assert explog_exp1(np.empty((0, 3))).shape == (0, 3)
 
     @pytest.mark.parametrize("bad", [float("nan"), float("inf"), -1e-300])
     def test_array_rejects_bad_element(self, bad):

@@ -1,6 +1,8 @@
 """Scene priors, noise model, and the gamma/dB helpers."""
 
 import math
+import re
+import warnings
 
 import numpy as np
 import pytest
@@ -15,7 +17,7 @@ from apmi import (
     gamma,
     spectral_weights,
 )
-from apmi.model import LN2, degenerate_noise, effective_n, to_log_base
+from apmi.model import LN2, degenerate_noise, effective_n, inverse_noise, to_log_base
 
 
 class TestSpectralWeights:
@@ -122,6 +124,21 @@ class TestGamma:
         assert expected[:3].all() and not expected[-3:].any()
         np.testing.assert_array_equal(degenerate_noise(totals), expected)
         assert [bool(degenerate_noise(float(t))) for t in totals] == expected.tolist()
+        assert [bool(degenerate_noise(t)) for t in totals] == expected.tolist()  # np.float64
+        assert degenerate_noise(0) and not degenerate_noise(1)
+
+    @pytest.mark.parametrize("form", [float, np.float64])
+    @pytest.mark.parametrize("total, message", [
+        (0.0, "W + rho*J must be positive"),
+        (1e-320, "W + rho*J is 1e-320, too small to invert"),
+        (5e-324, "W + rho*J is 5e-324, too small to invert")])
+    def test_scalar_degenerate_noise_raises_without_warning(self, form, total, message):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert degenerate_noise(form(total))
+            with pytest.raises(DegenerateNoiseError, match=f"^{re.escape(message)}$"):
+                inverse_noise(form(total))
+            assert inverse_noise(form(0.25), numerator=0.5) == 2.0
 
     def test_rho_out_of_range_rejected(self):
         with pytest.raises(InvalidArgumentError):

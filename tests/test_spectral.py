@@ -108,19 +108,22 @@ class TestSpectrum:
         jensen_bound(gen_mura(13), NOISE)
         assert len(calls) == 2
 
-    @pytest.mark.parametrize("n", [2, 8, 249, 4095])
+    @pytest.mark.parametrize("n", [1, 2, 8, 249, 4095])
     def test_power_spectrum_into_given_arrays(self, n):
         """With out=(spectrum, power), one row or a (T, n) batch has its power
-        written into the given float array, the bits of a call without out."""
+        written into the given float array, the bits of a call without out and
+        of np.square(np.abs(np.fft.fft(a))); the row itself is not written."""
         rng = np.random.default_rng(n)
         for a in (rng.random(n), (rng.random((6, n)) < 0.3).astype(float)):
+            before = a.copy()
             spectrum, power = np.empty(a.shape, dtype=complex), np.empty(a.shape)
             result = power_spectrum(a, out=(spectrum, power))
             assert result is power
             fresh = power_spectrum(a)
             assert np.array_equal(result.view(np.uint64), fresh.view(np.uint64))
             assert np.array_equal(fresh.view(np.uint64),
-                                  (np.abs(np.fft.fft(a)) ** 2).view(np.uint64))
+                                  np.square(np.abs(np.fft.fft(a))).view(np.uint64))
+            assert np.array_equal(a.view(np.uint64), before.view(np.uint64))
 
     def test_fields_cannot_be_rebound(self):
         pattern = gen_mls(3)
