@@ -22,7 +22,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import InvalidArgumentError
-from .model import NoiseModel, ScenePrior, check_p, inverse_noise
+from .model import NoiseModel, ScenePrior, check_odd_n, check_p, inverse_noise
 
 __all__ = [
     "PredictionResult", "PREDICTORS", "BERNOULLI_PREDICTOR", "predict", "explog_exp1",
@@ -91,20 +91,14 @@ def explog_exp1(c: float | np.ndarray) -> float | np.ndarray:
             acc += term
         return acc
     arr = np.asarray(c, dtype=float)
-    lo, hi = (arr.min(), arr.max()) if arr.size else (0.0, 0.0)
-    if not (lo >= 0 and hi < math.inf):  # also false for a NaN: min and max propagate it
+    if arr.size and not (arr.min() >= 0 and arr.max() < math.inf):  # min and max propagate NaN
         bad = ~np.isfinite(arr) | (arr < 0)
         raise InvalidArgumentError(f"need finite c >= 0, got {arr[bad].flat[0]}")
-    if lo >= _SERIES_CUTOFF:
-        out = _explog_identity(arr)
-    elif lo > 0 and hi < _SERIES_CUTOFF:
-        out = _explog_series(arr)
-    else:
-        out = np.zeros(arr.shape)
-        for mask, branch in (((arr > 0) & (arr < _SERIES_CUTOFF), _explog_series),
-                             (arr >= _SERIES_CUTOFF, _explog_identity)):
-            if mask.any():
-                out[mask] = branch(arr[mask])
+    out = np.zeros(arr.shape)
+    for mask, branch in (((arr > 0) & (arr < _SERIES_CUTOFF), _explog_series),
+                         (arr >= _SERIES_CUTOFF, _explog_identity)):
+        if mask.any():
+            out[mask] = branch(arr[mask])
     return float(out) if arr.ndim == 0 else out
 
 
@@ -123,11 +117,6 @@ def _explog_identity(arr: np.ndarray) -> np.ndarray:
     x = 1.0 / arr
     exp = np.fromiter(map(math.exp, x.ravel().tolist()), float, x.size)
     return exp.reshape(x.shape) * special.exp1(x)
-
-
-def _check_odd_n(n: int) -> None:
-    if n < 5 or n % 2 == 0:
-        raise InvalidArgumentError(f"the 1/f-prior formulas need odd n >= 5, got {n}")
 
 
 ####################### IID-prior (white scene) predictors #######################
@@ -215,7 +204,7 @@ def predict_flat_onef(n: int, W: float, J: float, form: str = "midsum") -> Predi
     n; elsewhere it can turn negative, which is rejected.
     """
     NoiseModel(W, J)
-    _check_odd_n(n)
+    check_odd_n(n)
     g = inverse_noise(W + J / 2.0, "W + J/2")
     if form == "midsum":
         value = math.log1p(g * n / 4.0) + 2.0 * _bulk_sum(np.log1p, _LOG1P_SERIES, g / 4.0, n)
@@ -329,7 +318,7 @@ def predict_gaussian_onef(n: int, W: float, rho_j_product: float) -> PredictionR
         E_G[log(gamma G^2 + 1)] + 2 sum_{k=2}^{(n-1)/2} explog_exp1(gamma / k)
     """
     NoiseModel(W, rho_j_product)
-    _check_odd_n(n)
+    check_odd_n(n)
     return _random_onef(n, inverse_noise(W + rho_j_product, "W + rho_j"), 1.0, 0.0)
 
 
@@ -342,7 +331,7 @@ def predict_bernoulli_onef(n: int, p: float, W: float, J: float) -> PredictionRe
     explog_exp1(p(1-p) gamma / k), with gamma = 1/(W + pJ).
     """
     NoiseModel(W, J)
-    _check_odd_n(n)
+    check_odd_n(n)
     check_p(p)
     return _random_onef(n, inverse_noise(W + p * J, "W + p*J"), p * (1.0 - p), p * math.sqrt(n))
 
@@ -376,7 +365,7 @@ def optimal_p_onef(n: int, W: float, J: float, tol: float = 1e-4) -> float:
     """Open fraction maximizing the on-off total-MI prediction under the
     1/f prior, by golden-section search over p in (0.005, 0.995)."""
     NoiseModel(W, J)
-    _check_odd_n(n)
+    check_odd_n(n)
     if not (math.isfinite(tol) and tol > 0):
         raise InvalidArgumentError(f"tol must be finite and positive, got {tol}")
     return _golden_max(lambda p: predict_bernoulli_onef(n, p, W, J).value, 0.005, 0.995, tol)

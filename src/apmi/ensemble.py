@@ -17,11 +17,7 @@ Trials run in blocks of at most BLOCK_BYTES of draws.  A sweep over p
 draws each trial's row once and thresholds it at every grid p (the seed
 does not depend on p), and each block makes one batched FFT and one
 log-sum per p.  With workers > 1, one process pool serves the whole sweep:
-each task is a chunk of trials evaluated at every p.  On a 2-vCPU VM
-(in process, medians of 10 runs), workers=2 ran the fig3 sweep (19 p x
-1000 trials, n=249) in 0.15 s against 0.22 s for workers=1 (1.4x), and
-the IID sweep at n=4095 (5 p x 1000 trials) in 0.36 s against 0.64 s
-(1.8x).
+each task is a chunk of trials evaluated at every p.
 
 Metrics.  IID-prior ensembles default to the bulk per-pixel MI with the DC
 term excluded ("per_pixel_excl_dc") because that is the quantity the
@@ -187,12 +183,11 @@ class EnsembleConfig:
     trials: int                       # number of random apertures, >= 2
     family: str                       # "bernoulli" | "uniform" | "gaussian"
     prior: ScenePrior
-    noise: NoiseModel
+    noise: NoiseModel                 # W and J; gaussian: J is the fixed rho*J product
     master_seed: int = 0
     p: float | None = None            # open fraction (bernoulli only)
     metric: str | None = None         # default: per_pixel_excl_dc (IID) / total (1/f)
     rho_mode: str = "realized"        # gamma from realized mask mean, or nominal
-    rho_j_fixed: float | None = None  # gaussian family: fixed rho*J product
     workers: int = 1
 
     def __post_init__(self):
@@ -211,10 +206,6 @@ class EnsembleConfig:
             raise InvalidArgumentError(f"rho_mode must be one of {RHO_MODES}, got {self.rho_mode!r}")
         if self.family == "bernoulli":
             check_p(self.p)
-        if self.family == "gaussian":
-            if self.rho_j_fixed is None:
-                raise InvalidArgumentError("gaussian family needs rho_j_fixed >= 0")
-            NoiseModel(self.noise.W, self.rho_j_fixed)  # finite, >= 0, W + rho_j_fixed > 0
         if self.workers < 1:
             raise InvalidArgumentError(f"need workers >= 1, got {self.workers}")
 
@@ -252,16 +243,17 @@ class ComparisonRecord:
 
 def _gamma_rho(config: EnsembleConfig, p, rho: np.ndarray) -> np.ndarray:
     """Per trial, the rho in gamma = 1/(W + rho*J): the realized mask means
-    or the family's nominal value (p for bernoulli, 0.5 for uniform)."""
+    or the family's nominal value (p for bernoulli, 0.5 for uniform).  A
+    gaussian row has no transmissivity, so its rho is 1 in both modes."""
+    if config.family == "gaussian":
+        return np.ones_like(rho)
     if config.rho_mode == "realized":
         return rho
     return np.full_like(rho, p if config.family == "bernoulli" else 0.5)
 
 
 def _noise(config: EnsembleConfig, p, rho: np.ndarray) -> np.ndarray:
-    """Per-trial total noise power; gaussian holds it at W + rho_j_fixed."""
-    if config.family == "gaussian":
-        return np.full_like(rho, config.noise.W + config.rho_j_fixed)
+    """Per-trial total noise power W + rho*J."""
     return config.noise.W + _gamma_rho(config, p, rho) * config.noise.J
 
 

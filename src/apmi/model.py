@@ -186,6 +186,12 @@ def db_to_linear(x_db: float) -> float:
     return value
 
 
+def check_odd_n(n: int) -> None:
+    """The 1/f-prior formulas need an odd n >= 5 (effective_n gives one)."""
+    if n < 5 or n % 2 == 0:
+        raise InvalidArgumentError(f"the 1/f-prior formulas need odd n >= 5, got {n}")
+
+
 def effective_n(prior: ScenePrior, n: int) -> int:
     """System size of the 1/f formulas: they pair mirror frequencies, so an
     even n is reduced by one, with a UserWarning.  IID n passes unchanged."""

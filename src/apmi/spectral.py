@@ -6,9 +6,9 @@ the Gaussian channel splits into one log term per frequency:
     I_total = sum_k log(gamma * d_k * |lambda_k|^2 / n + 1)
 
 with lambda = DFT of the aperture row (unnormalized, DC at index 0),
-d the scene prior weights and gamma the inverse noise power.  Every exact MI,
-per pattern or per ensemble trial, goes through power_spectrum (the package's
-one FFT) and mi_sums.  Logs are natural: every value here is in nats.
+d the scene prior weights and gamma the inverse noise power.  Every exact MI
+goes through mi_sums, on power_spectrum (the package's one FFT) or, for a
+loaded MLS or MURA row that proves its label, a theorem spectrum.  In nats.
 """
 
 import math

@@ -31,7 +31,7 @@ CONFIGS = {
     "bernoulli-1f": EnsembleConfig(n=63, trials=16, family="bernoulli",
                                    prior=ScenePrior.ONE_OVER_F, noise=NOISE, master_seed=7, p=0.3),
     "gaussian": EnsembleConfig(n=51, trials=16, family="gaussian", prior=ScenePrior.ONE_OVER_F,
-                               noise=NoiseModel(0.01, 0.0), rho_j_fixed=1.0, master_seed=5),
+                               noise=NOISE, master_seed=5),
     "uniform": EnsembleConfig(n=64, trials=16, family="uniform", prior=ScenePrior.IID,
                               noise=NOISE, master_seed=3),
 }

@@ -574,7 +574,7 @@ class TestReproduce:
         assert proc.returncode == 0, proc.stdout + proc.stderr
         names = ["model basics (weights, gamma, dB)",
                  "MLS and MURA theorem spectra vs the FFT, degrees 3..10",
-                 "MURA self-check and pinhole spectrum",
+                 "pinhole spectrum",
                  "pinhole MI identity",
                  "exponential-expectation kernel",
                  "p* stationarity and 0.01-grid dominance",

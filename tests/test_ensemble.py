@@ -86,8 +86,7 @@ class TestVectorisedSeeding:
         monkeypatch.setitem(RANDOM_DRAWS, family,
                             (method, lambda u, p: rows.append(u.copy()) or mask(u, p)))
         monkeypatch.setattr(ensemble, "BLOCK_BYTES", 160)
-        config = bernoulli_config(n=8, trials=2, family=family, master_seed=master_seed,
-                                  rho_j_fixed=1.0 if family == "gaussian" else None)
+        config = bernoulli_config(n=8, trials=2, family=family, master_seed=master_seed)
         ensemble._eval_range(config, 8, (0.5,), start, stop)
         expected = [getattr(np.random.default_rng(trial_seed(master_seed, t)), method)(8)
                     for t in range(start, stop)]
@@ -139,17 +138,15 @@ class TestConfigValidation:
         with pytest.raises(InvalidArgumentError):
             bernoulli_config(p=1.5)
 
-    def test_gaussian_needs_fixed_noise_product(self):
-        with pytest.raises(InvalidArgumentError):
-            bernoulli_config(family="gaussian", p=None)
-        with pytest.raises(InvalidArgumentError):
-            bernoulli_config(family="gaussian", p=None,
-                             noise=NoiseModel(0.0, 1.0), rho_j_fixed=0.0)
-
-    @pytest.mark.parametrize("rho_j", [-1.0, math.nan, math.inf])
-    def test_gaussian_fixed_product_validated_as_noise(self, rho_j):
-        with pytest.raises(InvalidArgumentError, match="noise powers"):
-            bernoulli_config(family="gaussian", p=None, rho_j_fixed=rho_j)
+    def test_gaussian_shot_term_is_noise_j(self):
+        """A gaussian row has rho = 1, so its shot term is the noise model's J:
+        the mean moves with J, and W = J = 0 is still rejected."""
+        means = [run_ensemble(bernoulli_config(family="gaussian", p=None,
+                                               noise=NoiseModel(0.01, J))).mean
+                 for J in (0.5, 1.0)]
+        assert means[0] > means[1]
+        with pytest.raises(InvalidArgumentError, match="both be zero"):
+            bernoulli_config(family="gaussian", p=None, noise=NoiseModel(0.0, 0.0))
 
     def test_rejects_bad_switches(self):
         with pytest.raises(InvalidArgumentError):
@@ -213,8 +210,7 @@ class TestRunEnsemble:
 
     def test_gaussian_family(self):
         cfg = EnsembleConfig(n=51, trials=8, family="gaussian",
-                             prior=ScenePrior.ONE_OVER_F, noise=NoiseModel(0.01, 0.0),
-                             rho_j_fixed=1.0, master_seed=5)
+                             prior=ScenePrior.ONE_OVER_F, noise=NOISE, master_seed=5)
         stats = run_ensemble(cfg)
         assert stats.kind == "total"
         assert math.isfinite(stats.mean) and stats.mean > 0

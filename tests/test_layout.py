@@ -85,6 +85,26 @@ def test_one_odd_n_reducer():
     assert occurrences("odd-n formula") == {"model.py": 1}
 
 
+def test_one_odd_n_guard():
+    """The 1/f formulas' odd-n check lives beside the reducer, in model.check_odd_n."""
+    assert occurrences(r"need odd n >= 5") == {"model.py": 1}
+    assert "need odd n >= 5" in inspect.getsource(model.check_odd_n)
+
+
+def test_gaussian_shot_term_from_noise_model():
+    """A gaussian ensemble reads its rho*J product from NoiseModel.J; no
+    config field holds a second copy."""
+    assert occurrences(r"rho_j_fixed") == {}
+
+
+def test_explog_splits_arrays_one_way():
+    """explog_exp1 sends every array through one masked split; no shortcut
+    runs a branch on the whole array."""
+    source = inspect.getsource(asymptotic.explog_exp1)
+    assert len(re.findall(r"\b_explog_identity\b", source)) == 1
+    assert not re.search(r"_explog_(?:identity|series)\(arr\)", source)
+
+
 def test_one_predictor_registry():
     """asymptotic.PREDICTORS is the one predictor dispatch: the CLI and the
     ensemble call no predict_* function and import none."""
