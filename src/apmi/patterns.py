@@ -211,48 +211,48 @@ def gen_mls(degree: int, seed_state: int | None = None) -> AperturePattern:
     if not 1 <= seed_state <= n:
         raise InvalidArgumentError(
             f"seed_state must lie in [1, {n}], got {seed_state}")
-
-    poly = (1 << m) | 1
-    for t in MLS_POLYNOMIALS[m]:
-        poly |= 1 << t
-
-    # Multiply-by-x recurrence in GF(2)[x]/poly; bit 0 of the state traces
-    # out one period of the m-sequence.  K copies of the register run in
-    # lockstep, copy k started k*L steps in (its state times x^(k*L)), and
-    # step j of copy k writes element k*L + j.
-    L = 1 << (m + 1) // 2
-    K = -(-n // L)
-    x_to_l = 2  # x, squared (m+1)//2 times
-    for _ in range((m + 1) // 2):
-        x_to_l = _gf2_mulmod(x_to_l, x_to_l, poly, m)
-    starts = [seed_state]
-    for _ in range(K - 1):
-        starts.append(_gf2_mulmod(starts[-1], x_to_l, poly, m))
-    state = np.array(starts, dtype=np.int64)
-    out = np.empty(K * L)
-    rows = out.reshape(K, L)
-    for j in range(L):
-        rows[:, j] = state & 1
-        state <<= 1
-        state ^= (state >> m) * poly  # bit m is the only bit above m - 1
-    pattern = AperturePattern(out[:n], PatternFamily.MLS, metadata={
-        "degree": m, "polynomial_taps": (m, *MLS_POLYNOMIALS[m], 0), "seed_state": seed_state})
+    taps = MLS_POLYNOMIALS[m]
+    pattern = AperturePattern(_mls_row(m, taps, seed_state), PatternFamily.MLS, metadata={
+        "degree": m, "polynomial_taps": (m, *taps, 0), "seed_state": seed_state})
     _check_spectrum(pattern, f"gen_mls(degree={degree})", per_bin=True)
     return pattern
 
 
-def _gf2_mulmod(a: int, b: int, poly: int, m: int) -> int:
-    """Product of two GF(2) polynomials (bit masks of degree < m) modulo
-    ``poly`` of degree m."""
-    product = 0
-    while b:
-        if b & 1:
-            product ^= a
-        b >>= 1
-        a <<= 1
-        if a >> m & 1:
-            a ^= poly
-    return product
+def _mls_row(m: int, taps: tuple[int, ...], state: int) -> np.ndarray:
+    """One period of the Galois register's output from ``state``, as floats.
+
+    Step j outputs bit 0 of x^j * state mod P, P = x^m + sum(x^t) + 1, so the
+    row obeys a[j+m] = a[j] ^ XOR of a[j+t] (Golomb, Shift Register Sequences,
+    1967).  Over GF(2), P(x)^D = P(x^D) for D = 2^i (the Frobenius map; Lidl
+    & Niederreiter, Finite Fields, ch. 1), so a[j+m*D] = a[j] ^ XOR of
+    a[j+t*D] too.  After m register steps, each pass takes the largest D with
+    m*D <= known bits and adds the next (m - max(taps))*D to one int by one
+    shift-XOR.  The int is unpacked 8 KB at a time and dies on return.
+    """
+    n = (1 << m) - 1
+    poly = (1 << m) | 1 | sum(1 << t for t in taps)
+    bits = 0
+    for j in range(m):
+        bits |= (state & 1) << j
+        state <<= 1
+        if state >> m & 1:
+            state ^= poly
+    known = m
+    while known < n:
+        d = 1 << (known // m).bit_length() - 1
+        window = bits >> known - m * d  # a[known - m*d .. known - 1]
+        new = window
+        for t in taps:
+            new ^= window >> t * d
+        count = min((m - max(taps)) * d, n - known)
+        bits |= (new & (1 << count) - 1) << known
+        known += count
+    packed = memoryview(bits.to_bytes(-(-n // 8), "little"))
+    out = np.empty(8 * len(packed))
+    for i in range(0, len(packed), 1 << 13):  # a 64 KB uint8 temporary per step
+        chunk = np.unpackbits(np.asarray(packed[i:i + (1 << 13)]), bitorder="little")
+        out[8 * i:8 * i + chunk.size] = chunk
+    return out[:n]
 
 
 def _is_prime(n: int) -> bool:

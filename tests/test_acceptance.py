@@ -1,4 +1,4 @@
-"""Acceptance gate: eleven end-to-end claims the package must satisfy.
+"""Acceptance gate: twelve end-to-end claims the package must satisfy.
 
 Each test prints one PASS/FAIL line (visible with `pytest -s`) and asserts
 the claim with its pinned tolerance.  The claims combine exact closed-form
@@ -204,3 +204,12 @@ class TestAcceptance:
         report(11, worst <= 1e-13,
                f"worst odd-n relative error {worst:.1e} (<= 1e-13); "
                f"even-n 1/f offset {offset:.4e} (pinned)")
+
+    def test_criterion_12_pinhole_crossover(self):
+        """The paper's pinhole comparison at n = 255, J = 1, in exact bulk
+        per-pixel MI: the pinhole beats the flat MLS mask at W = 1e-3 and
+        loses to it at W = 1e-2."""
+        low, high = run_check(12, checks.pinhole_crossover)
+        report(12, low > 0 > high,
+               f"pinhole minus MLS bulk MI {low:+.4f} nats at W=1e-3, "
+               f"{high:+.4f} at W=1e-2")

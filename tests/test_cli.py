@@ -576,6 +576,7 @@ class TestReproduce:
                  "MLS and MURA theorem spectra vs the FFT, degrees 3..10",
                  "pinhole spectrum",
                  "pinhole MI identity",
+                 "pinhole beats MLS at W=1e-3, loses at W=1e-2",
                  "exponential-expectation kernel",
                  "p* stationarity and 0.01-grid dominance",
                  "flat predictor beats Bernoulli(1/2)",
@@ -583,7 +584,7 @@ class TestReproduce:
                  "ensemble determinism across workers",
                  "exact MI against the dense log det"]
         assert proc.stdout.splitlines() == (
-            [f"ok    {name}" for name in names] + ["selftest: 10/10 checks passed"])
+            [f"ok    {name}" for name in names] + ["selftest: 11/11 checks passed"])
 
     def test_fig2_points_bounded(self, tmp_path):
         out_csv = tmp_path / "fig2.csv"

@@ -53,6 +53,20 @@ def mls_loop_reference(degree, seed_state=None):
     return a
 
 
+def gf2_mulmod(a, b, poly, m):
+    """Product of two GF(2) polynomials (bit masks of degree < m) modulo
+    ``poly`` of degree m."""
+    product = 0
+    while b:
+        if b & 1:
+            product ^= a
+        b >>= 1
+        a <<= 1
+        if a >> m & 1:
+            a ^= poly
+    return product
+
+
 def prime_factors(n):
     """The distinct prime factors of n, by trial division."""
     factors, q = [], 2
@@ -193,8 +207,8 @@ class TestMLS:
                 result, base = 1, 0b10  # base is x
                 while e:
                     if e & 1:
-                        result = patterns._gf2_mulmod(result, base, poly, m)
-                    base = patterns._gf2_mulmod(base, base, poly, m)
+                        result = gf2_mulmod(result, base, poly, m)
+                    base = gf2_mulmod(base, base, poly, m)
                     e >>= 1
                 return result
             order = (1 << m) - 1
@@ -220,8 +234,10 @@ class TestMLS:
 
     @pytest.mark.parametrize("degree", sorted(MLS_POLYNOMIALS))
     def test_matches_loop_reference(self, degree):
+        """Bitwise the register stepped one output at a time, from state 1,
+        the all-ones state 2^m - 1 (the default) and fixed states between."""
         n = 2 ** degree - 1
-        seeds = [None] + ([1, 2, n // 2, n - 1] if degree <= 16 else [])
+        seeds = [None] + ([1, 2, n // 2, n - 1, n] if degree <= 16 else [])
         for seed_state in dict.fromkeys(seeds):  # n // 2 == 1 at degree 2
             np.testing.assert_array_equal(gen_mls(degree, seed_state).values,
                                           mls_loop_reference(degree, seed_state))
@@ -645,7 +661,12 @@ class TestProvenSpectrum:
 
 
 def test_flatness_guard_trips_on_bad_table(monkeypatch):
-    """A non-primitive polynomial must be caught by the generation check."""
+    """A non-primitive polynomial must be caught by the generation check.
+    The doubling identity gen_mls builds its row by holds for any GF(2)
+    polynomial, so that row is still the register's, from every state."""
     monkeypatch.setitem(MLS_POLYNOMIALS, 4, (2,))  # x^4+x^2+1 is reducible
     with pytest.raises(FlatnessCheckError):
         gen_mls(4)
+    for seed_state in range(1, 16):
+        np.testing.assert_array_equal(patterns._mls_row(4, (2,), seed_state),
+                                      mls_loop_reference(4, seed_state))
