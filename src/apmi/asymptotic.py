@@ -11,8 +11,8 @@ expectation is routed through a single audited kernel:
 All predictor values are in nats.  Per-pixel predictors describe the bulk
 (DC-excluded) per-pixel MI; the 1/f-prior predictors return total MI and
 include the DC term explicitly.  Their bulk sums over k = 2..(n-1)/2 share one
-engine, _bulk_sum: an exact head of at least 4095 terms and a closed
-Euler-Maclaurin tail, so their cost does not grow with n.
+engine, _bulk_sum: an exact head and closed Euler-Maclaurin sums past it, so
+their cost grows with neither n nor, for explog_exp1 up to s = 1e4, the SNR.
 """
 
 import itertools
@@ -207,7 +207,9 @@ def predict_flat_onef(n: int, W: float, J: float, form: str = "midsum") -> Predi
     check_odd_n(n)
     g = inverse_noise(W + J / 2.0, "W + J/2")
     if form == "midsum":
-        value = math.log1p(g * n / 4.0) + 2.0 * _bulk_sum(np.log1p, _LOG1P_SERIES, g / 4.0, n)
+        value = math.log1p(g * n / 4.0)  # an infinite DC term needs no bulk sum
+        if math.isfinite(value):
+            value += 2.0 * _bulk_sum(np.log1p, _LOG1P_SERIES, g / 4.0, n)
     elif form == "closed":
         value = math.log(g * n / 4.0) + g / 2.0 * (math.log(n / 2.0) - 1.0)
         if value < 0:
@@ -275,27 +277,59 @@ def _power_tail(j: int, s: float, a: int, b: int) -> float:
     return math.fsum(parts)
 
 
-def _bulk_sum(term, series: tuple, s: float, n: int) -> float:
-    """sum_{k=2}^{(n-1)/2} term(s / k), where term(c) is an elementwise array
-    function equal to sum_j series[j-1] c^j for c < _SERIES_CUTOFF.
+def _explog_cf(x):
+    """e^x E1(x) at a long double x >= 0.4 by the even part of DLMF 6.9.1, 1/(x+1- 1/(x+3-
+    4/(x+5- ...))), cut after n = 180/x + 12 levels: below 1e-21 of it up to x = 1e4."""
+    t = x + 2 * (n := int(180 / x) + 12) + 1
+    for j in range(n, 0, -1):
+        t = x + 2 * j - 1 - j * j / t
+    return 1 / t
 
-    The head k <= K = max(4096, floor(s / _SERIES_CUTOFF) + 1) calls term on
-    up to _BULK_CHUNK values at a time and sums the values exactly.  Every
-    later c = s/k is below the cutoff, so the tail is
-    sum_j series[j-1] sum_{k>K} (s/k)^j, one _power_tail per j: the work does
-    not grow with n.  One math.fsum rounds the head terms and the tail parts
-    together, so without a tail (n <= 8193 or s >= top * _SERIES_CUTOFF) the
-    result is math.fsum of the per-term values, bit for bit."""
+
+def _e1_sum(s: float, a: int, b: int) -> list[float]:
+    """Parts of sum_{k=a}^{b} g(k/s), g(x) = e^x E1(x), for integers 64 < a <= b with
+    a/s >= 0.4, by Euler-Maclaurin through B_8 (remainder below 1e-20 of the sum) from g
+    at the two ends: E1' = -e^-x/x (DLMF 6.2.1) gives g' = g - 1/x, so the r-th derivative
+    is g + sum_{j<=r} (-1)^j (j-1)! x^-j and the antiderivative g + log x.  The integral
+    s (g + log x), as large as the sum, is formed in long double and kept as two doubles."""
+    ls = np.longdouble(s)
+    ga, gb = (_explog_cf(np.longdouble(k) / ls) for k in (a, b))
+    whole = ls * (np.log1p(np.longdouble(b - a) / a) + gb - ga)
+    da, db = ga, gb = float(ga), float(gb)  # then the r-th x-derivatives; d/dk is (1/s) d/dx
+    parts = [float(whole), float(whole - float(whole)), (ga + gb) / 2.0]
+    for r, coef in enumerate(_EXPLOG_SERIES[:7], 1):  # coef = -(-1)^r (r-1)!
+        da, db = da - coef * (s / a) ** r, db - coef * (s / b) ** r
+        if r % 2:
+            parts.append(_EULER_MACLAURIN[r // 2] * (db - da) / s ** r)
+    return parts
+
+
+def _bulk_sum(term, series: tuple, s: float, n: int, e1: bool = False) -> float:
+    """sum_{k=2}^{top} term(s / k), top = (n-1)/2, for an elementwise array function
+    term(c) equal to sum_j series[j-1] c^j for c < _SERIES_CUTOFF (e1: and to e^x E1(x), x = 1/c).
+
+    The head k <= H calls term on up to _BULK_CHUNK values at a time; H = top up to
+    top = 4096, else max(30, K).  Past K = floor(s / _SERIES_CUTOFF) + 1 every c is on
+    the series: sum_j series[j-1] sum_{k>K} (s/k)^j (_power_tail).  With e1 and s <= 1e4,
+    H = min(K, 4096, max(64, ceil(s / 2.4))), so k/s >= 0.4 past it, and H < k <= min(K, top)
+    is one Euler-Maclaurin sum (_e1_sum).  One math.fsum rounds all parts: an all-head
+    sum is math.fsum of its terms, bit for bit."""
     top = (n - 1) // 2
-    head, tail = top, []
-    if s < top * _SERIES_CUTOFF:  # a float test first: s may be too large for an int
-        head = min(top, max(4096, int(s / _SERIES_CUTOFF) + 1))
-        if head < top:
-            tail = [a * _power_tail(j, s, head + 1, top) for j, a in enumerate(series, 1)]
+    head, parts = top, []
+    if top > 4096:
+        # K, at most top + 1; a float test first: s may be too large for an int
+        branch = int(s / _SERIES_CUTOFF) + 1 if s < top * _SERIES_CUTOFF else top + 1
+        head = max(30, min(branch, 4096, max(64, math.ceil(s / 2.4))) if e1 and s <= 1e4
+                   else branch)
+        if head < branch:
+            parts = _e1_sum(s, head + 1, min(branch, top))
+        head, start = min(head, top), max(head, branch) + 1
+        if start <= top:
+            parts += [a * _power_tail(j, s, start, top) for j, a in enumerate(series, 1)]
     starts = range(2, head + 1, _BULK_CHUNK)
     return _exact_fsum(itertools.chain(
         (term(s / np.arange(i, min(i + _BULK_CHUNK, head + 1))) for i in starts),
-        [np.array(tail, dtype=float)]))
+        [np.array(parts, dtype=float)]))
 
 
 def _random_onef(n: int, g: float, var: float, mean: float) -> PredictionResult:
@@ -303,7 +337,7 @@ def _random_onef(n: int, g: float, var: float, mean: float) -> PredictionResult:
     mask whose lambda_1/sqrt(n) tends to N(mean, var) and each bulk |lambda_k|^2/n to
     var * Exp(1); the error estimate adds EXPLOG_ABS_TOL per bulk term to the DC's."""
     dc, dc_err = _normal_expect_log(g, sd=math.sqrt(var), mean=mean)
-    bulk = 2.0 * _bulk_sum(explog_exp1, _EXPLOG_SERIES, var * g, n)
+    bulk = 2.0 * _bulk_sum(explog_exp1, _EXPLOG_SERIES, var * g, n, e1=True)
     err = dc_err + 2 * ((n - 1) // 2 - 1) * EXPLOG_ABS_TOL
     return PredictionResult(dc + bulk, "total", "quadrature", est_abs_error=err)
 

@@ -3,7 +3,7 @@
 A check raises AssertionError with a one-line reason when its invariant does
 not hold.  It raises explicitly rather than through ``assert``, so the checks
 also run under ``python -O``.  The checks behind acceptance criteria 1, 2, 5,
-6, 11 and 12 return what they measured for the criterion's report line;
+6, 11, 12 and 13 return what they measured for the criterion's report line;
 three take the range they cover, so the selftest runs a smaller one.
 """
 
@@ -17,6 +17,7 @@ import numpy as np
 from .asymptotic import (
     explog_exp1,
     optimal_p_iid,
+    optimal_p_onef,
     predict_bernoulli_iid,
     predict_flat_iid,
     predict_pinhole,
@@ -146,6 +147,14 @@ def pstar_optimality(points: int) -> float:
     return worst
 
 
+def thermal_pstar_onef() -> list[float]:
+    """The 1/f on-off p* (J = 0, n = 1e6+1, tol 1e-7) at W = 1e-2, 1e-3, 1e-4 lies above
+    1/2 and falls toward it (0.50106, 0.50014, 0.50002).  Returns the three."""
+    stars = [optimal_p_onef(1000001, W, 0.0, tol=1e-7) for W in (1e-2, 1e-3, 1e-4)]
+    _check(stars[0] > stars[1] > stars[2] > 0.5, f"p* does not fall toward 1/2: {stars}")
+    return stars
+
+
 def flat_beats_half() -> None:
     for W in (0.01, 1.0, 100.0):
         half = predict_bernoulli_iid(0.5, W, 1.0).value
@@ -246,6 +255,7 @@ SELFTEST = (
     ("exponential-expectation kernel", explog_kernel),
     ("p* stationarity and 0.01-grid dominance", lambda: pstar_optimality(100)),
     ("flat predictor beats Bernoulli(1/2)", flat_beats_half),
+    ("1/f p* above 1/2, nearing it as thermal noise falls", thermal_pstar_onef),
     ("Jensen bound and Frobenius identity", lambda: jensen_frobenius(range(20))),
     ("ensemble determinism across workers", ensemble_determinism),
     ("exact MI against the dense log det", dense_logdet),

@@ -1,4 +1,4 @@
-"""Acceptance gate: twelve end-to-end claims the package must satisfy.
+"""Acceptance gate: thirteen end-to-end claims the package must satisfy.
 
 Each test prints one PASS/FAIL line (visible with `pytest -s`) and asserts
 the claim with its pinned tolerance.  The claims combine exact closed-form
@@ -213,3 +213,12 @@ class TestAcceptance:
         report(12, low > 0 > high,
                f"pinhole minus MLS bulk MI {low:+.4f} nats at W=1e-3, "
                f"{high:+.4f} at W=1e-2")
+
+    def test_criterion_13_thermal_pstar_one_over_f(self):
+        """The abstract's thermal-noise claim under the 1/f prior: at J = 0
+        and n = 1e6+1 the on-off p* lies above 1/2 and falls toward it as W
+        goes from 1e-2 to 1e-4."""
+        stars = run_check(13, checks.thermal_pstar_onef)
+        report(13, stars[0] > stars[1] > stars[2] > 0.5,
+               "p* - 1/2 = " + ", ".join(f"{p - 0.5:.2e}" for p in stars)
+               + " at W = 1e-2, 1e-3, 1e-4")

@@ -530,20 +530,52 @@ class TestExactFsum:
         assert asymptotic._exact_fsum([]).hex() == math.fsum([]).hex()
 
 
+def _mpmath_e1_diffs(s, k):
+    """f(k), f'(k), f''(k), ... for f(k) = e^x E1(x) at x = k/s, at 80 digits:
+    the r-th k-derivative is s^-r (g(x) + sum_{j<=r} (-1)^j (j-1)! x^-j)."""
+    mpmath = pytest.importorskip("mpmath")
+    with mpmath.workdps(80):
+        sm = mpmath.mpf(s)
+        x = k / sm
+        deriv = mpmath.exp(x) * mpmath.e1(x)
+        for r in itertools.count():
+            yield deriv / sm ** r
+            deriv += (-1) ** (r + 1) * mpmath.factorial(r) / x ** (r + 1)
+
+
 @functools.cache
 def _mpmath_head(kind, s, last):
+    """40-digit sum over k = 2..last: term by term up to k = 500, and beyond
+    it log1p by log-gamma differences, e^x E1(x) by mpmath.sumem, a
+    40-digit Euler-Maclaurin sum with its integral s (g + log x) and
+    derivatives by _mpmath_e1_diffs."""
     mpmath = pytest.importorskip("mpmath")
     with mpmath.workdps(40):
         sm = mpmath.mpf(s)
-        if kind == "explog":
-            return mpmath.fsum(mpmath.exp(k / sm) * mpmath.e1(k / sm) for k in range(2, last + 1))
-        return mpmath.fsum(mpmath.log1p(sm / k) for k in range(2, last + 1))
+
+        def term(k):
+            if kind == "explog":
+                return mpmath.exp(k / sm) * mpmath.e1(k / sm)
+            return mpmath.log1p(sm / k)
+
+        total = mpmath.fsum(term(k) for k in range(2, min(last, 500) + 1))
+        if last <= 500:
+            return total
+        a, b = 501, last
+        if kind == "log1p":
+            # prod_{k=a}^{b} (k + s)/k = Gamma(b+1+s) Gamma(a) / (Gamma(a+s) Gamma(b+1))
+            with mpmath.workdps(60):
+                return total + (mpmath.loggamma(b + 1 + sm) - mpmath.loggamma(a + sm)
+                                - mpmath.loggamma(b + 1) + mpmath.loggamma(a))
+        integral = sm * (term(b) + mpmath.log(b / sm) - term(a) - mpmath.log(a / sm))
+        return total + mpmath.sumem(term, [a, b], integral=integral,
+                                    adiffs=_mpmath_e1_diffs(s, a), bdiffs=_mpmath_e1_diffs(s, b))
 
 
 def bulk_mpmath(kind, s, n):
     """40-digit sum over k = 2..(n-1)/2 of explog_exp1(s/k) ("explog") or
-    log1p(s/k) ("log1p"), with no Euler-Maclaurin: e^x E1(x) at x = k/s (or
-    log1p) term by term up to k = 100 s, then 14 terms of the series in s/k,
+    log1p(s/k) ("log1p"): e^x E1(x) at x = k/s (or log1p) up to k = 100 s by
+    _mpmath_head, then 14 terms of the series in s/k,
     sum_j a_j s^j sum_{k>=a} k^-j, each power sum a Hurwitz zeta (digamma at j = 1).
     The first omitted series term is below 14! 100^-14 ~ 1e-17 of s/k, and the
     omitted terms add up to below 1e-17 of s, far under an ulp of the sum."""
@@ -616,7 +648,7 @@ class TestOneFBulkSums:
         exact = math.log1p(g * n / 4.0) + 2 * bulk_mpmath("log1p", g / 4.0, n)
         assert_within_ulps(predict_flat_onef(n, W, J).value, exact, 2)
 
-    # n = 8195 has a one-term tail (k = 4097); the widest s has a 500-term mpmath head.
+    # n = 8195 is the least n with a closed part; the widest s has a 500-term mpmath head.
     @pytest.mark.parametrize("s", [1e-4, 0.01, 0.21, 0.82, 5.0])
     @pytest.mark.parametrize("kind, term, series", [
         ("explog", explog_exp1, asymptotic._EXPLOG_SERIES),
@@ -624,8 +656,56 @@ class TestOneFBulkSums:
     ])
     def test_against_mpmath(self, kind, term, series, s):
         for n in (1001, 8195, 1000001, 10**9 + 1):
-            assert_within_ulps(asymptotic._bulk_sum(term, series, s, n),
+            assert_within_ulps(asymptotic._bulk_sum(term, series, s, n, kind == "explog"),
                                bulk_mpmath(kind, s, n), 2)
+
+    # At high SNR the E1 branch past the head is one Euler-Maclaurin sum; at
+    # n = 8195 and s = 1e4 it is the single term k = 4097.
+    @pytest.mark.parametrize("s", [20.0, 100.0, 1e3, 1e4])
+    @pytest.mark.parametrize("kind, term, series, e1", [
+        ("explog", explog_exp1, asymptotic._EXPLOG_SERIES, True),
+        ("log1p", np.log1p, asymptotic._LOG1P_SERIES, False),
+    ])
+    def test_high_snr_against_mpmath(self, kind, term, series, e1, s):
+        for n in (8195, 1000001, 10**9 + 1):
+            assert_within_ulps(asymptotic._bulk_sum(term, series, s, n, e1),
+                               bulk_mpmath(kind, s, n), 2)
+
+    # An Euler-Maclaurin range a little longer than its head: its integral
+    # s (g + log x) at the two ends is about as large as the sum, so the ends'
+    # rounding shows in full.  Formed in double, with the kernel's g or the
+    # continued fraction's at the ends, these read 2.1 to 4.5 ulp from the reference.
+    @pytest.mark.parametrize("s, n", [
+        (861.9163731891733, 8195), (3492.0907119915632, 16541), (9495.140976126504, 32769),
+        (7021.328161668026, 8195), (6168.553268603654, 12181)])
+    def test_short_e1_range_against_mpmath(self, s, n):
+        got = asymptotic._bulk_sum(explog_exp1, asymptotic._EXPLOG_SERIES, s, n, True)
+        assert_within_ulps(got, bulk_mpmath("explog", s, n), 1)
+
+    def test_explog_cf_against_mpmath(self):
+        """_explog_cf's cut is below 1e-21 of e^x E1(x) (run in mpmath at 40
+        digits) on [0.4, 1e4], and its long double value within 1e-18 of it
+        (1e-15 where long double is double)."""
+        mpmath = pytest.importorskip("mpmath")
+        wide = np.finfo(np.longdouble).nmant >= 63
+        with mpmath.workdps(40):
+            for x in np.geomspace(0.4, 1e4, 97):
+                want = mpmath.exp(x) * mpmath.e1(x)
+                assert abs(asymptotic._explog_cf(mpmath.mpf(x)) / want - 1) < 1e-21
+                got = asymptotic._explog_cf(np.longdouble(x))
+                value = mpmath.mpf(float(got)) + mpmath.mpf(float(got - np.longdouble(float(got))))
+                assert abs(value / want - 1) < (1e-18 if wide else 1e-15), x
+
+    def test_reference_derivatives_match_mpmath_diff(self):
+        """_mpmath_e1_diffs, the reference's derivative identity, against
+        mpmath's numerical derivatives of e^x E1(x) at x = k/s."""
+        mpmath = pytest.importorskip("mpmath")
+        with mpmath.workdps(40):
+            for s, k in ((1e3, 420), (20.0, 3000)):
+                sm = mpmath.mpf(s)
+                diffs = mpmath.diffs(lambda t: mpmath.exp(t / sm) * mpmath.e1(t / sm), k, 8)
+                for want, got in zip(diffs, _mpmath_e1_diffs(s, k)):
+                    assert abs(got - want) <= mpmath.mpf(10) ** -30 * abs(want)
 
     @pytest.mark.parametrize("a", [30, 4097, 10**6])
     def test_power_tail_against_zeta(self, a):
@@ -637,9 +717,10 @@ class TestOneFBulkSums:
                          else sm ** j * (mpmath.zeta(j, a) - mpmath.zeta(j, b + 1)))
                 assert_within_ulps(asymptotic._power_tail(j, s, a, b), exact, j + 2)
 
-    def test_work_does_not_grow_with_n(self, monkeypatch):
-        """Each predictor call of the p* search at n = 1e9+1 evaluates at most
-        K = 4096 terms: s = p(1-p)/(W + pJ) < 1 keeps K at its floor."""
+    @staticmethod
+    def kernel_work(monkeypatch, W, J):
+        """The kernel's elements in each predictor call of the p* search at
+        n = 1e9+1: the head terms, as an Euler-Maclaurin range takes no kernel value."""
         counts, kernel, predict = [], asymptotic.explog_exp1, asymptotic.predict_bernoulli_onef
 
         def counting_kernel(c):
@@ -652,9 +733,20 @@ class TestOneFBulkSums:
 
         monkeypatch.setattr(asymptotic, "explog_exp1", counting_kernel)
         monkeypatch.setattr(asymptotic, "predict_bernoulli_onef", counting_predict)
-        p_star = optimal_p_onef(10**9 + 1, 0.01, 1.0)
-        assert 0.005 < p_star < 0.995
-        assert len(counts) > 10 and all(0 < c <= 4096 for c in counts), counts
+        p_star = optimal_p_onef(10**9 + 1, W, J)
+        assert 0.005 < p_star < 0.995 and len(counts) > 10
+        return counts
+
+    def test_work_does_not_grow_with_n(self, monkeypatch):
+        """s = p(1-p)/(W + pJ) < 1 at J = 1 keeps the head at most 64 terms."""
+        heads = self.kernel_work(monkeypatch, 0.01, 1.0)
+        assert all(0 < c <= 64 for c in heads), heads
+
+    def test_work_does_not_grow_with_snr(self, monkeypatch):
+        """At J = 0, W = 1e-4, s reaches 2500: the head stays at most 4096 terms
+        (1042 here), where summed term by term up to 600 s it had 1.5 million."""
+        heads = self.kernel_work(monkeypatch, 1e-4, 0.0)
+        assert all(0 < c <= 4096 for c in heads), heads
 
     def test_huge_s_takes_the_head_only(self):
         # Whether a tail exists is a float test, made before s / _SERIES_CUTOFF

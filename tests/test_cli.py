@@ -580,11 +580,12 @@ class TestReproduce:
                  "exponential-expectation kernel",
                  "p* stationarity and 0.01-grid dominance",
                  "flat predictor beats Bernoulli(1/2)",
+                 "1/f p* above 1/2, nearing it as thermal noise falls",
                  "Jensen bound and Frobenius identity",
                  "ensemble determinism across workers",
                  "exact MI against the dense log det"]
         assert proc.stdout.splitlines() == (
-            [f"ok    {name}" for name in names] + ["selftest: 11/11 checks passed"])
+            [f"ok    {name}" for name in names] + ["selftest: 12/12 checks passed"])
 
     def test_fig2_points_bounded(self, tmp_path):
         out_csv = tmp_path / "fig2.csv"
@@ -689,6 +690,18 @@ def test_non_finite_result_exits_2(tmp_path, argv):
     assert proc.stderr.startswith("error: ") and proc.stderr.count("\n") == 1, proc.stderr
     assert "not finite" in proc.stderr
     assert list(tmp_path.iterdir()) == []
+
+
+def test_flat_onef_infinite_dc_skips_the_bulk_sum(capsys, monkeypatch):
+    """An infinite DC term makes the flat-1f total infinite whatever the bulk
+    sum, so the 5e8-term sum at this n and W is never started."""
+    from apmi import asymptotic
+    calls, bulk_sum = [], asymptotic._bulk_sum
+    monkeypatch.setattr(asymptotic, "_bulk_sum", lambda *a: calls.append(a) or bulk_sum(*a))
+    code, out, err = run(capsys, "predict", "flat-1f", "--n", "1000000001",
+                         "--W", "1e-300", "--J", "0")
+    assert (code, out, calls) == (2, "", [])
+    assert err == "error: value not finite: the noise power is too small\n"
 
 
 @pytest.mark.parametrize("argv, W, J", [
