@@ -15,7 +15,6 @@ engine, _bulk_sum: an exact head and closed Euler-Maclaurin sums past it, so
 their cost grows with neither n nor, for explog_exp1 up to s = 1e4, the SNR.
 """
 
-import itertools
 import math
 from dataclasses import dataclass
 
@@ -53,6 +52,10 @@ _LOG1P_SERIES = tuple((-1) ** (j - 1) / j for j in range(1, 9))
 # B_2m / (2m)! for m = 1..8, the Euler-Maclaurin weights of the bulk-sum tails.
 _EULER_MACLAURIN = tuple(b / math.factorial(2 * m) for m, b in enumerate(
     (1 / 6, -1 / 30, 1 / 42, -1 / 30, 5 / 66, -691 / 2730, 7 / 6, -3617 / 510), 1))
+
+# B_2m / (2m)! j (j+1) ... (j+2m-2), the weights of sum_k k^-j's (2m-1)-th derivatives
+_POWER_WEIGHTS = tuple(tuple(coef * math.prod(range(j, j + 2 * m - 1))
+                             for m, coef in enumerate(_EULER_MACLAURIN, 1)) for j in range(1, 9))
 
 
 @dataclass(frozen=True)
@@ -236,45 +239,48 @@ def _normal_expect_log(gamma_: float, sd: float, mean: float) -> tuple[float, fl
     return float(val), float(err)
 
 
-def _exact_fsum(chunks) -> float:
-    """math.fsum of every element of the float arrays `chunks`, bit for bit, by
-    error-free extraction (Rump, Ogita & Oishi, SIAM J. Sci. Comput. 31(1), 2008):
-    for 2^M >= N + 2 and a power of two sigma > 2^M max|r|, q = (sigma + r) - sigma
-    and r - q are exact, and np.sum(q) is exact in any order.  Levels with sigma
-    scaled by 2^(M - 52) reduce r to 0; math.fsum rounds the level sums' total once."""
-    parts = []
+def _exact_fsum(chunks, parts=()) -> float:
+    """math.fsum of every element of the float arrays `chunks` and of the floats `parts`,
+    bit for bit, by error-free extraction (Rump, Ogita & Oishi, SIAM J. Sci. Comput.
+    31(1), 2008): for 2^M >= N + 2 and a power of two sigma > 2^M max|r|,
+    q = (sigma + r) - sigma and r - q are exact, and np.sum(q) is exact in any order.
+    Levels with sigma scaled by 2^(M - 52) reduce r to 0; math.fsum rounds the level
+    sums and the parts once."""
+    parts = list(parts)
     for r in chunks:
         m = (r.size + 1).bit_length()  # the least M with 2^M >= N + 2
-        top = float(np.max(np.abs(r), initial=0.0))
+        top = float(np.abs(r).max(initial=0.0))
         sigma = 2.0 ** (m + math.frexp(top)[1]) if top < 2.0 ** (1023 - m) else 0.0
-        while sigma >= 2.0 ** -969 and r.any():  # so that ulp(sigma)/2 is normal
+        while r.any():
+            if sigma < 2.0 ** -969:  # so that ulp(sigma)/2 is normal
+                parts += r[r != 0].tolist()  # the rest of a non-finite or subnormal-range chunk
+                break
             q = np.add(sigma, r)
             q -= sigma
             r = r - q
-            parts.append(float(np.sum(q)))
+            parts.append(float(q.sum()))
             sigma *= 2.0 ** (m - 52)
-        parts += r[r != 0].tolist()  # the rest of a non-finite or subnormal-range chunk
     return math.fsum(parts)
 
 
-def _power_tail(j: int, s: float, a: int, b: int) -> float:
-    """sum_{k=a}^{b} (s/k)^j for integers 30 <= a <= b and j <= 8, by
-    Euler-Maclaurin through B_16: the remainder is below 1e-19 of the sum (1e-50
-    at a > 4096).  It is evaluated in s/a and s/b, below 1 in the bulk sums,
+def _power_tails(s: float, a: int, b: int) -> list[float]:
+    """[sum_{k=a}^{b} (s/k)^j for j = 1..8] for integers 30 <= a <= b, by
+    Euler-Maclaurin through B_16: the remainder is below 1e-19 of each sum (1e-50
+    at a > 4096).  They are evaluated in s/a and s/b, below 1 in the bulk sums,
     so no power overflows."""
     ia, ib = 1 / a, 1 / b
     x, y = s * ia, s * ib
     log_ratio = math.log1p((b - a) / a)
-    # s^j (a^(1-j) - b^(1-j)) / (j-1) = s x^(j-1) (1 - (a/b)^(j-1)) / (j-1): no cancellation
-    integral = (s * log_ratio if j == 1
-                else -s * x ** (j - 1) * math.expm1((1 - j) * log_ratio) / (j - 1))
-    xj, yj = x ** j, y ** j
-    parts = [integral, (xj + yj) / 2.0]
-    rising = j  # j (j+1) ... (j+2m-2), the factor of the (2m-1)-th derivative of k^-j
-    for m, coef in enumerate(_EULER_MACLAURIN, 1):
-        parts.append(coef * rising * (xj * ia ** (2 * m - 1) - yj * ib ** (2 * m - 1)))
-        rising *= (j + 2 * m - 1) * (j + 2 * m)
-    return math.fsum(parts)
+    odd = [(ia ** (2 * m - 1), ib ** (2 * m - 1)) for m in range(1, 9)]
+    sums = []
+    for j, weights in enumerate(_POWER_WEIGHTS, 1):
+        # s^j (a^(1-j) - b^(1-j)) / (j-1) = s x^(j-1) (1 - (a/b)^(j-1)) / (j-1): no cancellation
+        integral = (s * log_ratio if j == 1
+                    else -s * x ** (j - 1) * math.expm1((1 - j) * log_ratio) / (j - 1))
+        xj, yj = x ** j, y ** j
+        sums.append(math.fsum([integral, (xj + yj) / 2.0, *(
+            w * (xj * pa - yj * pb) for w, (pa, pb) in zip(weights, odd))]))
+    return sums
 
 
 def _explog_cf(x):
@@ -310,7 +316,7 @@ def _bulk_sum(term, series: tuple, s: float, n: int, e1: bool = False) -> float:
 
     The head k <= H calls term on up to _BULK_CHUNK values at a time; H = top up to
     top = 4096, else max(30, K).  Past K = floor(s / _SERIES_CUTOFF) + 1 every c is on
-    the series: sum_j series[j-1] sum_{k>K} (s/k)^j (_power_tail).  With e1 and s <= 1e4,
+    the series: sum_j series[j-1] sum_{k>K} (s/k)^j (_power_tails).  With e1 and s <= 1e4,
     H = min(K, 4096, max(64, ceil(s / 2.4))), so k/s >= 0.4 past it, and H < k <= min(K, top)
     is one Euler-Maclaurin sum (_e1_sum).  One math.fsum rounds all parts: an all-head
     sum is math.fsum of its terms, bit for bit."""
@@ -325,11 +331,10 @@ def _bulk_sum(term, series: tuple, s: float, n: int, e1: bool = False) -> float:
             parts = _e1_sum(s, head + 1, min(branch, top))
         head, start = min(head, top), max(head, branch) + 1
         if start <= top:
-            parts += [a * _power_tail(j, s, start, top) for j, a in enumerate(series, 1)]
+            parts += [a * tail for a, tail in zip(series, _power_tails(s, start, top))]
     starts = range(2, head + 1, _BULK_CHUNK)
-    return _exact_fsum(itertools.chain(
-        (term(s / np.arange(i, min(i + _BULK_CHUNK, head + 1))) for i in starts),
-        [np.array(parts, dtype=float)]))
+    return _exact_fsum((term(s / np.arange(i, min(i + _BULK_CHUNK, head + 1))) for i in starts),
+                       parts)
 
 
 def _random_onef(n: int, g: float, var: float, mean: float) -> PredictionResult:

@@ -309,7 +309,8 @@ def _build_parser() -> argparse.ArgumentParser:
     opt.add_argument("--prior", default="iid", help="iid or 1f")
     opt.add_argument("--n", type=int, default=None, help="system size (1/f only)")
     opt.add_argument("--tol", type=float, default=1e-4,
-                     help="search tolerance (1/f only)")
+                     help="search tolerance (1/f only); p_star is the midpoint of the final "
+                          "bracket, so only about -log10(tol) of its digits are significant")
     opt.add_argument("--out", default=None, metavar="JSON")
 
     sweep = command("sweep", _cmd_sweep, "Monte Carlo ensemble sweep over p.", noise, ensemble)

@@ -495,6 +495,9 @@ class TestExactFsum:
             v = -np.zeros(4000)
         elif kind == "mixed-zeros":
             v = rng.choice([0.0, -0.0], 4000)
+        elif kind in ("infinite", "nan"):  # one non-finite term among normal ones
+            special = rng.choice([-math.inf, math.inf]) if kind == "infinite" else math.nan
+            v = np.append(rng.standard_normal(1000), special)
         elif kind == "equal":  # the same largest magnitude throughout, one sign
             v = np.full(4094, np.nextafter(2.0 ** 700, 0.0))
         else:  # "half-ulp": 4094 terms below 2, so the first sigma is 2^13
@@ -506,7 +509,7 @@ class TestExactFsum:
     @pytest.mark.parametrize("seed", [11, 29, 83])
     @pytest.mark.parametrize("kind", ["cancellation", "spread", "subnormal",
                                       "subnormal-and-normal", "zeros", "signed-zeros",
-                                      "mixed-zeros", "equal", "half-ulp"])
+                                      "mixed-zeros", "infinite", "nan", "equal", "half-ulp"])
     def test_adversarial(self, kind, seed):
         rng = np.random.default_rng(seed)
         v = self.adversarial(kind, rng)
@@ -514,6 +517,9 @@ class TestExactFsum:
         assert asymptotic._exact_fsum([v]).hex() == want
         cuts = np.sort(rng.integers(0, v.size + 1, 6))
         assert asymptotic._exact_fsum(np.split(v, cuts)).hex() == want
+        # floats passed beside the chunks, as _bulk_sum passes its closed parts
+        assert asymptotic._exact_fsum(np.split(v[:cuts[3]], cuts[:3]),
+                                      v[cuts[3]:].tolist()).hex() == want
 
     # 2^M - 2 and 2^M - 1 terms: the largest chunk at one M and the smallest at the next
     @pytest.mark.parametrize("size", [0, 1, 2, 3, 6, 7, 1022, 1023, 32766, 32767])
@@ -591,6 +597,24 @@ def bulk_mpmath(kind, s, n):
                          else mpmath.zeta(j, a) - mpmath.zeta(j, b))
             total += coef * sm ** j * power_sum
         return total
+
+
+def power_tail_reference(j, s, a, b):
+    """sum_{k=a}^{b} (s/k)^j for one j, term for term as asymptotic._power_tails
+    computes it for all eight: it must return the same bits."""
+    ia, ib = 1 / a, 1 / b
+    x, y = s * ia, s * ib
+    log_ratio = math.log1p((b - a) / a)
+    # s^j (a^(1-j) - b^(1-j)) / (j-1) = s x^(j-1) (1 - (a/b)^(j-1)) / (j-1): no cancellation
+    integral = (s * log_ratio if j == 1
+                else -s * x ** (j - 1) * math.expm1((1 - j) * log_ratio) / (j - 1))
+    xj, yj = x ** j, y ** j
+    parts = [integral, (xj + yj) / 2.0]
+    rising = j  # j (j+1) ... (j+2m-2), the factor of the (2m-1)-th derivative of k^-j
+    for m, coef in enumerate(asymptotic._EULER_MACLAURIN, 1):
+        parts.append(coef * rising * (xj * ia ** (2 * m - 1) - yj * ib ** (2 * m - 1)))
+        rising *= (j + 2 * m - 1) * (j + 2 * m)
+    return math.fsum(parts)
 
 
 def assert_within_ulps(value, exact, ulps):
@@ -711,11 +735,24 @@ class TestOneFBulkSums:
     def test_power_tail_against_zeta(self, a):
         mpmath = pytest.importorskip("mpmath")
         with mpmath.workdps(40):
-            for b, j, s in itertools.product((a, a + 1, 2 * a, 10**9), range(1, 9), (1e-3, 5.0)):
+            for b, s in itertools.product((a, a + 1, 2 * a, 10**9), (1e-3, 5.0)):
                 sm = mpmath.mpf(s)
-                exact = (sm * (mpmath.digamma(b + 1) - mpmath.digamma(a)) if j == 1
-                         else sm ** j * (mpmath.zeta(j, a) - mpmath.zeta(j, b + 1)))
-                assert_within_ulps(asymptotic._power_tail(j, s, a, b), exact, j + 2)
+                for j, got in enumerate(asymptotic._power_tails(s, a, b), 1):
+                    exact = (sm * (mpmath.digamma(b + 1) - mpmath.digamma(a)) if j == 1
+                             else sm ** j * (mpmath.zeta(j, a) - mpmath.zeta(j, b + 1)))
+                    assert_within_ulps(got, exact, j + 2)
+
+    # Tails from k = 31..78 at small s; the benchmark's optimize-p and predictor
+    # points; and s = 1e4 and above, whose tails start past 600 s (or at 4097).
+    @pytest.mark.parametrize("s, starts", [
+        (0.126, (31, 45, 64, 77, 78)), (0.05, (31, 78)),
+        (0.49, (300, 450)), (0.68, (409, 600)), (0.81, (488, 500)), (0.99, (595, 600)),
+        (1e4, (4097, 6000001)), (3e4, (4097, 18000001)), (1e6, (5000, 600000001))])
+    def test_power_tails_match_reference(self, s, starts):
+        for a, b in itertools.product(starts, (5 * 10**4, 5 * 10**5, 10**9)):
+            if a <= b:
+                got = [t.hex() for t in asymptotic._power_tails(s, a, b)]
+                assert got == [power_tail_reference(j, s, a, b).hex() for j in range(1, 9)]
 
     @staticmethod
     def kernel_work(monkeypatch, W, J):
