@@ -12,7 +12,7 @@ All predictor values are in nats.  Per-pixel predictors describe the bulk
 (DC-excluded) per-pixel MI; the 1/f-prior predictors return total MI and
 include the DC term explicitly.  Their bulk sums over k = 2..(n-1)/2 share one
 engine, _bulk_sum: an exact head and closed Euler-Maclaurin sums past it, so
-their cost grows with neither n nor, for explog_exp1 up to s = 1e4, the SNR.
+their cost does not grow with n, and for explog_exp1 grows as s / 2.4 in the SNR s.
 """
 
 import math
@@ -316,17 +316,16 @@ def _bulk_sum(term, series: tuple, s: float, n: int, e1: bool = False) -> float:
 
     The head k <= H calls term on up to _BULK_CHUNK values at a time; H = top up to
     top = 4096, else max(30, K).  Past K = floor(s / _SERIES_CUTOFF) + 1 every c is on
-    the series: sum_j series[j-1] sum_{k>K} (s/k)^j (_power_tails).  With e1 and s <= 1e4,
-    H = min(K, 4096, max(64, ceil(s / 2.4))), so k/s >= 0.4 past it, and H < k <= min(K, top)
-    is one Euler-Maclaurin sum (_e1_sum).  One math.fsum rounds all parts: an all-head
-    sum is math.fsum of its terms, bit for bit."""
+    the series: sum_j series[j-1] sum_{k>K} (s/k)^j (_power_tails).  With e1, at any s,
+    H = max(30, min(K, max(64, ceil(s / 2.4)))), so k/s >= 0.4 past it, and H < k <= min(K,
+    top) is one Euler-Maclaurin sum (_e1_sum); at s >= 2.4 top all is head.  One math.fsum
+    rounds all parts: an all-head sum is math.fsum of its terms, bit for bit."""
     top = (n - 1) // 2
     head, parts = top, []
     if top > 4096:
-        # K, at most top + 1; a float test first: s may be too large for an int
+        # K, at most top + 1; float tests first: s may be too large for an int
         branch = int(s / _SERIES_CUTOFF) + 1 if s < top * _SERIES_CUTOFF else top + 1
-        head = max(30, min(branch, 4096, max(64, math.ceil(s / 2.4))) if e1 and s <= 1e4
-                   else branch)
+        head = max(30, min(branch, max(64, math.ceil(min(branch, s / 2.4)))) if e1 else branch)
         if head < branch:
             parts = _e1_sum(s, head + 1, min(branch, top))
         head, start = min(head, top), max(head, branch) + 1

@@ -148,10 +148,11 @@ def pstar_optimality(points: int) -> float:
 
 
 def thermal_pstar_onef() -> list[float]:
-    """The 1/f on-off p* (J = 0, n = 1e6+1, tol 1e-7) at W = 1e-2, 1e-3, 1e-4 lies above
-    1/2 and falls toward it (0.50106, 0.50014, 0.50002).  Returns the three."""
-    stars = [optimal_p_onef(1000001, W, 0.0, tol=1e-7) for W in (1e-2, 1e-3, 1e-4)]
-    _check(stars[0] > stars[1] > stars[2] > 0.5, f"p* does not fall toward 1/2: {stars}")
+    """The 1/f on-off p* (J = 0, n = 1e6+1, tol 1e-7) at W = 1e-2, 1e-3, 1e-4, 1e-5 lies
+    above 1/2 and falls toward it (0.50106, 0.50014, 0.50002, 0.500004).  Returns the four."""
+    stars = [optimal_p_onef(1000001, W, 0.0, tol=1e-7) for W in (1e-2, 1e-3, 1e-4, 1e-5)]
+    _check(stars[0] > stars[1] > stars[2] > stars[3] > 0.5,
+           f"p* does not fall toward 1/2: {stars}")
     return stars
 
 

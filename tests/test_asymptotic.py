@@ -683,13 +683,18 @@ class TestOneFBulkSums:
             assert_within_ulps(asymptotic._bulk_sum(term, series, s, n, kind == "explog"),
                                bulk_mpmath(kind, s, n), 2)
 
-    # At high SNR the E1 branch past the head is one Euler-Maclaurin sum; at
-    # n = 8195 and s = 1e4 it is the single term k = 4097.
-    @pytest.mark.parametrize("s", [20.0, 100.0, 1e3, 1e4])
-    @pytest.mark.parametrize("kind, term, series, e1", [
-        ("explog", explog_exp1, asymptotic._EXPLOG_SERIES, True),
-        ("log1p", np.log1p, asymptotic._LOG1P_SERIES, False),
-    ])
+    # At high SNR the E1 branch past the head is one Euler-Maclaurin sum, at
+    # every s; at n = 8195 and s = 9830 it is the single term k = 4097.  Past
+    # s = 9830.4 the head (s / 2.4 terms) is longer than 4096, so at n = 8195
+    # the sum is all head.  log1p (flat-1f) sums 600 s terms exactly, so its
+    # cases stop at 1e4.
+    @pytest.mark.parametrize("kind, term, series, e1, s", [
+        *(("explog", explog_exp1, asymptotic._EXPLOG_SERIES, True, s)
+          for s in (20.0, 100.0, 1e3, 9830.0, 9900.0, 1e4, 3e4, 1e5, 1e6)),
+        *(("log1p", np.log1p, asymptotic._LOG1P_SERIES, False, s)
+          for s in (20.0, 100.0, 1e3, 1e4)),
+    ], ids=lambda v: (f"series{int(v is asymptotic._LOG1P_SERIES)}"  # series0 is e^x E1's
+                      if isinstance(v, tuple) else None))
     def test_high_snr_against_mpmath(self, kind, term, series, e1, s):
         for n in (8195, 1000001, 10**9 + 1):
             assert_within_ulps(asymptotic._bulk_sum(term, series, s, n, e1),
@@ -755,9 +760,9 @@ class TestOneFBulkSums:
                 assert got == [power_tail_reference(j, s, a, b).hex() for j in range(1, 9)]
 
     @staticmethod
-    def kernel_work(monkeypatch, W, J):
-        """The kernel's elements in each predictor call of the p* search at
-        n = 1e9+1: the head terms, as an Euler-Maclaurin range takes no kernel value."""
+    def kernel_work(monkeypatch, W, J, n=10**9 + 1):
+        """The kernel's elements in each predictor call of the p* search at n:
+        the head terms, as an Euler-Maclaurin range takes no kernel value."""
         counts, kernel, predict = [], asymptotic.explog_exp1, asymptotic.predict_bernoulli_onef
 
         def counting_kernel(c):
@@ -770,7 +775,7 @@ class TestOneFBulkSums:
 
         monkeypatch.setattr(asymptotic, "explog_exp1", counting_kernel)
         monkeypatch.setattr(asymptotic, "predict_bernoulli_onef", counting_predict)
-        p_star = optimal_p_onef(10**9 + 1, W, J)
+        p_star = optimal_p_onef(n, W, J)
         assert 0.005 < p_star < 0.995 and len(counts) > 10
         return counts
 
@@ -785,14 +790,24 @@ class TestOneFBulkSums:
         heads = self.kernel_work(monkeypatch, 1e-4, 0.0)
         assert all(0 < c <= 4096 for c in heads), heads
 
+    def test_head_grows_as_s_over_2_4_past_1e4(self, monkeypatch):
+        """At J = 0, W = 1e-5, s reaches 25,000: one head rule at every s keeps each
+        head at most ceil(25000 / 2.4) = 10,417 terms, past 4096 at the top of the
+        search, where summed term by term up to 600 s it was every one of the
+        49,999 terms at n = 100001."""
+        heads = self.kernel_work(monkeypatch, 1e-5, 0.0, n=100001)
+        assert all(0 < c <= 10417 for c in heads) and max(heads) > 4096, heads
+
     def test_huge_s_takes_the_head_only(self):
-        # Whether a tail exists is a float test, made before s / _SERIES_CUTOFF
-        # (infinite for both s here) is turned into a term count.
+        # Whether a tail or an E1 range exists is a float test, made before
+        # s / _SERIES_CUTOFF or s / 2.4 (infinite for both s here) is turned
+        # into a term count.
         n, s = 10001, 1e306
-        got = asymptotic._bulk_sum(explog_exp1, asymptotic._EXPLOG_SERIES, s, n)
-        assert got == math.fsum(explog_exp1(s / np.arange(2, 5001)).tolist())
-        with pytest.raises(InvalidArgumentError):
-            asymptotic._bulk_sum(explog_exp1, asymptotic._EXPLOG_SERIES, math.inf, n)
+        for e1 in (False, True):
+            got = asymptotic._bulk_sum(explog_exp1, asymptotic._EXPLOG_SERIES, s, n, e1)
+            assert got == math.fsum(explog_exp1(s / np.arange(2, 5001)).tolist())
+            with pytest.raises(InvalidArgumentError):
+                asymptotic._bulk_sum(explog_exp1, asymptotic._EXPLOG_SERIES, math.inf, n, e1)
 
 
 class TestOptimalPOneF:

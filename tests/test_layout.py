@@ -105,6 +105,16 @@ def test_explog_splits_arrays_one_way():
     assert not re.search(r"_explog_(?:identity|series)\(arr\)", source)
 
 
+def test_one_e1_head_rule():
+    """_bulk_sum's e^x E1 head follows one rule at every SNR: its code (the
+    docstring aside) compares s with no number and holds 4096 only in the
+    top > 4096 test, so no s <= 1e4 fork and no head cap grow back."""
+    function = ast.parse(inspect.getsource(asymptotic._bulk_sum)).body[0]
+    code = ast.unparse(function.body[1:])
+    assert ast.get_docstring(function) and not re.search(r"\bs\s*[<>]=?\s*[\d.]", code)
+    assert code.count("4096") == 1 and "top > 4096" in code
+
+
 def test_one_predictor_registry():
     """asymptotic.PREDICTORS is the one predictor dispatch: the CLI and the
     ensemble call no predict_* function and import none."""
