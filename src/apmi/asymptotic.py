@@ -13,12 +13,14 @@ All predictor values are in nats.  Per-pixel predictors describe the bulk
 include the DC term explicitly.  Their bulk sums over k = 2..(n-1)/2 share one
 engine, _bulk_sum: an exact head and closed Euler-Maclaurin sums past it, so
 their cost does not grow with n, and for explog_exp1 grows as s / 2.4 in the SNR s.
+numpy is imported only where an array is made.
 """
 
-import math
-from dataclasses import dataclass
+from __future__ import annotations
 
-import numpy as np
+import math
+import numbers
+from dataclasses import dataclass
 
 from .errors import InvalidArgumentError
 from .model import NoiseModel, ScenePrior, check_odd_n, check_p, inverse_noise
@@ -76,12 +78,12 @@ def explog_exp1(c: float | np.ndarray) -> float | np.ndarray:
     - ... - 7! c^8 (truncation error <= 8! c^9) takes over.  Absolute error is
     far below EXPLOG_ABS_TOL everywhere.
 
-    A scalar (a Python or numpy int or float) is computed in math and returns
+    A scalar (a numbers.Real, numpy's included) is computed in math and returns
     a Python float; an array returns a float array of the same shape.  Both
     run each element's operations in the same order, so an array element is
     bitwise the scalar result; the tests pin both branches and the cutoff.
     """
-    if isinstance(c, (int, float, np.integer, np.floating)):
+    if isinstance(c, (int, float)) or isinstance(c, numbers.Real):  # the ABC check is slower
         c = float(c) + 0.0  # -0.0 becomes 0.0, as in the array path
         if not 0.0 <= c < math.inf:
             raise InvalidArgumentError(f"need finite c >= 0, got {c}")
@@ -93,6 +95,7 @@ def explog_exp1(c: float | np.ndarray) -> float | np.ndarray:
             term *= -k * c
             acc += term
         return acc
+    import numpy as np
     arr = np.asarray(c, dtype=float)
     if arr.size and not (arr.min() >= 0 and arr.max() < math.inf):  # min and max propagate NaN
         bad = ~np.isfinite(arr) | (arr < 0)
@@ -107,6 +110,7 @@ def explog_exp1(c: float | np.ndarray) -> float | np.ndarray:
 
 def _explog_series(small: np.ndarray) -> np.ndarray:
     """c - c^2 + 2c^3 - ... - 7! c^8, summed from the first term on."""
+    import numpy as np
     acc, term, neg_k_small = small.copy(), small.copy(), np.empty_like(small)
     for k in range(1, 8):
         term *= np.multiply(-k, small, out=neg_k_small)
@@ -116,6 +120,7 @@ def _explog_series(small: np.ndarray) -> np.ndarray:
 
 def _explog_identity(arr: np.ndarray) -> np.ndarray:
     """e^x E1(x) at x = 1/arr; math.exp, as numpy's SIMD exp is 1 ulp off on some x."""
+    import numpy as np
     from scipy import special
     x = 1.0 / arr
     exp = np.fromiter(map(math.exp, x.ravel().tolist()), float, x.size)
@@ -163,13 +168,13 @@ def optimal_p_iid(W: float, J: float) -> float:
     Closed form (W/J) (sqrt(1 + J/W) - 1): the argmax of
     c(p) = p(1-p)/(W + pJ), i.e. the root of p^2 J + 2 p W - W = 0 in (0, 1/2].
     Shot-dominant noise (W << J) drives p* toward sqrt(W/J); thermal-dominant
-    noise drives it toward 1/2.  It is evaluated as the equal
-    1 / (1 + sqrt(1 + J/W)), which does not cancel to 0 when J/W is tiny.
+    noise drives it toward 1/2, which it is at J = 0.  It is evaluated as the
+    equal 1 / (1 + sqrt(1 + J/W)), which does not cancel to 0 when J/W is tiny.
     """
     NoiseModel(W, J)
-    if W <= 0 or J <= 0:
-        raise InvalidArgumentError("closed form needs W > 0 and J > 0")
-    if not (math.isfinite(J / W) and math.isfinite(W / J)):
+    if W == 0:
+        raise InvalidArgumentError("the closed form of p* needs W > 0")
+    if not math.isfinite(J / W):
         raise InvalidArgumentError(f"the closed form of p* is not finite at W={W}, J={J}")
     return 1.0 / (1.0 + math.sqrt(1.0 + J / W))
 
@@ -212,6 +217,7 @@ def predict_flat_onef(n: int, W: float, J: float, form: str = "midsum") -> Predi
     if form == "midsum":
         value = math.log1p(g * n / 4.0)  # an infinite DC term needs no bulk sum
         if math.isfinite(value):
+            import numpy as np
             value += 2.0 * _bulk_sum(np.log1p, _LOG1P_SERIES, g / 4.0, n)
     elif form == "closed":
         value = math.log(g * n / 4.0) + g / 2.0 * (math.log(n / 2.0) - 1.0)
@@ -246,6 +252,7 @@ def _exact_fsum(chunks, parts=()) -> float:
     q = (sigma + r) - sigma and r - q are exact, and np.sum(q) is exact in any order.
     Levels with sigma scaled by 2^(M - 52) reduce r to 0; math.fsum rounds the level
     sums and the parts once."""
+    import numpy as np
     parts = list(parts)
     for r in chunks:
         m = (r.size + 1).bit_length()  # the least M with 2^M >= N + 2
@@ -298,6 +305,7 @@ def _e1_sum(s: float, a: int, b: int) -> list[float]:
     at the two ends: E1' = -e^-x/x (DLMF 6.2.1) gives g' = g - 1/x, so the r-th derivative
     is g + sum_{j<=r} (-1)^j (j-1)! x^-j and the antiderivative g + log x.  The integral
     s (g + log x), as large as the sum, is formed in long double and kept as two doubles."""
+    import numpy as np
     ls = np.longdouble(s)
     ga, gb = (_explog_cf(np.longdouble(k) / ls) for k in (a, b))
     whole = ls * (np.log1p(np.longdouble(b - a) / a) + gb - ga)
@@ -320,6 +328,7 @@ def _bulk_sum(term, series: tuple, s: float, n: int, e1: bool = False) -> float:
     H = max(30, min(K, max(64, ceil(s / 2.4)))), so k/s >= 0.4 past it, and H < k <= min(K,
     top) is one Euler-Maclaurin sum (_e1_sum); at s >= 2.4 top all is head.  One math.fsum
     rounds all parts: an all-head sum is math.fsum of its terms, bit for bit."""
+    import numpy as np
     top = (n - 1) // 2
     head, parts = top, []
     if top > 4096:

@@ -39,15 +39,11 @@ import warnings
 from datetime import datetime, timezone
 from pathlib import Path
 
-import numpy as np
-
 from . import __version__
 from .asymptotic import BERNOULLI_PREDICTOR, PREDICTORS, optimal_p_iid, optimal_p_onef, predict
 from .errors import InvalidArgumentError, NumericalError
-from .model import (METRICS, RHO_MODES, NoiseModel, ScenePrior, db_to_linear, effective_n,
-                    to_log_base)
-from .patterns import PATTERNS, SEED_POLICY, load_pattern, save_pattern, write_atomic
-from .spectral import mutual_information
+from .model import (METRICS, PATTERN_FAMILIES, RHO_MODES, NoiseModel, ScenePrior, db_to_linear,
+                    effective_n, to_log_base, write_atomic)
 
 CSV_HEADER = ("p,n,W,J,prior,family,trials,seed,mi_mean,mi_std,mi_stderr,"
               "mi_predicted,relative_gap,log_base")
@@ -159,6 +155,7 @@ def _manifest(command: str, parameters: dict, master_seed: int | None) -> str:
         "timestamp": datetime.now(timezone.utc).isoformat(timespec="seconds"),
     }
     if master_seed is not None:
+        from .patterns import SEED_POLICY  # only the seeded sweeps get here
         manifest["seed_policy"] = SEED_POLICY
     return json.dumps(manifest, indent=2, sort_keys=True) + "\n"
 
@@ -282,14 +279,14 @@ def _build_parser() -> argparse.ArgumentParser:
         return cmd
 
     gen = command("generate", _cmd_generate, "Generate an aperture pattern file.", config, pattern)
-    gen.add_argument("--family", required=True, choices=list(PATTERNS))
+    gen.add_argument("--family", required=True, choices=list(PATTERN_FAMILIES))
     gen.add_argument("--out", default="pattern", metavar="BASE",
                      help="output base path (writes BASE.txt and BASE.json)")
 
     mi = command("mi", _cmd_mi, "Exact mutual information of one pattern.", noise, pattern)
     mi.add_argument("--pattern-file", dest="pattern_file", default=None,
                     metavar="TXT", help="pattern written by 'generate'")
-    mi.add_argument("--family", default=None, choices=list(PATTERNS))
+    mi.add_argument("--family", default=None, choices=list(PATTERN_FAMILIES))
     mi.add_argument("--prior", default="iid", help="iid or 1f")
     mi.add_argument("--out", default=None, metavar="JSON")
 
@@ -330,12 +327,14 @@ def _build_parser() -> argparse.ArgumentParser:
 ####################### command handlers #######################
 
 def _build_pattern(args):
+    from .patterns import PATTERNS  # the pattern layer (and numpy) loads here
     names, generate = PATTERNS[args.family]
     _require_options(args, names, args.family)
     return generate(*(getattr(args, name) for name in names))
 
 
 def _cmd_generate(args) -> int:
+    from .patterns import save_pattern
     _out_path(args.out)
     pattern = _build_pattern(args)
     params = {
@@ -363,6 +362,8 @@ def _cmd_generate(args) -> int:
 
 
 def _cmd_mi(args) -> int:
+    from .patterns import load_pattern
+    from .spectral import mutual_information
     if args.pattern_file:
         _require(args.family is None,
                  "give --pattern-file or --family, not both")
@@ -487,6 +488,7 @@ def _cmd_fig3(args) -> int:
 
 def _cmd_fig2(args) -> int:
     """Predictor curves (flat, Bernoulli 1/2, Bernoulli p*) over a W sweep."""
+    import numpy as np
     # (family column, predictor, p); p "p*" is optimal_p_iid at each W
     curves = (
         ("flat", "flat-iid", None),

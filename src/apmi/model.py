@@ -8,15 +8,19 @@ Everything downstream (exact MI, asymptotic predictors, ensembles) consumes
 the two quantities defined here: the per-frequency weight vector d and the
 inverse noise power gamma = 1/(W + rho*J).  The odd-n policy of the 1/f
 formulas, the open-fraction check, the one raise for a noise power without a
-finite inverse and the nats-to-bits conversion live here too.
+finite inverse, the nats-to-bits conversion, the mask family names and the
+atomic file writer (the CLI needs both without the pattern layer) live here
+too.  numpy is imported only where an array is made.
 """
+
+from __future__ import annotations
 
 import enum
 import math
+import os
 import warnings
 from dataclasses import dataclass
-
-import numpy as np
+from pathlib import Path
 
 from .errors import DegenerateNoiseError, InvalidArgumentError
 
@@ -41,6 +45,10 @@ LN2 = math.log(2.0)
 METRICS = {"per_pixel": ("per_pixel", 0), "per_pixel_excl_dc": ("per_pixel", 1),
            "total": ("total", 0)}
 RHO_MODES = ("realized", "nominal")
+
+# The mask families that patterns.PATTERNS generates, in its order.  The CLI
+# offers them as --family choices without loading the pattern layer.
+PATTERN_FAMILIES = ("pinhole", "mls", "mura", "bernoulli", "uniform")
 
 
 class ScenePrior(enum.Enum):
@@ -116,6 +124,7 @@ def spectral_weights(prior: ScenePrior, n: int) -> np.ndarray:
     -------
     np.ndarray of shape (n,), entries in (0, 1], d[0] == 1.
     """
+    import numpy as np
     if n < 2:
         raise InvalidArgumentError(f"need n >= 2, got {n}")
     if prior is ScenePrior.IID:
@@ -143,6 +152,7 @@ def degenerate_noise(total):
     if isinstance(total, (int, float)):
         total = float(total)
         return total == 0 or not math.isfinite(1.0 / total)
+    import numpy as np
     with np.errstate(divide="ignore", over="ignore"):
         return ~np.isfinite(np.reciprocal(np.asarray(total, dtype=float)))
 
@@ -208,3 +218,29 @@ def to_log_base(nats, log_base: str):
     if log_base == "bits":
         return nats / LN2
     raise InvalidArgumentError(f"log_base must be 'nats' or 'bits', got {log_base!r}")
+
+
+def write_atomic(files: dict) -> None:
+    """Write each ``{path: text chunks}`` entry to a temporary sibling, then
+    rename them all into place.  If anything fails, the temporaries and every
+    file this call has already renamed into place are removed, so a failed
+    write leaves no partial output."""
+    staged, placed = [], []
+    try:
+        for path, chunks in files.items():
+            path = Path(path)
+            path.parent.mkdir(parents=True, exist_ok=True)
+            tmp = path.with_name(path.name + ".tmp")
+            staged.append((tmp, path))
+            with open(tmp, "w") as fh:
+                fh.writelines(chunks)
+        for tmp, path in staged:
+            os.replace(tmp, path)
+            placed.append(path)
+    except BaseException:
+        for path in placed:
+            path.unlink(missing_ok=True)
+        raise
+    finally:
+        for tmp, _ in staged:
+            tmp.unlink(missing_ok=True)

@@ -16,12 +16,11 @@ from collections.abc import Iterable
 from dataclasses import dataclass, field
 from enum import Enum
 from functools import cached_property
-from pathlib import Path
 
 import numpy as np
 
 from .errors import FlatnessCheckError, InvalidArgumentError
-from .model import check_p
+from .model import PATTERN_FAMILIES, check_p, write_atomic
 from .spectral import power_spectrum
 
 __all__ = [
@@ -381,44 +380,18 @@ def gen_uniform(n: int, seed: int) -> AperturePattern:
     return AperturePattern(_draw("uniform", n, seed), PatternFamily.UNIFORM, seed=seed)
 
 
-# Mask family -> (its generator's options, in call order; the call), late-bound
-# like asymptotic.PREDICTORS so that a patched generator is the one called.
-PATTERNS = {
-    "pinhole": (("n",), lambda *a: gen_pinhole(*a)),
-    "mls": (("degree",), lambda *a: gen_mls(*a)),
-    "mura": (("n",), lambda *a: gen_mura(*a)),
-    "bernoulli": (("n", "p", "seed"), lambda *a: gen_bernoulli(*a)),
-    "uniform": (("n", "seed"), lambda *a: gen_uniform(*a)),
-}
+# Mask family (model.PATTERN_FAMILIES, in order) -> (its generator's options, in call
+# order; the call), late-bound like asymptotic.PREDICTORS so a patched generator is called.
+PATTERNS = dict(zip(PATTERN_FAMILIES, (
+    (("n",), lambda *a: gen_pinhole(*a)),
+    (("degree",), lambda *a: gen_mls(*a)),
+    (("n",), lambda *a: gen_mura(*a)),
+    (("n", "p", "seed"), lambda *a: gen_bernoulli(*a)),
+    (("n", "seed"), lambda *a: gen_uniform(*a)),
+), strict=True))
 
 
 ####################### serialization #######################
-
-def write_atomic(files: dict) -> None:
-    """Write each ``{path: text chunks}`` entry to a temporary sibling, then
-    rename them all into place.  If anything fails, the temporaries and every
-    file this call has already renamed into place are removed, so a failed
-    write leaves no partial output."""
-    staged, placed = [], []
-    try:
-        for path, chunks in files.items():
-            path = Path(path)
-            path.parent.mkdir(parents=True, exist_ok=True)
-            tmp = path.with_name(path.name + ".tmp")
-            staged.append((tmp, path))
-            with open(tmp, "w") as fh:
-                fh.writelines(chunks)
-        for tmp, path in staged:
-            os.replace(tmp, path)
-            placed.append(path)
-    except BaseException:
-        for path in placed:
-            path.unlink(missing_ok=True)
-        raise
-    finally:
-        for tmp, _ in staged:
-            tmp.unlink(missing_ok=True)
-
 
 # Lines of the values written as integers; -0.0 hashes and compares equal
 # to 0.0, so it is written as 0 too.

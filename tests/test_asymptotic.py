@@ -149,6 +149,17 @@ class TestExplogKernel:
                 assert type(value) is float
                 assert value.hex() == want.hex(), (c, type(form))
 
+    @pytest.mark.parametrize("c, bits", [
+        (np.float32(0.3), "0x1.ec3fb5b5c441cp-3"), (np.float32(1e-4), "0x1.a36371c549ff3p-14"),
+        (np.float64(1e-4), "0x1.a36372770518cp-14"), (np.int64(3), "0x1.282470be325a2p+0"),
+        (True, "0x1.3154710477ccbp-1"), (7, "0x1.bceb910423458p+0"),
+    ])
+    def test_scalar_types_keep_their_bits(self, c, bits):
+        """numpy ints and floats, bools and ints are scalars (numbers.Real) and
+        take the math path: each returns a Python float with these pinned bits."""
+        value = explog_exp1(c)
+        assert type(value) is float and value.hex() == bits
+
     @pytest.mark.parametrize("bad, shown", [(math.nan, "nan"), (math.inf, "inf"),
                                             (-math.inf, "-inf"), (-1, "-1.0")])
     def test_scalar_and_array_reject_with_one_message(self, bad, shown):
@@ -334,24 +345,28 @@ class TestOptimalPIID:
         # is 1/2 - J/(8W) to first order, exactly 0.499999999875 in floats
         assert optimal_p_iid(1.0, 1e-9) == pytest.approx(0.5 - 1.25e-10, abs=1e-15)
 
-    @pytest.mark.parametrize("J", [1e-17, 1e-20, 1e-300])
-    def test_thermal_limit_without_cancellation(self, J):
+    @pytest.mark.parametrize("W, J", [(1.0, 1e-17), (1.0, 1e-20), (1.0, 1e-300),
+                                      (1e-3, 1e-320), (1e308, 1e-308)],
+                             ids=["1e-17", "1e-20", "1e-300", "0.001-1e-320", "1e+308-1e-308"])
+    def test_thermal_limit_without_cancellation(self, W, J):
         """J/W below float resolution: p* is 1/2 (1/2 - J/(8W) to first
-        order), not the 0 that W/J * (sqrt(1 + J/W) - 1) cancels to."""
-        assert optimal_p_iid(1.0, J) == 0.5
-        best = predict_bernoulli_iid(optimal_p_iid(1.0, J), 1.0, J).value
-        assert best == predict_bernoulli_iid(0.5, 1.0, J).value > 0
+        order), not the 0 that W/J * (sqrt(1 + J/W) - 1) cancels to, even
+        where W/J overflows."""
+        assert optimal_p_iid(W, J) == 0.5
+        best = predict_bernoulli_iid(optimal_p_iid(W, J), W, J).value
+        assert best == predict_bernoulli_iid(0.5, W, J).value > 0
 
     def test_rejects_zero_powers(self):
-        with pytest.raises(InvalidArgumentError):
+        """W = 0 has no p* (the on-off MI grows as p falls to 0); J = 0 is
+        the thermal limit, p* = 1/2 exactly."""
+        with pytest.raises(InvalidArgumentError, match=r"^the closed form of p\* needs W > 0$"):
             optimal_p_iid(0.0, 1.0)
-        with pytest.raises(InvalidArgumentError):
-            optimal_p_iid(1.0, 0.0)
+        assert optimal_p_iid(1.0, 0.0) == 0.5
 
-    @pytest.mark.parametrize("W, J", [(1e-320, 1.0), (1e308, 1e-308), (1e-3, 1e-320)])
+    @pytest.mark.parametrize("W, J", [(1e-320, 1.0)])
     def test_rejects_non_finite_closed_form(self, W, J):
-        """J/W or W/J overflows: the error names W and J, not the inf or
-        nan p* the closed form would return."""
+        """J/W overflows: the error names W and J, not the 0 p* the closed
+        form would return."""
         with pytest.raises(InvalidArgumentError, match=re.escape(f"not finite at W={W}, J={J}")):
             optimal_p_iid(W, J)
 

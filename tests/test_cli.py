@@ -23,11 +23,13 @@ def run(capsys, *argv):
 
 
 def run_subprocess(*argv, timeout=60):
-    """Run the CLI in a fresh interpreter, killed after `timeout` seconds."""
+    """Run the CLI in a fresh interpreter, killed after `timeout` seconds;
+    run_subprocess("-c", code) runs Python code there instead."""
     src = str(Path(apmi.__file__).resolve().parent.parent)
     env = {**os.environ, "PYTHONPATH": os.pathsep.join(
         filter(None, [src, os.environ.get("PYTHONPATH")]))}
-    return subprocess.run([sys.executable, "-m", "apmi.cli", *argv], env=env,
+    command = argv if argv[:1] == ("-c",) else ("-m", "apmi.cli", *argv)
+    return subprocess.run([sys.executable, *command], env=env,
                           capture_output=True, text=True, timeout=timeout)
 
 
@@ -706,14 +708,33 @@ def test_flat_onef_infinite_dc_skips_the_bulk_sum(capsys, monkeypatch):
 
 @pytest.mark.parametrize("argv, W, J", [
     (("optimize-p", "--W", "1e-320", "--J", "1"), 1e-320, 1.0),
-    (("optimize-p", "--W", "1e308", "--J", "1e-308"), 1e308, 1e-308),
-    (("reproduce", "fig2", "--J", "1e-320"), 1e-3, 1e-320),
 ])
 def test_optimal_p_overflow_names_w_and_j(capsys, tmp_path, argv, W, J):
     code, out, err = run(capsys, *argv, "--out", str(tmp_path / "out"))
     assert code == 2 and out == ""
     assert err == f"error: the closed form of p* is not finite at W={W}, J={J}\n"
     assert list(tmp_path.iterdir()) == []
+
+
+@pytest.mark.parametrize("argv", [
+    ("optimize-p", "--W", "0.01", "--J", "0"),
+    ("optimize-p", "--W", "1e308", "--J", "1e-308"),
+])
+def test_optimize_p_thermal_limit_is_half(capsys, argv):
+    """Without shot noise, or with J/W below float resolution, the IID p* is
+    exactly 1/2, even where W/J overflows."""
+    code, out, _ = run(capsys, *argv)
+    assert code == 0 and strict_json(out)["p_star"] == 0.5
+
+
+@pytest.mark.parametrize("J", ["0", "1e-320"])
+def test_fig2_thermal_limit(capsys, tmp_path, J):
+    """fig2's p* curve is 1/2 at every W when J is 0 or below float resolution of W."""
+    out = tmp_path / "fig2.csv"
+    code, _, _ = run(capsys, "reproduce", "fig2", "--points", "3", "--J", J, "--out", str(out))
+    assert code == 0
+    _, rows = read_csv(out)
+    assert {row["p"] for row in rows if row["family"] == "bernoulli-pstar"} == {"0.5"}
 
 
 def test_predictions_call_module_predictors(capsys, tmp_path, monkeypatch):
@@ -762,40 +783,73 @@ def test_metric_mismatch_fails_before_any_trial(capsys, tmp_path, monkeypatch, a
 
 
 def test_cli_import_loads_no_scipy():
-    """scipy is imported by the functions that need it, not at startup."""
-    code = ("import sys, apmi.cli; "
-            "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))")
-    src = str(Path(apmi.__file__).resolve().parent.parent)
-    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
-        filter(None, [src, os.environ.get("PYTHONPATH")]))}
-    proc = subprocess.run([sys.executable, "-c", code], env=env,
-                          capture_output=True, text=True, timeout=120)
+    """numpy and scipy are imported by the functions that need them, not at
+    startup: importing the CLI loads no module of either."""
+    proc = run_subprocess("-c", "import sys, apmi.cli; print(sorted(m for m in sys.modules "
+                                "if m.split('.')[0] in ('numpy', 'scipy')))", timeout=120)
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.strip() == "[]"
 
 
-def test_cold_commands_load_only_what_they_run():
-    """Only sweep, reproduce fig3 and reproduce selftest load the ensemble
-    engine, the selftest battery and the process pool.  Importing the CLI
-    builds no parser, and a package name loads only its own module's imports."""
-    unwanted = ("apmi.ensemble", "apmi.checks", "multiprocessing", "concurrent.futures.process")
+def test_scalar_layer_loads_no_numpy():
+    """The scalar kernel on its series branch and the scalar noise checks
+    run in math: in a fresh interpreter they load no numpy or scipy."""
+    proc = run_subprocess("-c", "\n".join([
+        "import sys",
+        "from apmi.asymptotic import explog_exp1",
+        "from apmi.model import NoiseModel, gamma, inverse_noise",
+        "assert 0 < explog_exp1(1e-4) < 1e-4",
+        "assert gamma(NoiseModel(0.01, 1.0), 0.5) == inverse_noise(0.01 + 0.5) > 0",
+        "print(sorted(m for m in sys.modules if m.split('.')[0] in ('numpy', 'scipy')))",
+    ]), timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == "[]\n"
+
+
+# What each cold command leaves loaded of the heavy layers, run in this order in
+# one interpreter, so each row holds for the command run alone.  Only sweep,
+# reproduce fig3 and reproduce selftest load the ensemble engine, the selftest
+# battery and the process pool; only the commands that make arrays load numpy,
+# and only those that reach scipy's E1 or quadrature load scipy.
+COLD_LOADS = (
+    ((), ()),  # import apmi.cli
+    (("--help",), ()),
+    (("--version",), ()),
+    (("predict", "flat-iid", "--W", "0.01"), ()),
+    (("predict", "pinhole", "--n", "5", "--W", "0.01"), ()),
+    (("predict", "flat-1f", "--n", "101", "--W", "0.01", "--form", "closed"), ()),
+    (("predict", "flat-iid", "--W", "0.01", "--out", "{tmp}/flat.json"), ()),
+    (("predict", "flat-iid"), ()),  # an argument error
+    (("mi", "--family", "mls", "--degree", "5", "--W", "0.01"), ("numpy",)),
+    (("predict", "bernoulli-1f", "--n", "11", "--p", "0.3", "--W", "0.01"), ("numpy", "scipy")),
+)
+
+
+def test_cold_commands_load_only_what_they_run(tmp_path):
+    """Each command of COLD_LOADS loads just its row's heavy layers.  Importing
+    the CLI builds no parser, and a package name loads only its own module's
+    imports."""
+    heavy = ("numpy", "scipy", "apmi.ensemble", "apmi.checks", "multiprocessing",
+             "concurrent.futures.process")
     code = "\n".join([
-        "import sys, apmi, apmi.cli as cli",
-        f"loaded = lambda: sorted(m for m in {unwanted!r} if m in sys.modules)",
+        "import contextlib, io, sys, apmi, apmi.cli as cli",
+        f"loaded = lambda: [m for m in {heavy!r} if m in sys.modules]",
         "print(loaded(), cli._build_parser.cache_info().currsize)",
-        "assert cli.main(['predict', 'flat-iid', '--W', '0.01']) == 0",
-        "assert cli.main(['mi', '--family', 'mls', '--degree', '5', '--W', '0.01']) == 0",
+        f"for argv, _ in {COLD_LOADS[1:]!r}:",
+        "    out = io.StringIO()",
+        "    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(out):",
+        f"        cli.main([a.replace('{{tmp}}', {str(tmp_path)!r}) for a in argv])",
+        "    print(loaded())",
         "assert apmi.predict is apmi.asymptotic.predict",
         "print(loaded())",
     ])
-    src = str(Path(apmi.__file__).resolve().parent.parent)
-    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
-        filter(None, [src, os.environ.get("PYTHONPATH")]))}
-    proc = subprocess.run([sys.executable, "-c", code], env=env,
-                          capture_output=True, text=True, timeout=120)
+    proc = run_subprocess("-c", code, timeout=120)
     assert proc.returncode == 0, proc.stderr
     lines = proc.stdout.splitlines()
-    assert (lines[0], lines[-1]) == ("[] 0", "[]")
+    assert lines[0] == "[] 0"
+    assert lines[1:-1] == [str(list(loads)) for _, loads in COLD_LOADS[1:]]
+    assert lines[-1] == lines[-2]
+    assert (tmp_path / "flat.json").exists()
 
 
 def test_parser_keeps_no_state_between_calls(capsys):

@@ -14,8 +14,9 @@ from pathlib import Path
 
 from hypothesis import example, given, settings, strategies as st
 
-from apmi.cli import PATTERNS, PREDICTORS, main
+from apmi.cli import PREDICTORS, main
 from apmi.ensemble import METRICS, RHO_MODES
+from apmi.patterns import PATTERNS
 
 # Every option that sets an amount of work (n, degree, trials, grid, points,
 # workers) is always given on the command line, so it wins over any config

@@ -128,9 +128,15 @@ def test_one_predictor_registry():
 def test_one_home_for_mask_families():
     """patterns.PATTERNS is the one generator registry and patterns.RANDOM_DRAWS
     the one random-row table: the CLI names no generator, the ensemble
-    defines no draw table, and each module seeds generators in one place."""
+    defines no draw table, and each module seeds generators in one place.
+    The CLI's --family choices and PATTERNS' keys are model.PATTERN_FAMILIES."""
     assert occurrences(r"(?m)^PATTERNS = ") == {"patterns.py": 1}
-    assert cli.PATTERNS is patterns.PATTERNS
+    assert occurrences(r"(?m)^PATTERN_FAMILIES = ") == {"model.py": 1}
+    assert tuple(patterns.PATTERNS) == model.PATTERN_FAMILIES
+    commands = cli._build_parser()._subparsers._group_actions[0].choices
+    for name in ("generate", "mi"):
+        family, = (a for a in commands[name]._actions if a.dest == "family")
+        assert family.choices == list(model.PATTERN_FAMILIES), name
     assert "cli.py" not in occurrences(r"\bgen_\w+")
     assert occurrences(r"(?m)^\w*DRAWS\w* = ") == {"patterns.py": 1}
     assert "ensemble.py" not in occurrences(r"standard_normal|\(u < p\)")
@@ -154,6 +160,22 @@ def test_one_home_per_rule():
     assert not re.search(rf"[\"'](?:{metric_names})[\"']", inspect.getsource(ensemble._check_kinds))
     assert not re.findall(r"(?m)^from \.(?:patterns|spectral) import", source)
     assert set(re.findall(r"(?m)^from \.(\w+) import", source)) == {"errors", "model"}
+
+
+def test_numpy_only_in_the_array_layers():
+    """Only the layers that are all arrays import numpy at module level, so
+    the CLI and the scalar predictors start without it; no module imports
+    scipy at module level."""
+    found = {}
+    for path in sorted(PACKAGE.glob("*.py")):
+        for node in ast.parse(path.read_text()).body:
+            names = ([alias.name for alias in node.names] if isinstance(node, ast.Import)
+                     else [node.module] if isinstance(node, ast.ImportFrom) and node.level == 0
+                     else [])
+            for name in names:
+                found.setdefault(name.split(".")[0], set()).add(path.stem)
+    assert found["numpy"] == {"ensemble", "patterns", "spectral", "checks"}
+    assert "scipy" not in found
 
 
 MODULES = ("asymptotic", "ensemble", "errors", "model", "patterns", "spectral")
