@@ -11,8 +11,8 @@ expectation is routed through a single audited kernel:
 All predictor values are in nats.  Per-pixel predictors describe the bulk
 (DC-excluded) per-pixel MI; the 1/f-prior predictors return total MI and
 include the DC term explicitly.  Their bulk sums over k = 2..(n-1)/2 share one
-engine, _bulk_sum: an exact head and closed Euler-Maclaurin sums past it, so
-their cost does not grow with n, and for explog_exp1 grows as s / 2.4 in the SNR s.
+engine, _bulk_sum: an exact head of at most 63 terms past n = 8193 and closed
+Euler-Maclaurin sums past it, so their cost grows neither with n nor with the SNR s.
 numpy is imported only where an array is made.
 """
 
@@ -40,11 +40,6 @@ GAUSS_TRUNC_SD = 10.0
 # Below this c the exp(1/c)*E1(1/c) product would overflow/underflow;
 # an 8-term asymptotic series is accurate to ~1e-21 there.
 _SERIES_CUTOFF = 1.0 / 600.0
-
-# Terms per call in the head of a 1/f bulk sum: large enough to amortise the
-# call, small enough that the temporaries stay a few hundred kB when a large s
-# makes the head long.
-_BULK_CHUNK = 1 << 15
 
 # Series coefficients a_j of the 1/f bulk terms in c = s/k, j = 1..8: explog_exp1's
 # (-1)^(j-1) (j-1)! and log1p's (-1)^(j-1) / j.
@@ -218,7 +213,7 @@ def predict_flat_onef(n: int, W: float, J: float, form: str = "midsum") -> Predi
         value = math.log1p(g * n / 4.0)  # an infinite DC term needs no bulk sum
         if math.isfinite(value):
             import numpy as np
-            value += 2.0 * _bulk_sum(np.log1p, _LOG1P_SERIES, g / 4.0, n)
+            value += 2.0 * _bulk_sum(np.log1p, _LOG1P_SERIES, g / 4.0, n, _log1p_ends)
     elif form == "closed":
         value = math.log(g * n / 4.0) + g / 2.0 * (math.log(n / 2.0) - 1.0)
         if value < 0:
@@ -243,31 +238,6 @@ def _normal_expect_log(gamma_: float, sd: float, mean: float) -> tuple[float, fl
     val, err = integrate.quad(integrand, -GAUSS_TRUNC_SD, GAUSS_TRUNC_SD,
                               epsabs=GAUSS_QUAD_ABS_TOL, epsrel=1e-10, limit=200)
     return float(val), float(err)
-
-
-def _exact_fsum(chunks, parts=()) -> float:
-    """math.fsum of every element of the float arrays `chunks` and of the floats `parts`,
-    bit for bit, by error-free extraction (Rump, Ogita & Oishi, SIAM J. Sci. Comput.
-    31(1), 2008): for 2^M >= N + 2 and a power of two sigma > 2^M max|r|,
-    q = (sigma + r) - sigma and r - q are exact, and np.sum(q) is exact in any order.
-    Levels with sigma scaled by 2^(M - 52) reduce r to 0; math.fsum rounds the level
-    sums and the parts once."""
-    import numpy as np
-    parts = list(parts)
-    for r in chunks:
-        m = (r.size + 1).bit_length()  # the least M with 2^M >= N + 2
-        top = float(np.abs(r).max(initial=0.0))
-        sigma = 2.0 ** (m + math.frexp(top)[1]) if top < 2.0 ** (1023 - m) else 0.0
-        while r.any():
-            if sigma < 2.0 ** -969:  # so that ulp(sigma)/2 is normal
-                parts += r[r != 0].tolist()  # the rest of a non-finite or subnormal-range chunk
-                break
-            q = np.add(sigma, r)
-            q -= sigma
-            r = r - q
-            parts.append(float(q.sum()))
-            sigma *= 2.0 ** (m - 52)
-    return math.fsum(parts)
 
 
 def _power_tails(s: float, a: int, b: int) -> list[float]:
@@ -299,50 +269,76 @@ def _explog_cf(x):
     return 1 / t
 
 
-def _e1_sum(s: float, a: int, b: int) -> list[float]:
-    """Parts of sum_{k=a}^{b} g(k/s), g(x) = e^x E1(x), for integers 64 < a <= b with
-    a/s >= 0.4, by Euler-Maclaurin through B_8 (remainder below 1e-20 of the sum) from g
-    at the two ends: E1' = -e^-x/x (DLMF 6.2.1) gives g' = g - 1/x, so the r-th derivative
-    is g + sum_{j<=r} (-1)^j (j-1)! x^-j and the antiderivative g + log x.  The integral
-    s (g + log x), as large as the sum, is formed in long double and kept as two doubles."""
+def _e1_ends(s: float, a: int, b: int):
+    """For f(k) = g(k/s), g(x) = e^x E1(x), and integers 64 < a <= b: the integral of f
+    over [a, b] in long double, and [f, f', f''', f^(5), f^(7)] at a and at b.
+
+    E1' = -e^-x/x (DLMF 6.2.1) gives g' = g - 1/x: G = g + log x is an antiderivative, and
+    f^(r) = f^(r-1) / s + (-1)^r (r-1)! k^-r overflows at no s.  At x >= 0.4 g comes from
+    _explog_cf; below, E1 = Ein(x) - gamma - log x (DLMF 6.6.2), Ein(x) = sum_j (-1)^(j+1)
+    x^j / (j j!), and G + gamma = e^x Ein(x) - expm1(x) (gamma + log x) adds two positive terms."""
     import numpy as np
-    ls = np.longdouble(s)
-    ga, gb = (_explog_cf(np.longdouble(k) / ls) for k in (a, b))
-    whole = ls * (np.log1p(np.longdouble(b - a) / a) + gb - ga)
-    da, db = ga, gb = float(ga), float(gb)  # then the r-th x-derivatives; d/dk is (1/s) d/dx
-    parts = [float(whole), float(whole - float(whole)), (ga + gb) / 2.0]
-    for r, coef in enumerate(_EXPLOG_SERIES[:7], 1):  # coef = -(-1)^r (r-1)!
-        da, db = da - coef * (s / a) ** r, db - coef * (s / b) ** r
-        if r % 2:
-            parts.append(_EULER_MACLAURIN[r // 2] * (db - da) / s ** r)
-    return parts
+    ls, euler = np.longdouble(s), np.longdouble("0.57721566490153286060651209008240243")
+    xa, xb = np.longdouble(a) / ls, np.longdouble(b) / ls
+    ends = []  # g, G + gamma and the derivatives of f at each end
+    for k, x in ((a, xa), (b, xb)):
+        if x >= 0.4:
+            g = _explog_cf(x)
+            h = g + np.log(x) + euler
+        else:
+            ein = term = x
+            for j in range(2, 18):  # the first omitted term is below 1e-22 of Ein(x)
+                term *= -x / j
+                ein += term / j
+            exp, log = np.exp(x), np.log(x) + euler
+            g, h = exp * (ein - log), exp * ein - np.expm1(x) * log
+        d = [float(g)]
+        for r, coef in enumerate(_EXPLOG_SERIES[:7], 1):  # coef = -(-1)^r (r-1)!
+            d.append(d[-1] / s - coef / k ** r)
+        ends.append((g, h, [d[0], *d[1::2]]))
+    (ga, ha, da), (gb, hb, db) = ends
+    # with both ends on the continued fraction, log xb - log xa is one log1p
+    return ls * (np.log1p(np.longdouble(b - a) / a) + gb - ga if xa >= 0.4 else hb - ha), da, db
 
 
-def _bulk_sum(term, series: tuple, s: float, n: int, e1: bool = False) -> float:
-    """sum_{k=2}^{top} term(s / k), top = (n-1)/2, for an elementwise array function
-    term(c) equal to sum_j series[j-1] c^j for c < _SERIES_CUTOFF (e1: and to e^x E1(x), x = 1/c).
+def _log1p_ends(s: float, a: int, b: int):
+    """For f(k) = log1p(s/k) and integers 0 < a <= b: the integral of f over [a, b],
+    b log1p(s/b) - a log1p(s/a) + s log1p((b-a)/(a+s)), in long double, and
+    [f, f', f''', f^(5), f^(7)] at a and at b.  The odd derivatives (m-1)! ((k+s)^-m - k^-m)
+    are taken as (m-1)! k^-m expm1(-m f), free of cancellation."""
+    import numpy as np
+    ls, la, lb = np.longdouble(s), np.longdouble(a), np.longdouble(b)
+    whole = lb * np.log1p(ls / lb) - la * np.log1p(ls / la) + ls * np.log1p((lb - la) / (la + ls))
+    ends = []
+    for k in (a, b):
+        f = math.log1p(s / k)
+        ends.append([f, *(coef * math.expm1(-m * f) / k ** m  # coef = (m-1)!
+                          for m, coef in zip((1, 3, 5, 7), _EXPLOG_SERIES[::2]))])
+    return whole, *ends
 
-    The head k <= H calls term on up to _BULK_CHUNK values at a time; H = top up to
-    top = 4096, else max(30, K).  Past K = floor(s / _SERIES_CUTOFF) + 1 every c is on
-    the series: sum_j series[j-1] sum_{k>K} (s/k)^j (_power_tails).  With e1, at any s,
-    H = max(30, min(K, max(64, ceil(s / 2.4)))), so k/s >= 0.4 past it, and H < k <= min(K,
-    top) is one Euler-Maclaurin sum (_e1_sum); at s >= 2.4 top all is head.  One math.fsum
-    rounds all parts: an all-head sum is math.fsum of its terms, bit for bit."""
+
+def _bulk_sum(term, series: tuple, s: float, n: int, ends) -> float:
+    """sum_{k=2}^{top} f(k), f(k) = term(s / k), top = (n-1)/2, for an elementwise array
+    function term(c) equal to sum_j series[j-1] c^j for c < _SERIES_CUTOFF, and ends(s, a, b)
+    giving f's integral over [a, b] and f's values and odd derivatives at a and b.
+
+    The head k <= H is one call of term: H = top up to top = 4096, else max(30, min(K, 64))
+    at every s, K = floor(s / _SERIES_CUTOFF) + 1.  H < k <= min(K, top) is one Euler-Maclaurin
+    range through B_8, its integral kept as two doubles; past K every c is on the series:
+    sum_j series[j-1] sum_{k>K} (s/k)^j (_power_tails).  One math.fsum rounds all parts."""
     import numpy as np
     top = (n - 1) // 2
-    head, parts = top, []
-    if top > 4096:
-        # K, at most top + 1; float tests first: s may be too large for an int
-        branch = int(s / _SERIES_CUTOFF) + 1 if s < top * _SERIES_CUTOFF else top + 1
-        head = max(30, min(branch, max(64, math.ceil(min(branch, s / 2.4)))) if e1 else branch)
-        if head < branch:
-            parts = _e1_sum(s, head + 1, min(branch, top))
-        head, start = min(head, top), max(head, branch) + 1
-        if start <= top:
-            parts += [a * tail for a, tail in zip(series, _power_tails(s, start, top))]
-    starts = range(2, head + 1, _BULK_CHUNK)
-    return _exact_fsum((term(s / np.arange(i, min(i + _BULK_CHUNK, head + 1))) for i in starts),
-                       parts)
+    # K, at most top + 1; float test first: s may be too large for an int
+    branch = int(s / _SERIES_CUTOFF) + 1 if s < top * _SERIES_CUTOFF else top + 1
+    head = max(30, min(branch, 64)) if top > 4096 else top
+    parts = term(s / np.arange(2, head + 1)).tolist()
+    if head < min(branch, top):
+        whole, fa, fb = ends(s, head + 1, min(branch, top))
+        parts += [float(whole), float(whole - float(whole)), (fa[0] + fb[0]) / 2.0,
+                  *(w * (db - da) for w, da, db in zip(_EULER_MACLAURIN, fa[1:], fb[1:]))]
+    if max(head, branch) < top:
+        parts += [a * tail for a, tail in zip(series, _power_tails(s, max(head, branch) + 1, top))]
+    return math.fsum(parts)
 
 
 def _random_onef(n: int, g: float, var: float, mean: float) -> PredictionResult:
@@ -350,7 +346,7 @@ def _random_onef(n: int, g: float, var: float, mean: float) -> PredictionResult:
     mask whose lambda_1/sqrt(n) tends to N(mean, var) and each bulk |lambda_k|^2/n to
     var * Exp(1); the error estimate adds EXPLOG_ABS_TOL per bulk term to the DC's."""
     dc, dc_err = _normal_expect_log(g, sd=math.sqrt(var), mean=mean)
-    bulk = 2.0 * _bulk_sum(explog_exp1, _EXPLOG_SERIES, var * g, n, e1=True)
+    bulk = 2.0 * _bulk_sum(explog_exp1, _EXPLOG_SERIES, var * g, n, _e1_ends)
     err = dc_err + 2 * ((n - 1) // 2 - 1) * EXPLOG_ABS_TOL
     return PredictionResult(dc + bulk, "total", "quadrature", est_abs_error=err)
 

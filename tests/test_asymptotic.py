@@ -489,68 +489,6 @@ class TestBernoulliOneF:
             predict_bernoulli_onef(101, 1.5, 0.01, 1.0)
 
 
-class TestExactFsum:
-    """asymptotic._exact_fsum returns math.fsum of all its elements, bit for bit."""
-
-    @staticmethod
-    def adversarial(kind, rng):
-        if kind == "cancellation":
-            x = rng.standard_normal(5000) * 10.0 ** rng.integers(-20, 20, 5000)
-            v = np.concatenate([x, -x, rng.standard_normal(50) * 1e-25, [1e300, 3.0, -1e300]])
-        elif kind == "spread":
-            v = rng.choice([-1.0, 1.0], 5000) * 10.0 ** rng.uniform(-300, 300, 5000)
-        elif kind == "subnormal":
-            v = rng.integers(-(1 << 40), 1 << 40, 3000) * 5e-324
-        elif kind == "subnormal-and-normal":
-            v = np.concatenate([rng.integers(-1000, 1000, 2000) * 5e-324,
-                                rng.standard_normal(2000) * 2.0 ** -1000, [1.0, -1.0]])
-        elif kind == "zeros":
-            v = np.zeros(4000)
-        elif kind == "signed-zeros":
-            v = -np.zeros(4000)
-        elif kind == "mixed-zeros":
-            v = rng.choice([0.0, -0.0], 4000)
-        elif kind in ("infinite", "nan"):  # one non-finite term among normal ones
-            special = rng.choice([-math.inf, math.inf]) if kind == "infinite" else math.nan
-            v = np.append(rng.standard_normal(1000), special)
-        elif kind == "equal":  # the same largest magnitude throughout, one sign
-            v = np.full(4094, np.nextafter(2.0 ** 700, 0.0))
-        else:  # "half-ulp": 4094 terms below 2, so the first sigma is 2^13
-            # All terms but +-1.5 sit just below ulp(sigma)/2 = 2^-40: each is left
-            # whole in the residual, and their sum, the total, is about half the next sigma.
-            v = np.concatenate([[1.5, -1.5], rng.uniform(0.9, 1.0, 4092) * 2.0 ** -40])
-        return rng.permutation(v)
-
-    @pytest.mark.parametrize("seed", [11, 29, 83])
-    @pytest.mark.parametrize("kind", ["cancellation", "spread", "subnormal",
-                                      "subnormal-and-normal", "zeros", "signed-zeros",
-                                      "mixed-zeros", "infinite", "nan", "equal", "half-ulp"])
-    def test_adversarial(self, kind, seed):
-        rng = np.random.default_rng(seed)
-        v = self.adversarial(kind, rng)
-        want = math.fsum(v.tolist()).hex()
-        assert asymptotic._exact_fsum([v]).hex() == want
-        cuts = np.sort(rng.integers(0, v.size + 1, 6))
-        assert asymptotic._exact_fsum(np.split(v, cuts)).hex() == want
-        # floats passed beside the chunks, as _bulk_sum passes its closed parts
-        assert asymptotic._exact_fsum(np.split(v[:cuts[3]], cuts[:3]),
-                                      v[cuts[3]:].tolist()).hex() == want
-
-    # 2^M - 2 and 2^M - 1 terms: the largest chunk at one M and the smallest at the next
-    @pytest.mark.parametrize("size", [0, 1, 2, 3, 6, 7, 1022, 1023, 32766, 32767])
-    @pytest.mark.parametrize("seed", [11, 29, 83])
-    def test_chunk_sizes(self, size, seed):
-        rng = np.random.default_rng(seed)
-        v = rng.standard_normal(size) * 10.0 ** rng.uniform(-30, 30, size)
-        assert asymptotic._exact_fsum([v]).hex() == math.fsum(v.tolist()).hex()
-        same_sign = np.abs(v) * 2.0 ** 500
-        assert (asymptotic._exact_fsum([same_sign]).hex()
-                == math.fsum(same_sign.tolist()).hex())
-
-    def test_no_chunks(self):
-        assert asymptotic._exact_fsum([]).hex() == math.fsum([]).hex()
-
-
 def _mpmath_e1_diffs(s, k):
     """f(k), f'(k), f''(k), ... for f(k) = e^x E1(x) at x = k/s, at 80 digits:
     the r-th k-derivative is s^-r (g(x) + sum_{j<=r} (-1)^j (j-1)! x^-j)."""
@@ -636,6 +574,10 @@ def assert_within_ulps(value, exact, ulps):
     assert abs(value - exact) <= ulps * math.ulp(float(exact)), (value, float(exact))
 
 
+# The Euler-Maclaurin ends of each bulk-sum kind, as the predictors pass them.
+ENDS = {"explog": asymptotic._e1_ends, "log1p": asymptotic._log1p_ends}
+
+
 class TestOneFBulkSums:
     """Up to n = 8193 a 1/f bulk sum is math.fsum of its per-term values, bit
     for bit; beyond it the Euler-Maclaurin tail keeps it within 2 ulp of mpmath."""
@@ -664,13 +606,13 @@ class TestOneFBulkSums:
                                               mean=p * math.sqrt(n))
         self.check(predict_bernoulli_onef(n, p, W, J).value, dc, p * (1.0 - p) * g, n)
 
-    def test_gaussian_branch_change_inside_a_later_chunk(self):
-        # gamma = 1/0.012 puts c = gamma/k on the series from k = 50001 on, so the head
-        # ends at K = 50001: its first chunk (k <= 32769) is all identity, and its
-        # second ends on the first series term.  The tail runs from 50002 to 100000.
+    def test_gaussian_range_ends_on_the_series_branch(self):
+        # gamma = 1/0.012 puts c = gamma/k on the series from k = 50001 on, so the
+        # Euler-Maclaurin range runs from 65 to K = 50001, which ends on the first
+        # series term, and the tail from 50002 to 100000.
         n, W, rho_j = 200001, 0.002, 0.01
         g = 1.0 / (W + rho_j)
-        assert g / 32770 >= 1.0 / 600.0 > g / 50001 and int(g * 600) + 1 == 50001
+        assert 1.0 / 600.0 > g / 50001 and int(g * 600) + 1 == 50001
         dc, _ = asymptotic._normal_expect_log(g, sd=1.0, mean=0.0)
         self.check(predict_gaussian_onef(n, W, rho_j).value, dc, g, n)
 
@@ -695,35 +637,36 @@ class TestOneFBulkSums:
     ])
     def test_against_mpmath(self, kind, term, series, s):
         for n in (1001, 8195, 1000001, 10**9 + 1):
-            assert_within_ulps(asymptotic._bulk_sum(term, series, s, n, kind == "explog"),
+            assert_within_ulps(asymptotic._bulk_sum(term, series, s, n, ENDS[kind]),
                                bulk_mpmath(kind, s, n), 2)
 
-    # At high SNR the E1 branch past the head is one Euler-Maclaurin sum, at
-    # every s; at n = 8195 and s = 9830 it is the single term k = 4097.  Past
-    # s = 9830.4 the head (s / 2.4 terms) is longer than 4096, so at n = 8195
-    # the sum is all head.  log1p (flat-1f) sums 600 s terms exactly, so its
-    # cases stop at 1e4.
+    # At high SNR every term past the 63-term head up to K = 600 s (or to the top) is
+    # one Euler-Maclaurin range.  For e^x E1 from s = 162.5 on its first end has
+    # x = 65/s < 0.4 and takes Ein; from s = 10242.5 at n = 8195 both ends do.
+    # e1 names the range's ends: e^x E1's or log1p's.
     @pytest.mark.parametrize("kind, term, series, e1, s", [
         *(("explog", explog_exp1, asymptotic._EXPLOG_SERIES, True, s)
           for s in (20.0, 100.0, 1e3, 9830.0, 9900.0, 1e4, 3e4, 1e5, 1e6)),
         *(("log1p", np.log1p, asymptotic._LOG1P_SERIES, False, s)
-          for s in (20.0, 100.0, 1e3, 1e4)),
+          for s in (20.0, 100.0, 1e3, 1e4, 1e5, 1e6)),
     ], ids=lambda v: (f"series{int(v is asymptotic._LOG1P_SERIES)}"  # series0 is e^x E1's
                       if isinstance(v, tuple) else None))
     def test_high_snr_against_mpmath(self, kind, term, series, e1, s):
+        ends = asymptotic._e1_ends if e1 else asymptotic._log1p_ends
         for n in (8195, 1000001, 10**9 + 1):
-            assert_within_ulps(asymptotic._bulk_sum(term, series, s, n, e1),
+            assert_within_ulps(asymptotic._bulk_sum(term, series, s, n, ends),
                                bulk_mpmath(kind, s, n), 2)
 
-    # An Euler-Maclaurin range a little longer than its head: its integral
-    # s (g + log x) at the two ends is about as large as the sum, so the ends'
-    # rounding shows in full.  Formed in double, with the kernel's g or the
-    # continued fraction's at the ends, these read 2.1 to 4.5 ulp from the reference.
+    # Sums that are nearly all one Euler-Maclaurin range, from x = 65/s < 0.4 (Ein) to
+    # the top: its integral s (G(xb) - G(xa)) is about as large as the sum, so the ends'
+    # rounding shows in full.  Formed in double instead of long double, these read up
+    # to 3.5 ulp from the reference.
     @pytest.mark.parametrize("s, n", [
         (861.9163731891733, 8195), (3492.0907119915632, 16541), (9495.140976126504, 32769),
         (7021.328161668026, 8195), (6168.553268603654, 12181)])
     def test_short_e1_range_against_mpmath(self, s, n):
-        got = asymptotic._bulk_sum(explog_exp1, asymptotic._EXPLOG_SERIES, s, n, True)
+        got = asymptotic._bulk_sum(explog_exp1, asymptotic._EXPLOG_SERIES, s, n,
+                                   asymptotic._e1_ends)
         assert_within_ulps(got, bulk_mpmath("explog", s, n), 1)
 
     def test_explog_cf_against_mpmath(self):
@@ -739,6 +682,53 @@ class TestOneFBulkSums:
                 got = asymptotic._explog_cf(np.longdouble(x))
                 value = mpmath.mpf(float(got)) + mpmath.mpf(float(got - np.longdouble(float(got))))
                 assert abs(value / want - 1) < (1e-18 if wide else 1e-15), x
+
+    # Both ends on the continued fraction (x = 65/162 >= 0.4), one end on Ein (s = 163),
+    # both on Ein, and s = 1e300, where G(xb) - G(xa) is 1e-289 of G.
+    @pytest.mark.parametrize("s, a, b", [(162.0, 65, 4097), (163.0, 65, 4097), (1e3, 65, 300),
+                                         (1e5, 65, 4097), (1e300, 65, 5 * 10**8)])
+    def test_e1_ends_against_mpmath(self, s, a, b):
+        """_e1_ends' integral is within 1e-17 of s (G(xb) - G(xa)), G = g + log x, run in
+        mpmath (1e-14 where long double is double), and f with its odd k-derivatives within
+        1e-13 of _mpmath_e1_diffs at the ends with x < 1.  Past x = 1 the derivatives are
+        remainders of g's asymptotic series and cancel; the sum tests cover them."""
+        mpmath = pytest.importorskip("mpmath")
+        wide = np.finfo(np.longdouble).nmant >= 63
+        whole, *ends = asymptotic._e1_ends(s, a, b)
+        with mpmath.workdps(40 + int(math.log10(s))):
+            sm = mpmath.mpf(s)
+            integral = sm * sum(sign * (mpmath.exp(k / sm) * mpmath.e1(k / sm) + mpmath.log(k / sm))
+                                for sign, k in ((1, b), (-1, a)))
+            got = mpmath.mpf(float(whole)) + mpmath.mpf(float(whole - np.longdouble(float(whole))))
+            assert abs(got / integral - 1) < (1e-17 if wide else 1e-14), (got, integral)
+        for k, derivatives in zip((a, b), ends):
+            if k >= s:
+                continue
+            want = list(itertools.islice(_mpmath_e1_diffs(s, k), 8))
+            for got, exact in zip(derivatives, want[:1] + want[1::2]):
+                assert abs(got - exact) <= 1e-13 * abs(exact), (k, got, exact)
+
+    @pytest.mark.parametrize("s, a, b", [(0.11, 65, 66), (0.5, 65, 301), (1e3, 65, 600001),
+                                         (1e300, 65, 5 * 10**8)])
+    def test_log1p_ends_against_mpmath(self, s, a, b):
+        """_log1p_ends' integral is within 1e-17 of F(b) - F(a), F(k) = k log1p(s/k)
+        + s log(k + s), run in mpmath (1e-14 where long double is double), and log1p(s/k)
+        with its odd derivatives (m-1)! ((k+s)^-m - k^-m) within 1e-14 at both ends."""
+        mpmath = pytest.importorskip("mpmath")
+        wide = np.finfo(np.longdouble).nmant >= 63
+        whole, *ends = asymptotic._log1p_ends(s, a, b)
+        with mpmath.workdps(40 + int(math.log10(s))):
+            sm = mpmath.mpf(s)
+            integral = sum(sign * (k * mpmath.log1p(sm / k) + sm * mpmath.log(k + sm))
+                           for sign, k in ((1, b), (-1, a)))
+            got = mpmath.mpf(float(whole)) + mpmath.mpf(float(whole - np.longdouble(float(whole))))
+            assert abs(got / integral - 1) < (1e-17 if wide else 1e-14), (got, integral)
+            for k, derivatives in zip((a, b), ends):
+                km = mpmath.mpf(k)
+                want = [mpmath.log1p(sm / km), *(mpmath.factorial(m - 1) * ((km + sm) ** -m - km ** -m)
+                                                 for m in (1, 3, 5, 7))]
+                for got, exact in zip(derivatives, want):
+                    assert abs(got - exact) <= 1e-14 * abs(exact), (k, got, exact)
 
     def test_reference_derivatives_match_mpmath_diff(self):
         """_mpmath_e1_diffs, the reference's derivative identity, against
@@ -800,29 +790,120 @@ class TestOneFBulkSums:
         assert all(0 < c <= 64 for c in heads), heads
 
     def test_work_does_not_grow_with_snr(self, monkeypatch):
-        """At J = 0, W = 1e-4, s reaches 2500: the head stays at most 4096 terms
-        (1042 here), where summed term by term up to 600 s it had 1.5 million."""
-        heads = self.kernel_work(monkeypatch, 1e-4, 0.0)
-        assert all(0 < c <= 4096 for c in heads), heads
+        """At J = 0, W = 1e-4, 1e-5 and 1e-300, s = p(1-p)/W reaches 2500, 25,000 and
+        2.5e299: each head has at most 64 terms at any s, where summed term by term up
+        to 600 s it had 1.5 million at W = 1e-4 and all 5e8 at W = 1e-300."""
+        for W in (1e-4, 1e-5, 1e-300):
+            heads = self.kernel_work(monkeypatch, W, 0.0)
+            assert all(0 < c <= 64 for c in heads), (W, heads)
 
-    def test_head_grows_as_s_over_2_4_past_1e4(self, monkeypatch):
-        """At J = 0, W = 1e-5, s reaches 25,000: one head rule at every s keeps each
-        head at most ceil(25000 / 2.4) = 10,417 terms, past 4096 at the top of the
-        search, where summed term by term up to 600 s it was every one of the
-        49,999 terms at n = 100001."""
-        heads = self.kernel_work(monkeypatch, 1e-5, 0.0, n=100001)
-        assert all(0 < c <= 10417 for c in heads) and max(heads) > 4096, heads
-
-    def test_huge_s_takes_the_head_only(self):
-        # Whether a tail or an E1 range exists is a float test, made before
-        # s / _SERIES_CUTOFF or s / 2.4 (infinite for both s here) is turned
-        # into a term count.
-        n, s = 10001, 1e306
-        for e1 in (False, True):
-            got = asymptotic._bulk_sum(explog_exp1, asymptotic._EXPLOG_SERIES, s, n, e1)
-            assert got == math.fsum(explog_exp1(s / np.arange(2, 5001)).tolist())
+    def test_huge_s_against_log_gamma(self):
+        """At s >= 1e30 every x = k/s is below 1e-21, where e^x E1(x) = log s - gamma
+        - log k and log1p(s/k) = log s - log k + k/s, to far below an ulp: the sums
+        are (top-1)(log s - gamma) - lnGamma(top+1), and (top-1) log s - lnGamma(top+1)
+        + (top(top+1)/2 - 1)/s.  Whether a tail or a range exists is a float test, made
+        before s / _SERIES_CUTOFF (infinite at s = 1e300) is turned into a term count."""
+        mpmath = pytest.importorskip("mpmath")
+        for s, n in itertools.product((1e30, 1e100, 1e300), (8195, 10**6 + 1, 10**9 + 1)):
+            top = (n - 1) // 2
+            with mpmath.workdps(40):
+                log_s, log_gamma = mpmath.log(s), mpmath.loggamma(top + 1)
+                explog = (top - 1) * (log_s - mpmath.euler) - log_gamma
+                log1p = (top - 1) * log_s - log_gamma + mpmath.mpf(top * (top + 1) // 2 - 1) / s
+            got = asymptotic._bulk_sum(explog_exp1, asymptotic._EXPLOG_SERIES, s, n,
+                                       asymptotic._e1_ends)
+            assert_within_ulps(got, explog, 2)
+            got = asymptotic._bulk_sum(np.log1p, asymptotic._LOG1P_SERIES, s, n,
+                                       asymptotic._log1p_ends)
+            assert_within_ulps(got, log1p, 2)
+        for ends in (asymptotic._e1_ends, asymptotic._log1p_ends):
             with pytest.raises(InvalidArgumentError):
-                asymptotic._bulk_sum(explog_exp1, asymptotic._EXPLOG_SERIES, math.inf, n, e1)
+                asymptotic._bulk_sum(explog_exp1, asymptotic._EXPLOG_SERIES, math.inf, 10001, ends)
+
+
+class TestExactFsum:
+    """_bulk_sum rounds once: its head terms and its closed parts go into one math.fsum,
+    so it returns the correctly rounded sum of all of them, bit for bit, whatever they are."""
+
+    @staticmethod
+    def adversarial(kind, rng):
+        """At most 4095 terms, so all of them fit in a head (top <= 4096)."""
+        if kind == "cancellation":
+            x = rng.standard_normal(2000) * 10.0 ** rng.integers(-20, 20, 2000)
+            v = np.concatenate([x, -x, rng.standard_normal(50) * 1e-25, [1e300, 3.0, -1e300]])
+        elif kind == "spread":
+            v = rng.choice([-1.0, 1.0], 4000) * 10.0 ** rng.uniform(-300, 300, 4000)
+        elif kind == "subnormal":
+            v = rng.integers(-(1 << 40), 1 << 40, 3000) * 5e-324
+        elif kind == "subnormal-and-normal":
+            v = np.concatenate([rng.integers(-1000, 1000, 2000) * 5e-324,
+                                rng.standard_normal(2000) * 2.0 ** -1000, [1.0, -1.0]])
+        elif kind == "zeros":
+            v = np.zeros(4000)
+        elif kind == "signed-zeros":
+            v = -np.zeros(4000)
+        elif kind == "mixed-zeros":
+            v = rng.choice([0.0, -0.0], 4000)
+        elif kind in ("infinite", "nan"):  # one non-finite term among normal ones
+            special = rng.choice([-math.inf, math.inf]) if kind == "infinite" else math.nan
+            v = np.append(rng.standard_normal(1000), special)
+        elif kind == "equal":  # the same largest magnitude throughout, one sign
+            v = np.full(4094, np.nextafter(2.0 ** 700, 0.0))
+        else:  # "half-ulp": +-1.5 cancel, and 4092 terms just below 2^-40 make the total
+            v = np.concatenate([[1.5, -1.5], rng.uniform(0.9, 1.0, 4092) * 2.0 ** -40])
+        return rng.permutation(v)
+
+    @staticmethod
+    def fixed_term(values):
+        def term(c):
+            assert c.shape == values.shape
+            return values
+        return term
+
+    @pytest.mark.parametrize("seed", [11, 29, 83])
+    @pytest.mark.parametrize("kind", ["cancellation", "spread", "subnormal",
+                                      "subnormal-and-normal", "zeros", "signed-zeros",
+                                      "mixed-zeros", "infinite", "nan", "equal", "half-ulp"])
+    def test_adversarial(self, kind, seed):
+        rng = np.random.default_rng(seed)
+        v = self.adversarial(kind, rng)
+        # top = v.size + 1 <= 4096: the head is every term
+        n = 2 * v.size + 3
+        got = asymptotic._bulk_sum(self.fixed_term(v), (), 1.0, n, ENDS["explog"])
+        assert got.hex() == math.fsum(v.tolist()).hex()
+        # past top = 4096, a 63-term head and an Euler-Maclaurin range from 65 to K = 1001,
+        # whose mid-point part carries one more term: (x + x) / 2 = x, and all else is 0.0
+        head, x = v[:63], float(v[63])
+
+        def ends(s, a, b):
+            assert (a, b) == (65, 1001)
+            return np.longdouble(0.0), (x, 0.0, 0.0, 0.0, 0.0), (x, 0.0, 0.0, 0.0, 0.0)
+
+        got = asymptotic._bulk_sum(self.fixed_term(head), (), 1000 * asymptotic._SERIES_CUTOFF,
+                                   10001, ends)
+        assert got.hex() == math.fsum([*head.tolist(), x, 0.0]).hex()
+
+    # size bulk terms, top = size + 1: up to 4095 the head is every term, past it
+    # (32766, 32767) the sum is a 63-term head, a range and a series tail.
+    @pytest.mark.parametrize("size", [0, 1, 2, 3, 6, 7, 1022, 1023, 32766, 32767])
+    @pytest.mark.parametrize("seed", [11, 29, 83])
+    def test_chunk_sizes(self, size, seed):
+        s = 10.0 ** np.random.default_rng(seed).uniform(-4.0, 0.7)
+        n = 2 * size + 3
+        for kind, term, series in (("explog", explog_exp1, asymptotic._EXPLOG_SERIES),
+                                   ("log1p", np.log1p, asymptotic._LOG1P_SERIES)):
+            got = asymptotic._bulk_sum(term, series, s, n, ENDS[kind])
+            if size < 4096:
+                assert got.hex() == math.fsum(term(s / np.arange(2, size + 2)).tolist()).hex()
+            else:
+                assert_within_ulps(got, bulk_mpmath(kind, s, n), 2)
+
+    def test_no_chunks(self):
+        """n = 1 and n = 3 have no bulk terms: the sum is math.fsum([]), +0.0."""
+        for n in (1, 3):
+            got = asymptotic._bulk_sum(explog_exp1, asymptotic._EXPLOG_SERIES, 1.0, n,
+                                       asymptotic._e1_ends)
+            assert got.hex() == math.fsum([]).hex()
 
 
 class TestOptimalPOneF:

@@ -696,7 +696,7 @@ def test_non_finite_result_exits_2(tmp_path, argv):
 
 def test_flat_onef_infinite_dc_skips_the_bulk_sum(capsys, monkeypatch):
     """An infinite DC term makes the flat-1f total infinite whatever the bulk
-    sum, so the 5e8-term sum at this n and W is never started."""
+    sum, so the bulk sum at this n and W is never started."""
     from apmi import asymptotic
     calls, bulk_sum = [], asymptotic._bulk_sum
     monkeypatch.setattr(asymptotic, "_bulk_sum", lambda *a: calls.append(a) or bulk_sum(*a))

@@ -106,13 +106,18 @@ def test_explog_splits_arrays_one_way():
 
 
 def test_one_e1_head_rule():
-    """_bulk_sum's e^x E1 head follows one rule at every SNR: its code (the
-    docstring aside) compares s with no number and holds 4096 only in the
-    top > 4096 test, so no s <= 1e4 fork and no head cap grow back."""
+    """_bulk_sum's head follows one rule for both terms at every SNR: its code
+    (the docstring aside) compares s with no number, holds 4096 only in the
+    top > 4096 test and takes no flag for the term's kind, so no s fork, no
+    s-dependent head and no per-term rule grow back, nor the chunked extraction
+    sum that long heads once needed."""
     function = ast.parse(inspect.getsource(asymptotic._bulk_sum)).body[0]
     code = ast.unparse(function.body[1:])
     assert ast.get_docstring(function) and not re.search(r"\bs\s*[<>]=?\s*[\d.]", code)
     assert code.count("4096") == 1 and "top > 4096" in code
+    assert code.count("max(30, min(branch, 64))") == 1 and "2.4" not in code
+    assert [a.arg for a in function.args.args] == ["term", "series", "s", "n", "ends"]
+    assert occurrences(r"_exact_fsum|_BULK_CHUNK|\be1\b") == {}
 
 
 def test_one_predictor_registry():
