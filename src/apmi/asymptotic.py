@@ -74,9 +74,9 @@ def explog_exp1(c: float | np.ndarray) -> float | np.ndarray:
     far below EXPLOG_ABS_TOL everywhere.
 
     A scalar (a numbers.Real, numpy's included) is computed in math and returns
-    a Python float; an array returns a float array of the same shape.  Both
-    run each element's operations in the same order, so an array element is
-    bitwise the scalar result; the tests pin both branches and the cutoff.
+    a Python float; an array returns a float array of the same shape.  Both run
+    each element's operations in the same order (_explog_series is the one series
+    body), so an array element is bitwise the scalar result; tests pin it.
     """
     if isinstance(c, (int, float)) or isinstance(c, numbers.Real):  # the ABC check is slower
         c = float(c) + 0.0  # -0.0 becomes 0.0, as in the array path
@@ -85,11 +85,7 @@ def explog_exp1(c: float | np.ndarray) -> float | np.ndarray:
         if c >= _SERIES_CUTOFF:
             from scipy import special
             return math.exp(1.0 / c) * float(special.exp1(1.0 / c))
-        acc = term = c  # _explog_series, one element
-        for k in range(1, 8):
-            term *= -k * c
-            acc += term
-        return acc
+        return _explog_series(c)
     import numpy as np
     arr = np.asarray(c, dtype=float)
     if arr.size and not (arr.min() >= 0 and arr.max() < math.inf):  # min and max propagate NaN
@@ -103,23 +99,21 @@ def explog_exp1(c: float | np.ndarray) -> float | np.ndarray:
     return float(out) if arr.ndim == 0 else out
 
 
-def _explog_series(small: np.ndarray) -> np.ndarray:
-    """c - c^2 + 2c^3 - ... - 7! c^8, summed from the first term on."""
-    import numpy as np
-    acc, term, neg_k_small = small.copy(), small.copy(), np.empty_like(small)
+def _explog_series(c: float | np.ndarray) -> float | np.ndarray:
+    """c - c^2 + 2c^3 - ... - 7! c^8 of a float or an array, from the first term on."""
+    acc = term = c
     for k in range(1, 8):
-        term *= np.multiply(-k, small, out=neg_k_small)
-        acc += term
+        term = term * (-k * c)
+        acc = acc + term
     return acc
 
 
 def _explog_identity(arr: np.ndarray) -> np.ndarray:
-    """e^x E1(x) at x = 1/arr; math.exp, as numpy's SIMD exp is 1 ulp off on some x."""
+    """e^x E1(x) at x = 1/arr (1-D); math.exp, as numpy's SIMD exp is 1 ulp off on some x."""
     import numpy as np
     from scipy import special
     x = 1.0 / arr
-    exp = np.fromiter(map(math.exp, x.ravel().tolist()), float, x.size)
-    return exp.reshape(x.shape) * special.exp1(x)
+    return np.fromiter(map(math.exp, x.tolist()), float, x.size) * special.exp1(x)
 
 
 ####################### IID-prior (white scene) predictors #######################
@@ -227,16 +221,22 @@ def predict_flat_onef(n: int, W: float, J: float, form: str = "midsum") -> Predi
 
 def _normal_expect_log(gamma_: float, sd: float, mean: float) -> tuple[float, float]:
     """E_G[log(gamma*(sd*G + mean)^2 + 1)] over G ~ N(0,1), truncated at
-    +-GAUSS_TRUNC_SD standard deviations (tail contribution < 1e-20)."""
+    +-GAUSS_TRUNC_SD standard deviations (tail contribution < 1e-20); if that
+    overflows, as log(gamma) + E_G[log((sd*G + mean)^2 + 1/gamma)]."""
     from scipy import integrate
 
     norm = 1.0 / math.sqrt(2.0 * math.pi)
+    options = dict(a=-GAUSS_TRUNC_SD, b=GAUSS_TRUNC_SD, epsabs=GAUSS_QUAD_ABS_TOL, epsrel=1e-10,
+                   limit=200)
 
     def integrand(g):
         return math.log1p(gamma_ * (sd * g + mean) ** 2) * norm * math.exp(-0.5 * g * g)
 
-    val, err = integrate.quad(integrand, -GAUSS_TRUNC_SD, GAUSS_TRUNC_SD,
-                              epsabs=GAUSS_QUAD_ABS_TOL, epsrel=1e-10, limit=200)
+    val, err = integrate.quad(integrand, **options)
+    if val == math.inf:  # only here, so the finite path keeps its integrand and its cost
+        val, err = integrate.quad(lambda g: math.log((sd * g + mean) ** 2 + 1.0 / gamma_)
+                                  * norm * math.exp(-0.5 * g * g), **options)
+        val += math.log(gamma_)
     return float(val), float(err)
 
 

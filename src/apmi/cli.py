@@ -334,7 +334,7 @@ def _build_pattern(args):
 
 
 def _cmd_generate(args) -> int:
-    from .patterns import save_pattern
+    from .patterns import _pattern_files
     _out_path(args.out)
     pattern = _build_pattern(args)
     params = {
@@ -348,15 +348,10 @@ def _cmd_generate(args) -> int:
     # The pattern's generator is seeded with the seed itself, not with a trial seed
     # of SEED_POLICY, so the seed is a parameter and not a master seed.
     manifest = _manifest("generate", params, None)
-    txt_path, json_path = save_pattern(pattern, args.out)
-    try:
-        write_atomic({args.out + ".manifest.json": [manifest]})
-    except BaseException:  # the pattern files stand or fall with their manifest
-        for path in (txt_path, json_path):
-            os.remove(path)
-        raise
-    print(f"pattern: {txt_path}")
-    print(f"descriptor: {json_path}")
+    files = _pattern_files(pattern, args.out)
+    write_atomic({**files, args.out + ".manifest.json": [manifest]})  # all three or none
+    for label, path in zip(("pattern", "descriptor"), files):
+        print(f"{label}: {path}")
     print(f"family: {pattern.family.value}  n: {pattern.n}  rho: {_g12(pattern.rho)}")
     return EXIT_OK
 

@@ -44,8 +44,8 @@ FLATNESS_RTOL = 1e-6
 # Pattern-file lines formatted or parsed per batch.  The batch bounds memory
 # only on the general path (values other than 0 and 1, e.g. gray-scale
 # rows): large enough that the per-batch numpy call is cheap, small enough
-# that a batch's Python strings stay a few MB at n = 2^20 - 1.  A batch of
-# 0/1 lines is one 64 KB byte buffer.
+# that a batch's Python strings stay a few MB at n = 2^20 - 1.  save_pattern
+# writes a batch of 0/1 lines as one 64 KB byte buffer.
 IO_CHUNK = 1 << 15
 
 # _qr_row squares i <= (n-1)/2 in uint64, which is exact below this n.
@@ -411,17 +411,11 @@ def _text_lines(values: np.ndarray) -> Iterable[str]:
             yield "".join([_INTEGER_LINES.get(v) or f"{v!r}\n" for v in chunk.tolist()])
 
 
-def save_pattern(pattern: AperturePattern, base_path: str) -> tuple[str, str]:
-    """Write <base>.txt (one decimal per line) and <base>.json descriptor.
-
-    The text file round-trips exactly (repr of each float); the descriptor
-    records family, n, seed and realized transmissivity plus any
-    generator metadata.  Both files are written through write_atomic.  The
-    descriptor is strict JSON: a metadata value holding NaN or Infinity
-    raises InvalidArgumentError before either file is written.
-    """
-    txt_path = base_path + ".txt"
-    json_path = base_path + ".json"
+def _pattern_files(pattern: AperturePattern, base_path: str) -> dict:
+    """{<base>.txt: the row's lines, <base>.json: its descriptor}, as the text
+    chunks write_atomic takes.  The descriptor is strict JSON: a metadata value
+    holding NaN or Infinity raises InvalidArgumentError before anything is
+    written."""
     desc = {
         "family": pattern.family.value,
         "n": pattern.n,
@@ -436,8 +430,19 @@ def save_pattern(pattern: AperturePattern, base_path: str) -> tuple[str, str]:
     except ValueError as exc:  # only metadata can hold NaN or Infinity
         key = next(k for k, v in desc["metadata"].items() if not _strict_json(v))
         raise InvalidArgumentError(f"metadata {key!r} cannot be written as JSON: {exc}") from None
-    write_atomic({txt_path: _text_lines(pattern.values), json_path: [text, "\n"]})
-    return txt_path, json_path
+    return {base_path + ".txt": _text_lines(pattern.values), base_path + ".json": [text, "\n"]}
+
+
+def save_pattern(pattern: AperturePattern, base_path: str) -> tuple[str, str]:
+    """Write <base>.txt (one decimal per line) and <base>.json descriptor in one
+    write_atomic call, and return their paths.
+
+    The text file round-trips exactly (repr of each float); the descriptor
+    records family, n, seed and realized transmissivity plus any generator
+    metadata, as strict JSON (see _pattern_files).
+    """
+    write_atomic(files := _pattern_files(pattern, base_path))
+    return tuple(files)
 
 
 def _reject_bad_line(txt_path: str, lines: list[str], first: int) -> None:
@@ -452,24 +457,15 @@ def _reject_bad_line(txt_path: str, lines: list[str], first: int) -> None:
                 f"{txt_path}:{lineno}: not a number: {line.strip()!r}") from None
 
 
-def _read_binary(fh) -> np.ndarray | None:
+def _read_binary(data: bytes) -> np.ndarray | None:
     """The values of a file that is exactly a sequence of "0\n" and "1\n"
-    lines, decoded as bytes.  None for any other file, with the stream
-    rewound, and for a stream that cannot be rewound."""
-    if not fh.seekable():
+    lines, decoded from its bytes in one step.  None for any other file,
+    the empty one included."""
+    raw = np.frombuffer(data, dtype=np.uint8)
+    digit = raw[0::2] - ord("0")  # uint8: every byte but '0' and '1' wraps above 1
+    if not raw.size or raw.size % 2 or (digit > 1).any() or (raw[1::2] != ord("\n")).any():
         return None
-    digits = []
-    while block := fh.read(2 * IO_CHUNK):
-        raw = np.frombuffer(block, dtype=np.uint8)
-        digit = raw[0::2] - ord("0")  # uint8: every byte but '0' and '1' wraps above 1
-        if raw.size % 2 or (digit > 1).any() or (raw[1::2] != ord("\n")).any():
-            digits = []
-            break
-        digits.append(digit)
-    if digits:
-        return np.concatenate(digits, dtype=float)
-    fh.seek(0)
-    return None
+    return digit.astype(float)
 
 
 def _parse_lines(txt_path: str, fh) -> np.ndarray:
@@ -491,10 +487,10 @@ def _parse_lines(txt_path: str, fh) -> np.ndarray:
 def load_pattern(txt_path: str) -> AperturePattern:
     """Read a pattern text file (one value per line) written by save_pattern.
 
-    A file of only "0" and "1" lines is decoded as bytes; any other file is
-    parsed line by line, with the same values.  If a sibling .json
-    descriptor exists its family/seed are restored; otherwise the pattern is
-    loaded as CUSTOM.  The descriptor must be strict JSON (no NaN, Infinity
+    The file is read once.  A file of only "0" and "1" lines is decoded from
+    its bytes; any other file is parsed line by line in the locale's encoding,
+    with the same values.  If a sibling .json descriptor exists its
+    family/seed are restored; otherwise the pattern is loaded as CUSTOM.  The descriptor must be strict JSON (no NaN, Infinity
     or number that overflows a float), its seed null or an integer >= 0, its
     n, if given, the number of entries, and a pinhole, mls or mura family
     must label a row of only 0s and 1s; else InvalidArgumentError.  The
@@ -502,12 +498,12 @@ def load_pattern(txt_path: str) -> AperturePattern:
     its values.  A row that proves its mls or mura label gets its lambda_sq
     by theorem (_proven_spectrum) and makes no FFT.
     """
+    with open(txt_path, "rb") as fh:
+        data = fh.read()
     try:
-        with open(txt_path, "rb") as fh:
-            vals = _read_binary(fh)
-            if vals is None:
-                with io.TextIOWrapper(fh) as text:
-                    vals = _parse_lines(txt_path, text)
+        vals = _read_binary(data)
+        if vals is None:
+            vals = _parse_lines(txt_path, io.TextIOWrapper(io.BytesIO(data)))
     except UnicodeDecodeError as exc:
         raise InvalidArgumentError(f"{txt_path}: {exc}") from None
     if not vals.size:

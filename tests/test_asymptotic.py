@@ -488,6 +488,23 @@ class TestBernoulliOneF:
         with pytest.raises(InvalidArgumentError):
             predict_bernoulli_onef(101, 1.5, 0.01, 1.0)
 
+    def test_overflowing_dc_integrand_against_mpmath(self):
+        """At W = 1e-307, J = 0 the DC integrand's gamma*(sd*g + mean)^2
+        overflows a double, but the MI is finite: the prediction lies within
+        its est_abs_error of 40-digit mpmath."""
+        mpmath = pytest.importorskip("mpmath")
+        n, p, W = 11, 0.5, 1e-307
+        res = predict_bernoulli_onef(n, p, W, 0.0)
+        with mpmath.workdps(40):
+            g, pm = 1 / mpmath.mpf(W), mpmath.mpf(p)
+            sd, mean = mpmath.sqrt(pm * (1 - pm)), pm * mpmath.sqrt(n)
+            dc = mpmath.quad(lambda x: mpmath.log1p(g * (sd * x + mean) ** 2) * mpmath.npdf(x),
+                             [-asymptotic.GAUSS_TRUNC_SD, -mean / sd, asymptotic.GAUSS_TRUNC_SD])
+            x = [k / (pm * (1 - pm) * g) for k in range(2, (n - 1) // 2 + 1)]
+            exact = dc + 2 * mpmath.fsum(mpmath.exp(xk) * mpmath.e1(xk) for xk in x)
+        assert math.isfinite(res.value) and 0 < res.est_abs_error < 1e-7
+        assert abs(res.value - exact) <= res.est_abs_error
+
 
 def _mpmath_e1_diffs(s, k):
     """f(k), f'(k), f''(k), ... for f(k) = e^x E1(x) at x = k/s, at 80 digits:
@@ -933,6 +950,15 @@ class TestOptimalPOneF:
         grid_best = float(grid[int(np.argmax(vals))])
         assert p_star > 0.9
         assert abs(p_star - grid_best) <= 0.05
+
+    def test_thermal_limit_where_the_dc_integrand_overflows(self):
+        """At n = 1e9+1, W = 1e-300, J = 0 gamma*(p*sqrt(n))^2 overflows a double
+        for most p: every prediction stays finite, so the search finds the
+        thermal-limit optimum just above 1/2."""
+        n, W = 10**9 + 1, 1e-300
+        assert 0.5 < optimal_p_onef(n, W, 0.0) < 0.5001
+        for p in (0.1, 0.5, 0.9):
+            assert math.isfinite(predict_bernoulli_onef(n, p, W, 0.0).value), p
 
     def test_optimum_opens_with_thermal_noise(self):
         # shot-dominant noise rewards sparse masks, thermal-dominant noise

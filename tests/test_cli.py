@@ -94,7 +94,7 @@ class TestGenerate:
                            "--out", str(tmp_path / "m"))
         assert code == 2
 
-    @pytest.mark.parametrize("blocked", ["x.json", "x.manifest.json"])
+    @pytest.mark.parametrize("blocked", ["x.txt", "x.json", "x.manifest.json"])
     def test_failed_write_leaves_no_partial_output(self, capsys, tmp_path, blocked):
         """A directory where one of the three files should go fails the run,
         and neither the other files nor a temporary is left behind."""
@@ -674,7 +674,6 @@ def test_degenerate_noise_has_one_wording(capsys, argv, what):
 
 @pytest.mark.parametrize("argv", [
     ("mi", "--family", "mls", "--degree", "5", "--W", "1e-307", "--J", "0"),
-    ("predict", "bernoulli-1f", "--n", "11", "--p", "0.5", "--W", "1e-307", "--J", "0"),
     ("sweep", "--n", "31", "--trials", "4", "--p-grid", "0.5", "--W", "1e-307", "--J", "0",
      "--workers", "1"),
     ("sweep", "--n", "31", "--trials", "4", "--p-grid", "0.5", "--W", "1e-307", "--J", "0",

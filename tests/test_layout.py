@@ -56,6 +56,17 @@ def test_one_pattern_file_byte_encoder_and_decoder():
     assert occurrences(r"\bfrombuffer\(") == {"patterns.py": 1}
 
 
+def test_one_path_per_pattern_file_job():
+    """generate writes its pattern files and manifest in one write_atomic call,
+    with no rollback of its own; load_pattern reads a file once and never
+    rewinds it; and the explog series has one body, for floats and arrays."""
+    assert "patterns.py" not in occurrences(r"\bseek(?:able)?\(")
+    assert "cli.py" not in occurrences(r"\bos\.remove\(")
+    assert inspect.getsource(cli._cmd_generate).count("write_atomic(") == 1
+    assert inspect.signature(patterns._read_binary).parameters["data"].annotation is bytes
+    assert occurrences(r"for k in range\(1, 8\)") == {"asymptotic.py": 1}
+
+
 def test_one_log_base_conversion():
     assert occurrences(r"/\s*LN2\b") == {"model.py": 1}
     assert re.search(r"/\s*LN2\b", inspect.getsource(model.to_log_base))

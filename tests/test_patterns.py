@@ -583,19 +583,33 @@ class TestCodecPaths:
         monkeypatch.setattr(patterns, "_parse_lines", None)
         np.testing.assert_array_equal(load_pattern(txt).values, gen_mls(16).values)
 
-    @pytest.mark.skipif(not hasattr(os, "mkfifo"), reason="needs named pipes")
-    def test_load_from_pipe(self, tmp_path):
-        """A stream that cannot be rewound is read by the line parser alone."""
+    @staticmethod
+    def load_from_pipe(tmp_path, data):
+        """load_pattern of a named pipe that a thread fills with ``data``."""
         path = tmp_path / "pipe.txt"
         os.mkfifo(path)
-        writer = threading.Thread(target=path.write_bytes, args=(b"0\n1\n0.5\n",),
-                                  daemon=True)
+        writer = threading.Thread(target=path.write_bytes, args=(data,), daemon=True)
         writer.start()
         try:
-            np.testing.assert_array_equal(load_pattern(str(path)).values, [0.0, 1.0, 0.5])
+            values = load_pattern(str(path)).values
         finally:
             writer.join(timeout=10)
         assert not writer.is_alive()
+        return values
+
+    @pytest.mark.skipif(not hasattr(os, "mkfifo"), reason="needs named pipes")
+    def test_load_from_pipe(self, tmp_path):
+        """A pipe, read once like any file, holding a value other than 0 and 1
+        goes to the line parser."""
+        np.testing.assert_array_equal(self.load_from_pipe(tmp_path, b"0\n1\n0.5\n"),
+                                      [0.0, 1.0, 0.5])
+
+    @pytest.mark.skipif(not hasattr(os, "mkfifo"), reason="needs named pipes")
+    def test_binary_pipe_skips_line_parser(self, tmp_path, monkeypatch):
+        """A pipe of only 0/1 lines is decoded from its bytes, as a file is."""
+        monkeypatch.setattr(patterns, "_parse_lines", None)
+        np.testing.assert_array_equal(self.load_from_pipe(tmp_path, b"0\n1\n1\n"),
+                                      [0.0, 1.0, 1.0])
 
 
 @pytest.fixture
