@@ -10,6 +10,7 @@ import functools
 import itertools
 import math
 import re
+import warnings
 
 import numpy as np
 import pytest
@@ -504,6 +505,56 @@ class TestBernoulliOneF:
             exact = dc + 2 * mpmath.fsum(mpmath.exp(xk) * mpmath.e1(xk) for xk in x)
         assert math.isfinite(res.value) and 0 < res.est_abs_error < 1e-7
         assert abs(res.value - exact) <= res.est_abs_error
+
+
+
+def dc_quad_reference(gamma_, sd, mean):
+    """scipy's public integrate.quad of _normal_expect_log's integrands, with its
+    limits and tolerances: (value, error, whether the log-gamma form was needed)."""
+    norm = 1.0 / math.sqrt(2.0 * math.pi)
+    options = dict(a=-asymptotic.GAUSS_TRUNC_SD, b=asymptotic.GAUSS_TRUNC_SD,
+                   epsabs=asymptotic.GAUSS_QUAD_ABS_TOL, epsrel=1e-10, limit=200)
+    val, err = integrate.quad(
+        lambda g: math.log1p(gamma_ * (sd * g + mean) ** 2) * norm * math.exp(-0.5 * g * g),
+        **options)
+    if val != math.inf:
+        return val, err, False
+    val, err = integrate.quad(
+        lambda g: math.log((sd * g + mean) ** 2 + 1.0 / gamma_) * norm * math.exp(-0.5 * g * g),
+        **options)
+    return val + math.log(gamma_), err, True
+
+
+def bernoulli_dc_args(n, p, W=0.01, J=1.0):
+    return 1.0 / (W + p * J), math.sqrt(p * (1.0 - p)), p * math.sqrt(n)
+
+
+class TestDCQuadrature:
+    """The DC term calls QUADPACK's qagse without the scipy.integrate package, so
+    its value and error must be integrate.quad's, bit for bit, on every scipy
+    version CI installs; none of these points may stop with a QUADPACK warning."""
+
+    @pytest.mark.parametrize("gamma_, sd, mean", [
+        (1.0 / 1.01, 1.0, 0.0),  # gaussian-1f at W = 0.01, rho_j = 1
+        *(bernoulli_dc_args(n, p) for p in (0.005, 0.3, 0.995) for n in (25, 10**6 + 1)),
+    ])
+    def test_bit_identical_to_quad(self, gamma_, sd, mean):
+        val, err, overflowed = dc_quad_reference(gamma_, sd, mean)
+        assert not overflowed
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            got = asymptotic._normal_expect_log(gamma_, sd=sd, mean=mean)
+        assert [x.hex() for x in got] == [val.hex(), err.hex()]
+
+    def test_overflow_branch_bit_identical_to_quad(self):
+        # gaussian-1f at W = 1e-308, rho_j = 0: gamma * g^2 overflows for |g| > 1.34
+        gamma_ = 1.0 / 1e-308
+        val, err, overflowed = dc_quad_reference(gamma_, 1.0, 0.0)
+        assert overflowed and math.isfinite(val)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            got = asymptotic._normal_expect_log(gamma_, sd=1.0, mean=0.0)
+        assert [x.hex() for x in got] == [val.hex(), err.hex()]
 
 
 def _mpmath_e1_diffs(s, k):

@@ -809,7 +809,9 @@ def test_scalar_layer_loads_no_numpy():
 # one interpreter, so each row holds for the command run alone.  Only sweep,
 # reproduce fig3 and reproduce selftest load the ensemble engine, the selftest
 # battery and the process pool; only the commands that make arrays load numpy,
-# and only those that reach scipy's E1 or quadrature load scipy.
+# and only those that reach scipy's E1 or the 1/f DC quadrature load scipy.  No
+# command loads the scipy.integrate package: the DC quadrature loads QUADPACK's
+# extension module alone.
 COLD_LOADS = (
     ((), ()),  # import apmi.cli
     (("--help",), ()),
@@ -821,6 +823,8 @@ COLD_LOADS = (
     (("predict", "flat-iid"), ()),  # an argument error
     (("mi", "--family", "mls", "--degree", "5", "--W", "0.01"), ("numpy",)),
     (("predict", "bernoulli-1f", "--n", "11", "--p", "0.3", "--W", "0.01"), ("numpy", "scipy")),
+    (("predict", "gaussian-1f", "--n", "101", "--rho-j", "0.5", "--W", "0.01"), ("numpy", "scipy")),
+    (("optimize-p", "--prior", "1f", "--n", "1001", "--W", "0.01"), ("numpy", "scipy")),
 )
 
 
@@ -828,8 +832,8 @@ def test_cold_commands_load_only_what_they_run(tmp_path):
     """Each command of COLD_LOADS loads just its row's heavy layers.  Importing
     the CLI builds no parser, and a package name loads only its own module's
     imports."""
-    heavy = ("numpy", "scipy", "apmi.ensemble", "apmi.checks", "multiprocessing",
-             "concurrent.futures.process")
+    heavy = ("numpy", "scipy", "scipy.integrate", "apmi.ensemble", "apmi.checks",
+             "multiprocessing", "concurrent.futures.process")
     code = "\n".join([
         "import contextlib, io, sys, apmi, apmi.cli as cli",
         f"loaded = lambda: [m for m in {heavy!r} if m in sys.modules]",
@@ -849,6 +853,50 @@ def test_cold_commands_load_only_what_they_run(tmp_path):
     assert lines[1:-1] == [str(list(loads)) for _, loads in COLD_LOADS[1:]]
     assert lines[-1] == lines[-2]
     assert (tmp_path / "flat.json").exists()
+
+
+@pytest.mark.parametrize("first", ["loader", "scipy.integrate"])
+def test_quadpack_loader_shares_one_module_with_scipy_integrate(first):
+    """Loading QUADPACK's extension before scipy.integrate registers it, so the
+    package imported later uses the same module; loading it after reuses the
+    package's.  Either way quad works and gives the DC term's bits."""
+    loader = ["qagse = asymptotic._qagse()",
+              "dc = asymptotic._normal_expect_log(100.0, sd=1.0, mean=0.0)"]
+    package = ["from scipy import integrate"]
+    code = "\n".join([
+        "import sys",
+        "from apmi import asymptotic",
+        *(loader + ["assert 'scipy.integrate' not in sys.modules"] + package
+          if first == "loader" else package + loader),
+        "module = sys.modules['scipy.integrate._quadpack']",
+        "assert integrate._quadpack_py._quadpack is module is qagse.__self__",
+        # the DC integrand at gamma = 100, sd = 1, mean = 0, as _normal_expect_log has it
+        "import math",
+        "norm = 1.0 / math.sqrt(2.0 * math.pi)",
+        "f = lambda g: math.log1p(100.0 * (1.0 * g + 0.0) ** 2) * norm * math.exp(-0.5 * g * g)",
+        "ref = integrate.quad(f, -10.0, 10.0, epsabs=1e-8, epsrel=1e-10, limit=200)",
+        "assert [x.hex() for x in ref] == [x.hex() for x in dc], (ref, dc)",
+    ])
+    proc = run_subprocess("-c", code, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+
+
+def test_quadpack_error_code_warns_once(capsys, monkeypatch):
+    """A nonzero QUADPACK ier keeps the DC value and error and warns once, in
+    one line naming the code; the CLI prints it as one warning line, exit 0."""
+    from apmi import asymptotic
+    argv = ("predict", "gaussian-1f", "--n", "101", "--rho-j", "0.5", "--W", "0.01")
+    code, out, err = run(capsys, *argv)
+    assert (code, err) == (0, "")
+    expected = asymptotic.predict_gaussian_onef(101, 0.01, 0.5)
+    _, dc_err = asymptotic._normal_expect_log(1.0 / (0.01 + 0.5), sd=1.0, mean=0.0)
+    qagse = asymptotic._qagse()
+    monkeypatch.setattr(asymptotic, "_qagse", lambda: lambda *a: (*qagse(*a)[:2], 2))
+    assert run(capsys, *argv) == (
+        0, out, f"warning: DC quadrature: QUADPACK ier=2, error estimate {dc_err:.3g}\n")
+    with pytest.warns(UserWarning) as caught:
+        assert asymptotic.predict_gaussian_onef(101, 0.01, 0.5) == expected
+    assert len(caught) == 1 and "ier=2" in str(caught[0].message)
 
 
 def test_parser_keeps_no_state_between_calls(capsys):

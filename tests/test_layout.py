@@ -194,6 +194,13 @@ def test_numpy_only_in_the_array_layers():
     assert "scipy" not in found
 
 
+
+def test_dc_quadrature_without_the_integrate_package():
+    """The 1/f DC quadrature calls QUADPACK's qagse through asymptotic._qagse,
+    never through the scipy.integrate package or its quad wrapper."""
+    assert occurrences(r"integrate\.quad|from scipy import integrate") == {}
+
+
 MODULES = ("asymptotic", "ensemble", "errors", "model", "patterns", "spectral")
 
 
