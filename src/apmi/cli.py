@@ -7,11 +7,14 @@ table commands (sweep, reproduce fig2/fig3) write a CSV with the fixed header
 
     p,n,W,J,prior,family,trials,seed,mi_mean,mi_std,mi_stderr,mi_predicted,relative_gap,log_base
 
-Every output file gets a sibling ``<name>.manifest.json`` recording the
+Every command writes its files through one writer, _write_outputs, with a
+manifest named after its first output, the suffix replaced (fig3.csv ->
+fig3.manifest.json, mls20.txt -> mls20.manifest.json).  It records the
 command, all resolved parameters, the master seed, the tool version and a
 timestamp, so any run can be reproduced from its manifest.  Floats are
 printed with 12 significant digits.  Files are written atomically (tmp +
-rename), so failures never leave partial outputs behind.  The library
+rename), so failures never leave partial outputs behind; --out must name a
+file, and main checks it before any command does work.  The library
 returns MI in nats; --log-base bits converts each value as it is printed.
 A relative gap has no unit and prints the same in either base.
 
@@ -20,9 +23,10 @@ includes DegenerateNoiseError, an OSError or a MemoryError), 3 numerical
 failure (a NumericalError, which includes FlatnessCheckError).
 
 A key=value config file (``--config``) supplies defaults for any long
-option of the invoked command; explicit command-line flags win.  The
-APMI_WORKERS environment variable sets the default worker count for
-ensemble commands.
+option of the invoked command but --help and --config; explicit command-line
+flags win.  Options and config keys are spelled in full: no prefix of an
+option is accepted.  The APMI_WORKERS environment variable sets the default
+worker count for ensemble commands.
 """
 
 from __future__ import annotations
@@ -133,20 +137,11 @@ def _parse_p_grid(text: str) -> list[float]:
 
 ####################### output files #######################
 
-def _manifest_path(out: Path) -> Path:
-    return out.with_suffix(".manifest.json")
-
-
-def _out_path(text: str) -> Path:
-    """The --out path; it must name a file.  '', '.', '..' and a path ending
-    in a separator name none (Path drops that separator, while generate
-    appends its suffixes to the raw text)."""
-    _require(os.path.basename(text) not in ("", ".", ".."),
-             f"--out must name a file, got {text!r}")
-    return Path(text)
-
-
-def _manifest(command: str, parameters: dict, master_seed: int | None) -> str:
+def _write_outputs(files: dict, command: str, parameters: dict,
+                   master_seed: int | None = None) -> Path:
+    """Write ``files`` ({path: text chunks}) and their manifest in one
+    write_atomic call, so all of them or none, and return the manifest's
+    path: the first file's path with its suffix replaced by .manifest.json."""
     manifest = {
         "command": command,
         "parameters": parameters,
@@ -157,38 +152,41 @@ def _manifest(command: str, parameters: dict, master_seed: int | None) -> str:
     if master_seed is not None:
         from .patterns import SEED_POLICY  # only the seeded sweeps get here
         manifest["seed_policy"] = SEED_POLICY
-    return json.dumps(manifest, indent=2, sort_keys=True) + "\n"
+    path = Path(next(iter(files))).with_suffix(".manifest.json")
+    write_atomic({**files, path: [json.dumps(manifest, indent=2, sort_keys=True) + "\n"]})
+    return path
 
 
 def _emit_scalar(payload: dict, args) -> int:
     """Print a scalar JSON record, its floats to 12 significant digits;
-    optionally persist it with a manifest.  A non-finite float, which JSON
-    cannot hold, is an argument error."""
+    optionally persist it with a manifest first, so a failed write prints
+    nothing.  A non-finite float, which JSON cannot hold, is an argument
+    error."""
     bad = sorted(k for k, v in payload.items() if isinstance(v, float) and not math.isfinite(v))
     _require(not bad, f"{', '.join(bad)} not finite: the noise power is too small")
     payload = {k: _j12(v) if isinstance(v, float) else v for k, v in payload.items()}
     text = json.dumps(payload, indent=2, sort_keys=True)
+    if args.out:
+        params = {k: v for k, v in payload.items() if k != "command"}
+        _write_outputs({args.out: [text + "\n"]}, payload["command"], params)
     print(text)
     if args.out:
-        out = _out_path(args.out)
-        params = {k: v for k, v in payload.items() if k != "command"}
-        write_atomic({out: [text + "\n"],
-                      _manifest_path(out): [_manifest(payload["command"], params, None)]})
-        print(f"wrote {out}", file=sys.stderr)
+        print(f"wrote {Path(args.out)}", file=sys.stderr)
     return EXIT_OK
 
 
-def _emit_table(command: str, rows: list[list[str]], params: dict, out: Path,
+def _emit_table(command: str, rows: list[list[str]], params: dict, out: str,
                 master_seed: int | None) -> int:
     """Write rows (in CSV_HEADER order) as a CSV with its manifest, and print
     the rows/csv/manifest lines."""
+    out = Path(out)
     text = io.StringIO()
     csv.writer(text, lineterminator="\n").writerows([CSV_HEADER.split(","), *rows])
-    manifest = _manifest(command, {**params, "out": str(out)}, master_seed)
-    write_atomic({out: [text.getvalue()], _manifest_path(out): [manifest]})
+    manifest = _write_outputs({out: [text.getvalue()]}, command,
+                              {**params, "out": str(out)}, master_seed)
     print(f"rows: {len(rows)}")
     print(f"csv: {out}")
-    print(f"manifest: {_manifest_path(out)}")
+    print(f"manifest: {manifest}")
     return EXIT_OK
 
 
@@ -207,7 +205,9 @@ def _read_config_pairs(path: str) -> list[tuple[str, str]]:
         key, sep, value = (t.strip() for t in line.partition("="))
         _require(bool(sep and key and value),
                  f"{path}: expected 'key = value', got {raw.strip()!r}")
-        pairs.append((key.replace("_", "-"), value))
+        key = key.replace("_", "-")
+        _require(key not in ("help", "config"), f"{path}: {key!r} cannot be set in a config file")
+        pairs.append((key, value))
     return pairs
 
 
@@ -236,7 +236,7 @@ def _inject_config(argv: list[str]) -> list[str]:
 @functools.cache  # built on the first main call, not at import; parsing leaves it unchanged
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
-        prog="apmi",
+        prog="apmi", allow_abbrev=False,
         description=("Mutual information of 1D coded-aperture imaging systems: "
                      "exact spectra, asymptotic predictors, Monte Carlo sweeps."),
     )
@@ -274,7 +274,7 @@ def _build_parser() -> argparse.ArgumentParser:
     ensemble.add_argument("--workers", type=int, default=None)
 
     def command(name, handler, help_text, *parents):
-        cmd = sub.add_parser(name, help=help_text, parents=parents)
+        cmd = sub.add_parser(name, help=help_text, parents=parents, allow_abbrev=False)
         cmd.set_defaults(handler=handler)
         return cmd
 
@@ -327,7 +327,7 @@ def _build_parser() -> argparse.ArgumentParser:
 ####################### command handlers #######################
 
 def _build_pattern(args):
-    from .patterns import PATTERNS  # the pattern layer (and numpy) loads here
+    from .patterns import PATTERNS  # the pattern layer (and its arrays) loads here
     names, generate = PATTERNS[args.family]
     _require_options(args, names, args.family)
     return generate(*(getattr(args, name) for name in names))
@@ -335,7 +335,6 @@ def _build_pattern(args):
 
 def _cmd_generate(args) -> int:
     from .patterns import _pattern_files
-    _out_path(args.out)
     pattern = _build_pattern(args)
     params = {
         "family": pattern.family.value,
@@ -347,9 +346,8 @@ def _cmd_generate(args) -> int:
     }
     # The pattern's generator is seeded with the seed itself, not with a trial seed
     # of SEED_POLICY, so the seed is a parameter and not a master seed.
-    manifest = _manifest("generate", params, None)
     files = _pattern_files(pattern, args.out)
-    write_atomic({**files, args.out + ".manifest.json": [manifest]})  # all three or none
+    _write_outputs(files, "generate", params)  # all three or none
     for label, path in zip(("pattern", "descriptor"), files):
         print(f"{label}: {path}")
     print(f"family: {pattern.family.value}  n: {pattern.n}  rho: {_g12(pattern.rho)}")
@@ -438,7 +436,6 @@ def _run_sweep(args, command: str, W: float, prior: ScenePrior, out: str) -> int
     args, paired with its predictor and written as a CSV plus manifest."""
     from .ensemble import EnsembleConfig, sweep_p  # only the ensemble commands load it
 
-    out = _out_path(out)
     p_grid = _parse_p_grid(args.p_grid)
     workers = _resolve_workers(args)
     config = EnsembleConfig(
@@ -483,7 +480,6 @@ def _cmd_fig3(args) -> int:
 
 def _cmd_fig2(args) -> int:
     """Predictor curves (flat, Bernoulli 1/2, Bernoulli p*) over a W sweep."""
-    import numpy as np
     # (family column, predictor, p); p "p*" is optimal_p_iid at each W
     curves = (
         ("flat", "flat-iid", None),
@@ -491,13 +487,15 @@ def _cmd_fig2(args) -> int:
         ("bernoulli-pstar", "bernoulli-iid", "p*"),
     )
     J = args.J
-    out = _out_path(args.out or "fig2.csv")
     _require(args.points >= 2, f"--points must be >= 2, got {args.points}")
     _require(args.points <= MAX_GRID_POINTS,
              f"--points must be <= {MAX_GRID_POINTS}, got {args.points}")
-    w_grid = np.logspace(-3.0, 3.0, args.points)
+    # W = 10**y over y = linspace(-3, 3, points) (k*step - 3, the last one 3),
+    # by libm pow, whose bits do not hang on the array library's SIMD dispatch
+    step = 6.0 / (args.points - 1)
+    w_grid = [math.pow(10.0, y) for y in [k * step - 3.0 for k in range(args.points - 1)] + [3.0]]
     rows = []
-    for W in w_grid.tolist():
+    for W in w_grid:
         p_star = optimal_p_iid(W, J)
         for family, which, p in curves:
             p = p_star if p == "p*" else p
@@ -513,7 +511,7 @@ def _cmd_fig2(args) -> int:
         "curves": [family for family, _, _ in curves],
         "log_base": args.log_base,
     }
-    return _emit_table("reproduce fig2", rows, params, out, None)
+    return _emit_table("reproduce fig2", rows, params, args.out or "fig2.csv", None)
 
 
 def _cmd_selftest(args) -> int:
@@ -545,6 +543,11 @@ def main(argv: list[str] | None = None) -> int:
         for name in ("n", "trials"):
             _require((getattr(args, name, 0) or 0) < 2**53,
                      f"--{name} must be below 2**53 ({2**53})")
+        # Every command's --out is checked here, before any work: '', '.', '..'
+        # and a path ending in a separator name no file (Path drops that
+        # separator, while generate appends its suffixes to the raw text).
+        _require(args.out is None or os.path.basename(args.out) not in ("", ".", ".."),
+                 f"--out must name a file, got {args.out!r}")
         with warnings.catch_warnings():
             # each warning (e.g. the odd-n reduction) becomes one stderr line
             warnings.showwarning = lambda msg, *_: print(f"warning: {msg}", file=sys.stderr)

@@ -413,23 +413,24 @@ def _text_lines(values: np.ndarray) -> Iterable[str]:
 
 def _pattern_files(pattern: AperturePattern, base_path: str) -> dict:
     """{<base>.txt: the row's lines, <base>.json: its descriptor}, as the text
-    chunks write_atomic takes.  The descriptor is strict JSON: a metadata value
-    holding NaN or Infinity raises InvalidArgumentError before anything is
-    written."""
+    chunks write_atomic takes.  The descriptor is strict JSON: the first
+    metadata value holding NaN or Infinity raises InvalidArgumentError before
+    anything is written (the row's entries, so rho, are finite)."""
     desc = {
         "family": pattern.family.value,
         "n": pattern.n,
         "seed": pattern.seed,
         "rho": pattern.rho,
     }
-    if pattern.metadata:
-        desc["metadata"] = {k: (list(v) if isinstance(v, tuple) else v)
-                            for k, v in pattern.metadata.items()}
-    try:
-        text = json.dumps(desc, indent=2, sort_keys=True, allow_nan=False)
-    except ValueError as exc:  # only metadata can hold NaN or Infinity
-        key = next(k for k, v in desc["metadata"].items() if not _strict_json(v))
-        raise InvalidArgumentError(f"metadata {key!r} cannot be written as JSON: {exc}") from None
+    for key, value in pattern.metadata.items():
+        try:
+            json.dumps(value, allow_nan=False)
+        except ValueError as exc:
+            raise InvalidArgumentError(
+                f"metadata {key!r} cannot be written as JSON: {exc}") from None
+    if pattern.metadata:  # json writes a tuple as a list
+        desc["metadata"] = pattern.metadata
+    text = json.dumps(desc, indent=2, sort_keys=True)
     return {base_path + ".txt": _text_lines(pattern.values), base_path + ".json": [text, "\n"]}
 
 
@@ -540,15 +541,6 @@ def _check_seed(seed):
     if seed is not None and not (type(seed) is int and seed >= 0):
         raise InvalidArgumentError(f"seed must be None/null or an integer >= 0, got {seed!r}")
     return seed
-
-
-def _strict_json(value) -> bool:
-    """Whether json.dumps(value) needs no NaN or Infinity."""
-    try:
-        json.dumps(value, allow_nan=False)
-    except ValueError:
-        return False
-    return True
 
 
 def _reject_constant(name: str):

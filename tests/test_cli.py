@@ -286,10 +286,11 @@ class TestPredict:
         assert code == 2
 
     def test_blocked_manifest_leaves_no_output(self, capsys, tmp_path):
+        """A result whose files cannot be written is not printed either."""
         (tmp_path / "pred.manifest.json").mkdir()
-        code, _, err = run(capsys, "predict", "flat-iid", "--W", "0.01",
-                           "--out", str(tmp_path / "pred.json"))
-        assert code == 2 and err.count("\n") == 1
+        code, out, err = run(capsys, "predict", "flat-iid", "--W", "0.01",
+                             "--out", str(tmp_path / "pred.json"))
+        assert code == 2 and out == "" and err.count("\n") == 1
         assert [p.name for p in tmp_path.iterdir()] == ["pred.manifest.json"]
 
     def test_out_file_with_manifest(self, capsys, tmp_path):
@@ -518,6 +519,29 @@ class TestConfigFile:
         assert code == 2 and out == ""
         assert err.startswith(f"error: {cfg}: ") and err.count("\n") == 1
 
+    @pytest.mark.parametrize("argv, config", [
+        (("predict", "flat-iid", "--W", "0.01"), "h = 1\n"),
+        (("predict", "flat-iid", "--W", "0.01"), "help = x\n"),
+        (("predict", "flat-iid", "--W", "0.01"), "config = other.cfg\n"),
+        (("sweep", "--n", "8", "--p-grid", "0.5", "--W", "0.01", "--workers", "1"),
+         "tri = 3\n"),
+        (("sweep", "--n", "8", "--p-grid", "0.5", "--W", "0.01", "--workers", "1",
+          "--tri", "3"), ""),
+    ], ids=["h", "help", "config", "tri", "--tri"])
+    def test_options_and_keys_spelled_in_full(self, capsys, tmp_path, argv, config):
+        """No prefix of an option is read as the option, from a config line or
+        the command line, and a config file cannot ask for --help or name a
+        second config file: each is exit 2 with nothing printed or written."""
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text(config)
+        code, out, err = run(capsys, *argv, "--out", str(tmp_path / "out" / "x.csv"),
+                             "--config", str(cfg))
+        assert code == 2 and out == ""
+        assert not (tmp_path / "out").exists()
+        key = config.partition(" ")[0]
+        if key in ("help", "config"):
+            assert err == f"error: {cfg}: {key!r} cannot be set in a config file\n"
+
     def test_missing_config_file(self, capsys):
         code, _, _ = run(capsys, "mi", "--config", "/nonexistent.cfg",
                          "--family", "pinhole", "--n", "4", "--W", "1")
@@ -547,6 +571,21 @@ class TestReproduce:
         assert gap > 0.01
         manifest = json.loads((tmp_path / "fig2.manifest.json").read_text())
         assert len(manifest["parameters"]["W_grid"]) == 5
+
+    @pytest.mark.parametrize("points", [25, 200, 1000])
+    def test_fig2_w_grid_in_math(self, capsys, tmp_path, monkeypatch, points):
+        """fig2 predicts at W = math.pow(10, y) over numpy.linspace(-3, 3, points),
+        bit for bit, so its grid does not hang on numpy's SIMD power kernel."""
+        import numpy as np
+        seen = []
+        predict = cli_module.predict
+        monkeypatch.setattr(cli_module, "predict",
+                            lambda which, **kw: seen.append(kw["W"]) or predict(which, **kw))
+        assert run(capsys, "reproduce", "fig2", "--points", str(points),
+                   "--out", str(tmp_path / "fig2.csv"))[0] == 0
+        exponents = np.linspace(-3.0, 3.0, points).tolist()
+        assert [w.hex() for w in seen[::3]] == [math.pow(10.0, y).hex() for y in exponents]
+        assert seen[1::3] == seen[::3] == seen[2::3]
 
     def test_fig3_smoke(self, capsys, tmp_path):
         out_csv = tmp_path / "fig3.csv"
@@ -614,20 +653,55 @@ def test_negative_seed_exits_2(capsys, tmp_path, argv):
     assert list(tmp_path.iterdir()) == []
 
 
+def _work_ran(*_args, **_kwargs):
+    raise AssertionError("the command did its work before --out was checked")
+
+
 @pytest.mark.parametrize("out", ["", ".", "..", "sub/", "sub/."])
 @pytest.mark.parametrize("argv", [
     ("sweep", "--n", "8", "--trials", "2", "--p-grid", "0.5", "--W", "1"),
     ("generate", "--family", "mls", "--degree", "3"),
+    ("mi", "--family", "mls", "--degree", "20", "--W", "0.01"),
+    ("predict", "flat-iid", "--W", "0.01"),
+    ("optimize-p", "--W", "0.01"),
+    ("reproduce", "fig2"),
+    ("reproduce", "fig3"),
+    ("reproduce", "selftest"),
 ])
 def test_out_without_file_name_rejected(capsys, tmp_path, monkeypatch, argv, out):
-    """Rejected before any ensemble runs: a sweep that got that far
-    would fail on the missing sweep_p."""
-    monkeypatch.chdir(tmp_path)
-    monkeypatch.setattr("apmi.ensemble.sweep_p", None)
+    """Every command rejects such an --out with one error line, nothing
+    printed and nothing written, before it generates, predicts, optimizes,
+    runs an ensemble or a check (each of which would raise here)."""
+    run_dir = tmp_path / "run"
+    run_dir.mkdir()
+    monkeypatch.chdir(run_dir)
+    for target in ("apmi.patterns.gen_mls", "apmi.asymptotic.predict_flat_iid",
+                   "apmi.cli.optimal_p_iid", "apmi.ensemble.sweep_p", "apmi.checks.selftest"):
+        monkeypatch.setattr(target, _work_ran)
     code, stdout, err = run(capsys, *argv, "--out", out)
     assert code == 2 and stdout == ""
     assert err == f"error: --out must name a file, got {out!r}\n"
-    assert list(tmp_path.iterdir()) == []
+    assert list(tmp_path.iterdir()) == [run_dir] and list(run_dir.iterdir()) == []
+
+
+def test_manifest_named_after_the_first_output(capsys, tmp_path):
+    """One rule names every manifest: the first output's path with its
+    suffix replaced, so a dotted generate base keeps its dots."""
+    def written(*argv):
+        out_dir = tmp_path / argv[0]
+        assert run(capsys, *argv[1:], "--out", str(out_dir / argv[0]))[0] == 0
+        return sorted(path.name for path in out_dir.iterdir())
+
+    assert written("run.v2", "generate", "--family", "mls", "--degree", "3") == [
+        "run.v2.json", "run.v2.manifest.json", "run.v2.txt"]
+    assert written("x.json", "predict", "flat-iid", "--W", "0.01") == [
+        "x.json", "x.manifest.json"]
+    assert written("result", "optimize-p", "--W", "0.01") == ["result", "result.manifest.json"]
+    assert written("s.v1.csv", "sweep", "--n", "8", "--trials", "2", "--p-grid", "0.5",
+                   "--W", "0.01", "--workers", "1") == ["s.v1.csv", "s.v1.manifest.json"]
+    _, stdout, _ = run(capsys, "reproduce", "fig2", "--points", "2",
+                       "--out", str(tmp_path / "f.csv"))
+    assert stdout.endswith(f"manifest: {tmp_path / 'f.manifest.json'}\n")
 
 
 @pytest.mark.parametrize("trials", ["4", "8"])

@@ -1,9 +1,11 @@
 """Fuzz of the CLI error contract: whatever the arguments and config lines,
 `apmi` exits 0, 2 or 3, raises no exception out of `main` (a traceback),
-leaves no temporary file behind, writes nothing when it fails, never writes
-a hidden file (an output named only by its suffix), never writes a CSV
-without a data row, and prints strict JSON (no NaN or Infinity) from every
-scalar command that succeeds.  An argv may carry its own --out, in which
+leaves no temporary file behind, writes and prints nothing when it fails,
+never writes a hidden file (an output named only by its suffix), never
+writes a CSV without a data row, and prints strict JSON (no NaN or
+Infinity) from every scalar command that succeeds.  Options and config keys
+are spelled in full, so no config line is read as --help or as a prefix of
+another option.  An argv may carry its own --out, in which
 {tmp} stands for the test's fresh directory."""
 
 import contextlib
@@ -106,6 +108,8 @@ CONFIG = st.one_of(
           "--J=1e-320"], b"")
 @example(["predict", "bernoulli-1f", "--n=11", "--p=0.5", "--W=1e-307", "--J=0"], b"")
 @example(["predict", "pinhole", f"--n={2**53}", "--W=0.01"], b"")
+@example(["predict", "flat-iid", "--n=5", "--W=0.01"], b"h = 1")
+@example(["predict", "flat-iid", "--n=5", "--W=0.01", "--out={tmp}/.."], b"")
 def test_error_contract(argv, config):
     with tempfile.TemporaryDirectory() as tmp:
         cfg = Path(tmp) / "run.cfg"
@@ -125,8 +129,8 @@ def test_error_contract(argv, config):
         assert hidden == [], hidden
         if code != 0:
             assert written == [], (code, written, stderr.getvalue())
-        elif argv[0] in ("mi", "predict", "optimize-p") and not \
-                stdout.getvalue().startswith("usage:"):  # a config line "h = ..." is --help
+            assert stdout.getvalue() == "", (code, stdout.getvalue(), stderr.getvalue())
+        elif argv[0] in ("mi", "predict", "optimize-p"):
             strict_json(stdout.getvalue())
         if out.exists() and argv[0] in ("sweep", "reproduce"):
             assert len(out.read_text().splitlines()) >= 2, out.read_text()

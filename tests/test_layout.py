@@ -57,12 +57,20 @@ def test_one_pattern_file_byte_encoder_and_decoder():
 
 
 def test_one_path_per_pattern_file_job():
-    """generate writes its pattern files and manifest in one write_atomic call,
-    with no rollback of its own; load_pattern reads a file once and never
-    rewinds it; and the explog series has one body, for floats and arrays."""
+    """Every command writes its files and manifest through one writer,
+    cli._write_outputs, which makes the one write_atomic call of the CLI under
+    one manifest-path rule; --out is checked in one place, and a descriptor's
+    metadata is checked for strict JSON once.  generate has no rollback of its
+    own; load_pattern reads a file once and never rewinds it; and the explog
+    series has one body, for floats and arrays."""
+    source = (PACKAGE / "cli.py").read_text()
     assert "patterns.py" not in occurrences(r"\bseek(?:able)?\(")
     assert "cli.py" not in occurrences(r"\bos\.remove\(")
-    assert inspect.getsource(cli._cmd_generate).count("write_atomic(") == 1
+    assert source.count("write_atomic(") == 1
+    assert "write_atomic(" in inspect.getsource(cli._write_outputs)
+    assert inspect.getsource(cli._cmd_generate).count("_write_outputs(") == 1
+    assert source.count('".manifest.json"') == 1 and source.count("must name a file") == 1
+    assert occurrences(r"_strict_json|_manifest_path|_out_path") == {}
     assert inspect.signature(patterns._read_binary).parameters["data"].annotation is bytes
     assert occurrences(r"for k in range\(1, 8\)") == {"asymptotic.py": 1}
 
@@ -192,6 +200,12 @@ def test_numpy_only_in_the_array_layers():
                 found.setdefault(name.split(".")[0], set()).add(path.stem)
     assert found["numpy"] == {"ensemble", "patterns", "spectral", "checks"}
     assert "scipy" not in found
+
+
+def test_cli_never_names_numpy():
+    """The CLI builds its own grids in math, so no command imports numpy
+    through cli.py itself, even inside a function."""
+    assert "numpy" not in (PACKAGE / "cli.py").read_text()
 
 
 

@@ -506,6 +506,15 @@ class TestSerialization:
             save_pattern(pattern, str(tmp_path / "mask"))
         assert list(tmp_path.iterdir()) == []
 
+    def test_first_non_finite_metadata_key_named(self, tmp_path):
+        """With several bad values, the error names the first key in the
+        metadata's own order, not in sorted order."""
+        pattern = AperturePattern(np.array([0.0, 1.0, 1.0]),
+                                  metadata={"a": 1.0, "z": math.nan, "b": [math.inf]})
+        with pytest.raises(InvalidArgumentError, match="metadata 'z' cannot be written as JSON"):
+            save_pattern(pattern, str(tmp_path / "mask"))
+        assert list(tmp_path.iterdir()) == []
+
     @pytest.mark.parametrize("family", ["pinhole", "mls", "mura"])
     def test_load_zero_one_family_needs_zero_one_row(self, tmp_path, family):
         """A 0/1 family labels only a 0/1 row, however the values are written;
