@@ -22,11 +22,13 @@ Exit codes: 0 success, 2 argument error (an InvalidArgumentError, which
 includes DegenerateNoiseError, an OSError or a MemoryError), 3 numerical
 failure (a NumericalError, which includes FlatnessCheckError).
 
-A key=value config file (``--config``) supplies defaults for any long
-option of the invoked command but --help and --config; explicit command-line
-flags win.  Options and config keys are spelled in full: no prefix of an
-option is accepted.  The APMI_WORKERS environment variable sets the default
-worker count for ensemble commands.
+Each command, down to its reproduce target, predictor, pattern family or
+prior, takes only the options it reads: any other is an argument error, one
+line like every argument error.  A key=value config file (``--config``)
+gives each key that the command line does not give as that flag, so flags
+win.  Options follow reproduce's target and are spelled in full: no prefix
+of an option is accepted.  APMI_WORKERS sets the default worker count of
+sweep and reproduce fig3.
 """
 
 from __future__ import annotations
@@ -78,11 +80,14 @@ def _require(condition: bool, message: str) -> None:
         raise InvalidArgumentError(message)
 
 
-def _require_options(args, names, what: str) -> None:
-    """Each named option must be given; W is left to _resolve_w."""
+def _require_options(args, names, what: str, *offered) -> None:
+    """Each named option must be given (W is left to _resolve_w), and no
+    other option in the ``offered`` tuples may be: it would not be read."""
     for name in names:
         _require(name == "W" or getattr(args, name) is not None,
                  f"--{name.replace('_', '-')} is required for {what}")
+    for flag in sorted({name.replace("_", "-") for name in set().union(*offered) - set(names)}):
+        _require(flag not in args.given, f"{what} does not read --{flag}")
 
 
 def _resolve_workers(args) -> int:
@@ -211,10 +216,15 @@ def _read_config_pairs(path: str) -> list[tuple[str, str]]:
     return pairs
 
 
+def _given(argv: list[str]) -> set[str]:
+    """The long options named in argv.  No prefix of an option is accepted
+    and no value token starts with '--', so each such token names one."""
+    return {tok[2:].partition("=")[0] for tok in argv if tok.startswith("--")}
+
+
 def _inject_config(argv: list[str]) -> list[str]:
-    """Expand ``--config FILE`` into option tokens placed right after the
-    subcommand, before any explicit flags, so the explicit flags win
-    (argparse keeps the last occurrence of an option)."""
+    """Expand ``--config FILE`` into option tokens appended to argv, one
+    pair for each key that argv does not give, so the explicit flags win."""
     cfg = None
     for i, tok in enumerate(argv):
         if tok == "--config":
@@ -224,18 +234,25 @@ def _inject_config(argv: list[str]) -> list[str]:
         if tok.startswith("--config="):
             cfg = tok.split("=", 1)[1]
             break
-    subcommand = next((i for i, tok in enumerate(argv) if not tok.startswith("-")), None)
-    if cfg is None or subcommand is None:
+    if cfg is None:
         return argv
-    injected = [tok for key, value in _read_config_pairs(cfg) for tok in (f"--{key}", value)]
-    return argv[:subcommand + 1] + injected + argv[subcommand + 1:]
+    given = _given(argv)
+    return argv + [tok for key, value in _read_config_pairs(cfg) if key not in given
+                   for tok in (f"--{key}", value)]
 
 
 ####################### parser #######################
 
+class _Parser(argparse.ArgumentParser):
+    """Raises each error for main to print as one line; subparsers inherit it."""
+
+    def error(self, message):
+        raise InvalidArgumentError(f"{self.prog}: {message}")
+
+
 @functools.cache  # built on the first main call, not at import; parsing leaves it unchanged
 def _build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="apmi", allow_abbrev=False,
         description=("Mutual information of 1D coded-aperture imaging systems: "
                      "exact spectra, asymptotic predictors, Monte Carlo sweeps."),
@@ -248,15 +265,16 @@ def _build_parser() -> argparse.ArgumentParser:
     config = argparse.ArgumentParser(add_help=False)
     config.add_argument("--config", default=None, metavar="FILE",
                         help="key=value defaults for this command (flags win)")
-    noise = argparse.ArgumentParser(add_help=False, parents=[config])
-    noise.add_argument("--log-base", dest="log_base", choices=["nats", "bits"],
+    scene = argparse.ArgumentParser(add_help=False, parents=[config])
+    scene.add_argument("--log-base", dest="log_base", choices=["nats", "bits"],
                        default="nats")
+    scene.add_argument("--J", type=float, default=1.0,
+                       help="scene net radiated power (default 1)")
+    noise = argparse.ArgumentParser(add_help=False, parents=[scene])
     noise.add_argument("--W", type=float, default=None,
                        help="thermal noise power (linear units)")
     noise.add_argument("--W-db", dest="W_db", type=float, default=None,
                        help="thermal noise power in dB (10^(x/10))")
-    noise.add_argument("--J", type=float, default=1.0,
-                       help="scene net radiated power (default 1)")
     pattern = argparse.ArgumentParser(add_help=False)
     pattern.add_argument("--n", type=int, default=None)
     pattern.add_argument("--degree", type=int, default=None, help="MLS register size")
@@ -273,8 +291,8 @@ def _build_parser() -> argparse.ArgumentParser:
                           default="realized")
     ensemble.add_argument("--workers", type=int, default=None)
 
-    def command(name, handler, help_text, *parents):
-        cmd = sub.add_parser(name, help=help_text, parents=parents, allow_abbrev=False)
+    def command(name, handler, help_text, *parents, subparsers=sub):
+        cmd = subparsers.add_parser(name, help=help_text, parents=parents, allow_abbrev=False)
         cmd.set_defaults(handler=handler)
         return cmd
 
@@ -314,12 +332,16 @@ def _build_parser() -> argparse.ArgumentParser:
     sweep.add_argument("--prior", default="iid", help="iid or 1f")
     sweep.add_argument("--out", default="sweep.csv", metavar="CSV")
 
-    rep = command("reproduce", lambda args: REPRODUCE[args.target](args),
-                  "Canned runs: fig2, fig3, or the selftest battery.", noise, ensemble)
-    rep.add_argument("target", choices=list(REPRODUCE))
-    rep.add_argument("--points", type=int, default=25,
-                     help="fig2: number of W grid points")
-    rep.add_argument("--out", default=None, metavar="CSV")
+    rep = sub.add_parser("reproduce", help="Canned runs: fig2, fig3, or the selftest battery.",
+                         allow_abbrev=False)
+    targets = rep.add_subparsers(dest="target", required=True)
+    fig2 = command("fig2", _cmd_fig2, "Predictor curves over W.", scene, subparsers=targets)
+    fig2.add_argument("--points", type=int, default=25, help="number of W grid points")
+    fig2.add_argument("--out", default="fig2.csv", metavar="CSV")
+    fig3 = command("fig3", _cmd_fig3, "The 1/f ensemble sweep.", noise, ensemble,
+                   subparsers=targets)
+    fig3.add_argument("--out", default="fig3.csv", metavar="CSV")
+    command("selftest", _cmd_selftest, "The invariant battery.", subparsers=targets)
 
     return parser
 
@@ -329,7 +351,7 @@ def _build_parser() -> argparse.ArgumentParser:
 def _build_pattern(args):
     from .patterns import PATTERNS  # the pattern layer (and its arrays) loads here
     names, generate = PATTERNS[args.family]
-    _require_options(args, names, args.family)
+    _require_options(args, names, args.family, *(o for o, _ in PATTERNS.values()))
     return generate(*(getattr(args, name) for name in names))
 
 
@@ -355,11 +377,12 @@ def _cmd_generate(args) -> int:
 
 
 def _cmd_mi(args) -> int:
-    from .patterns import load_pattern
+    from .patterns import PATTERNS, load_pattern
     from .spectral import mutual_information
     if args.pattern_file:
         _require(args.family is None,
                  "give --pattern-file or --family, not both")
+        _require_options(args, (), "--pattern-file", *(o for o, _ in PATTERNS.values()))
         pattern = load_pattern(args.pattern_file)
     else:
         _require(args.family is not None,
@@ -390,7 +413,8 @@ def _cmd_predict(args) -> int:
     names, _ = PREDICTORS[which]
     # --p and --rho-j are reported missing before --n, and all of them
     # before the odd-n reduction can warn
-    _require_options(args, sorted(names, key=lambda name: name == "n"), which)
+    _require_options(args, sorted(names, key=lambda name: name == "n"), which,
+                     *(o for o, _ in PREDICTORS.values()))
     params = {name: getattr(args, name) for name in names}
     params["W"] = _resolve_w(args)
     if which.endswith("-1f"):
@@ -411,6 +435,8 @@ def _cmd_predict(args) -> int:
 def _cmd_optimize_p(args) -> int:
     prior = ScenePrior.parse(args.prior)
     W = _resolve_w(args)
+    read = () if prior is ScenePrior.IID else ("n", "tol")
+    _require_options(args, read, f"the {'1/f' if read else 'iid'} prior", ("n", "tol"))
     payload = {
         "command": "optimize-p",
         "prior": prior.value,
@@ -421,7 +447,6 @@ def _cmd_optimize_p(args) -> int:
     if prior is ScenePrior.IID:
         p_star = optimal_p_iid(W, args.J)
     else:
-        _require(args.n is not None, "--n is required for the 1/f prior")
         payload["n"] = effective_n(ScenePrior.ONE_OVER_F, args.n)
         payload["tol"] = args.tol
         p_star = optimal_p_onef(payload["n"], W, args.J, tol=args.tol)
@@ -475,7 +500,7 @@ def _cmd_fig3(args) -> int:
     """Analytic-vs-simulated 1/f curve: a sweep at its defaults (n=250 -> 249,
     1000 trials, the 0.05 grid) with W=0.01 unless given."""
     return _run_sweep(args, "reproduce fig3", _resolve_w(args, default=0.01),
-                      ScenePrior.ONE_OVER_F, args.out or "fig3.csv")
+                      ScenePrior.ONE_OVER_F, args.out)
 
 
 def _cmd_fig2(args) -> int:
@@ -511,20 +536,13 @@ def _cmd_fig2(args) -> int:
         "curves": [family for family, _, _ in curves],
         "log_base": args.log_base,
     }
-    return _emit_table("reproduce fig2", rows, params, args.out or "fig2.csv", None)
+    return _emit_table("reproduce fig2", rows, params, args.out, None)
 
 
 def _cmd_selftest(args) -> int:
     from .checks import selftest  # only this command loads the battery
 
     return EXIT_OK if selftest() else EXIT_NUMERICAL
-
-
-REPRODUCE = {
-    "fig2": _cmd_fig2,
-    "fig3": _cmd_fig3,
-    "selftest": _cmd_selftest,
-}
 
 
 ####################### dispatch #######################
@@ -536,8 +554,9 @@ def main(argv: list[str] | None = None) -> int:
         parser = _build_parser()
         try:
             args = parser.parse_args(argv2)
-        except SystemExit as exc:  # argparse exits 0 for --help/--version, 2 on errors
+        except SystemExit as exc:  # argparse exits 0 for --help/--version
             return exc.code
+        args.given = _given(argv2)  # read by _require_options, never recorded
         # Below 2**53 a float holds every integer, and an array of such a size
         # either fits or raises MemoryError.
         for name in ("n", "trials"):
@@ -546,8 +565,9 @@ def main(argv: list[str] | None = None) -> int:
         # Every command's --out is checked here, before any work: '', '.', '..'
         # and a path ending in a separator name no file (Path drops that
         # separator, while generate appends its suffixes to the raw text).
-        _require(args.out is None or os.path.basename(args.out) not in ("", ".", ".."),
-                 f"--out must name a file, got {args.out!r}")
+        out = getattr(args, "out", None)  # reproduce selftest has no --out
+        _require(out is None or os.path.basename(out) not in ("", ".", ".."),
+                 f"--out must name a file, got {out!r}")
         with warnings.catch_warnings():
             # each warning (e.g. the odd-n reduction) becomes one stderr line
             warnings.showwarning = lambda msg, *_: print(f"warning: {msg}", file=sys.stderr)

@@ -666,17 +666,16 @@ def _work_ran(*_args, **_kwargs):
     ("optimize-p", "--W", "0.01"),
     ("reproduce", "fig2"),
     ("reproduce", "fig3"),
-    ("reproduce", "selftest"),
 ])
 def test_out_without_file_name_rejected(capsys, tmp_path, monkeypatch, argv, out):
-    """Every command rejects such an --out with one error line, nothing
-    printed and nothing written, before it generates, predicts, optimizes,
-    runs an ensemble or a check (each of which would raise here)."""
+    """Every command that writes rejects such an --out with one error line,
+    nothing printed and nothing written, before it generates, predicts,
+    optimizes or runs an ensemble (each of which would raise here)."""
     run_dir = tmp_path / "run"
     run_dir.mkdir()
     monkeypatch.chdir(run_dir)
     for target in ("apmi.patterns.gen_mls", "apmi.asymptotic.predict_flat_iid",
-                   "apmi.cli.optimal_p_iid", "apmi.ensemble.sweep_p", "apmi.checks.selftest"):
+                   "apmi.cli.optimal_p_iid", "apmi.ensemble.sweep_p"):
         monkeypatch.setattr(target, _work_ran)
     code, stdout, err = run(capsys, *argv, "--out", out)
     assert code == 2 and stdout == ""
