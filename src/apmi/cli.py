@@ -26,7 +26,8 @@ Each command, down to its reproduce target, predictor, pattern family or
 prior, takes only the options it reads: any other is an argument error, one
 line like every argument error.  A key=value config file (``--config``)
 gives each key that the command line does not give as that flag, so flags
-win.  Options follow reproduce's target and are spelled in full: no prefix
+win; a flag under either spelling of W (W_SPELLINGS) overrides both keys.
+Options follow reproduce's target and are spelled in full: no prefix
 of an option is accepted.  APMI_WORKERS sets the default worker count of
 sweep and reproduce fig3.
 """
@@ -105,6 +106,9 @@ def _resolve_workers(args) -> int:
             f"APMI_WORKERS must be an integer, got {raw!r}") from exc
     _require(value >= 1, f"APMI_WORKERS must be >= 1, got {value}")
     return value
+
+
+W_SPELLINGS = {"W", "W-db"}  # two spellings of one value, W
 
 
 def _resolve_w(args, default: float | None = None) -> float:
@@ -224,7 +228,8 @@ def _given(argv: list[str]) -> set[str]:
 
 def _inject_config(argv: list[str]) -> list[str]:
     """Expand ``--config FILE`` into option tokens appended to argv, one
-    pair for each key that argv does not give, so the explicit flags win."""
+    pair for each key that argv does not give, so the explicit flags win; a
+    flag under either of W_SPELLINGS gives both."""
     cfg = None
     for i, tok in enumerate(argv):
         if tok == "--config":
@@ -237,6 +242,8 @@ def _inject_config(argv: list[str]) -> list[str]:
     if cfg is None:
         return argv
     given = _given(argv)
+    if given & W_SPELLINGS:
+        given |= W_SPELLINGS
     return argv + [tok for key, value in _read_config_pairs(cfg) if key not in given
                    for tok in (f"--{key}", value)]
 
@@ -286,7 +293,6 @@ def _build_parser() -> argparse.ArgumentParser:
     ensemble.add_argument("--p-grid", dest="p_grid", default="0.05:0.95:0.05",
                           metavar="START:STOP:STEP|P1,P2,...")
     ensemble.add_argument("--seed", type=int, default=0, help="master seed")
-    ensemble.add_argument("--metric", choices=list(METRICS), default=None)
     ensemble.add_argument("--rho-mode", dest="rho_mode", choices=list(RHO_MODES),
                           default="realized")
     ensemble.add_argument("--workers", type=int, default=None)
@@ -330,6 +336,8 @@ def _build_parser() -> argparse.ArgumentParser:
 
     sweep = command("sweep", _cmd_sweep, "Monte Carlo ensemble sweep over p.", noise, ensemble)
     sweep.add_argument("--prior", default="iid", help="iid or 1f")
+    sweep.add_argument("--metric", choices=list(METRICS), default=None,
+                       help="iid prior only; the 1/f prior records total MI")
     sweep.add_argument("--out", default="sweep.csv", metavar="CSV")
 
     rep = sub.add_parser("reproduce", help="Canned runs: fig2, fig3, or the selftest battery.",
@@ -456,7 +464,7 @@ def _cmd_optimize_p(args) -> int:
     return _emit_scalar(payload, args)
 
 
-def _run_sweep(args, command: str, W: float, prior: ScenePrior, out: str) -> int:
+def _run_sweep(args, command: str, W: float, prior: ScenePrior, metric: str | None = None) -> int:
     """One seeded Bernoulli ensemble per grid p, from the ensemble options in
     args, paired with its predictor and written as a CSV plus manifest."""
     from .ensemble import EnsembleConfig, sweep_p  # only the ensemble commands load it
@@ -466,7 +474,7 @@ def _run_sweep(args, command: str, W: float, prior: ScenePrior, out: str) -> int
     config = EnsembleConfig(
         n=args.n, trials=args.trials, family="bernoulli", prior=prior,
         noise=NoiseModel(W, args.J), master_seed=args.seed, p=p_grid[0],
-        metric=args.metric, rho_mode=args.rho_mode, workers=workers)
+        metric=metric, rho_mode=args.rho_mode, workers=workers)
     sweep_rows = sweep_p(config, p_grid)
     rows = [[
         _g12(row.p), str(row.n), _g12(W), _g12(args.J), prior.value, config.family,
@@ -489,18 +497,21 @@ def _run_sweep(args, command: str, W: float, prior: ScenePrior, out: str) -> int
         "workers": workers,
         "log_base": args.log_base,
     }
-    return _emit_table(command, rows, params, out, args.seed)
+    return _emit_table(command, rows, params, args.out, args.seed)
 
 
 def _cmd_sweep(args) -> int:
-    return _run_sweep(args, "sweep", _resolve_w(args), ScenePrior.parse(args.prior), args.out)
+    W, prior = _resolve_w(args), ScenePrior.parse(args.prior)
+    if prior is ScenePrior.ONE_OVER_F:  # its one metric is total MI, the default
+        _require_options(args, (), "the 1/f prior", ("metric",))
+    return _run_sweep(args, "sweep", W, prior, args.metric)
 
 
 def _cmd_fig3(args) -> int:
     """Analytic-vs-simulated 1/f curve: a sweep at its defaults (n=250 -> 249,
     1000 trials, the 0.05 grid) with W=0.01 unless given."""
     return _run_sweep(args, "reproduce fig3", _resolve_w(args, default=0.01),
-                      ScenePrior.ONE_OVER_F, args.out)
+                      ScenePrior.ONE_OVER_F)
 
 
 def _cmd_fig2(args) -> int:

@@ -23,8 +23,9 @@ Metrics.  IID-prior ensembles default to the bulk per-pixel MI with the DC
 term excluded ("per_pixel_excl_dc") because that is the quantity the
 large-n predictors describe; the full per-pixel mean ("per_pixel") stays
 one config switch away so the O(log n / n) DC offset remains observable.
-1/f-prior ensembles record total MI ("total"), whose predictors include
-the DC term.
+1/f-prior ensembles record total MI ("total"), the one kind their
+predictors give (they include the DC term): sweep_p and compare reject any
+other metric there, so the CLI offers --metric at the IID prior only.
 """
 
 import itertools
@@ -37,8 +38,8 @@ import numpy as np
 
 from .asymptotic import BERNOULLI_PREDICTOR, PredictionResult, predict
 from .errors import InvalidArgumentError, NumericalError
-from .model import (METRICS, RHO_MODES, NoiseModel, ScenePrior, check_p, degenerate_noise,
-                    effective_n, noise_level, spectral_weights)
+from .model import (METRICS, RHO_MODES, NoiseModel, ScenePrior, check_p, check_seed,
+                    degenerate_noise, effective_n, noise_level, spectral_weights)
 from .patterns import RANDOM_DRAWS, SEED_POLICY
 from .spectral import mi_sums, power_spectrum
 
@@ -79,6 +80,8 @@ def trial_seed(master_seed: int, trial_index: int) -> int:
     np.random.default_rng makes from trial_seed(master_seed, t), and that
     checks itself against it at run time.
     """
+    check_seed(master_seed, "master_seed")
+    check_seed(trial_index, "trial_index")
     ss = np.random.SeedSequence((master_seed, trial_index))
     return int(ss.generate_state(1, np.uint64)[0])
 
@@ -195,8 +198,7 @@ class EnsembleConfig:
             raise InvalidArgumentError(f"need n >= 2, got {self.n}")
         if self.trials < 2:
             raise InvalidArgumentError(f"need trials >= 2, got {self.trials}")
-        if self.master_seed < 0:
-            raise InvalidArgumentError(f"need master_seed >= 0, got {self.master_seed}")
+        check_seed(self.master_seed, "master_seed")
         if self.family not in FAMILIES:
             raise InvalidArgumentError(f"family must be one of {FAMILIES}, got {self.family!r}")
         if self.metric is not None and self.metric not in METRICS:

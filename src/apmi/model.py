@@ -7,10 +7,10 @@ combines a thermal floor W with signal-dependent shot noise rho*J.
 Everything downstream (exact MI, asymptotic predictors, ensembles) consumes
 the two quantities defined here: the per-frequency weight vector d and the
 inverse noise power gamma = 1/(W + rho*J).  The odd-n policy of the 1/f
-formulas, the open-fraction check, the one raise for a noise power without a
-finite inverse, the nats-to-bits conversion, the mask family names and the
-atomic file writer (the CLI needs both without the pattern layer) live here
-too.  numpy is imported only where an array is made.
+formulas, the open-fraction check, the one seed rule, the one raise for a
+noise power without a finite inverse, the nats-to-bits conversion, the mask
+family names and the atomic file writer (the CLI needs both without the
+pattern layer) live here too.  numpy is imported only where an array is made.
 """
 
 from __future__ import annotations
@@ -101,6 +101,14 @@ def check_p(p) -> None:
     """An open fraction must be given and lie in [0, 1]."""
     if p is None or not 0.0 <= p <= 1.0:
         raise InvalidArgumentError(f"p must lie in [0, 1], got {p}")
+
+
+def check_seed(seed, what: str = "seed", none: bool = False):
+    """The one seed rule: an int >= 0, not a bool (or None, if `none`).  Returns the seed."""
+    if not (type(seed) is int and seed >= 0 or none and seed is None):
+        raise InvalidArgumentError(
+            f"{what} must be {'None/null or ' if none else ''}an integer >= 0, got {seed!r}")
+    return seed
 
 
 def spectral_weights(prior: ScenePrior, n: int) -> np.ndarray:

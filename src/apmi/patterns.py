@@ -20,7 +20,7 @@ from functools import cached_property
 import numpy as np
 
 from .errors import FlatnessCheckError, InvalidArgumentError
-from .model import PATTERN_FAMILIES, check_p, write_atomic
+from .model import PATTERN_FAMILIES, check_p, check_seed, write_atomic
 from .spectral import power_spectrum
 
 __all__ = [
@@ -61,9 +61,9 @@ class PatternFamily(str, Enum):
     CUSTOM = "custom"
 
 
-# Families whose generators write only 0s and 1s: a descriptor that names one
-# must sit beside a 0/1 row.  Bernoulli is not among them, because save_pattern
-# writes any row under any family and load_pattern reads back what it wrote.
+# Families whose generators write only 0s and 1s, so a row under one of them
+# holds only 0s and 1s.  Bernoulli is not among them: a Bernoulli row may hold
+# any value in [0, 1], and save_pattern and load_pattern carry it unchanged.
 _ZERO_ONE_FAMILIES = (PatternFamily.PINHOLE, PatternFamily.MLS, PatternFamily.MURA)
 
 
@@ -71,16 +71,19 @@ _ZERO_ONE_FAMILIES = (PatternFamily.PINHOLE, PatternFamily.MLS, PatternFamily.MU
 class AperturePattern:
     """A 1D aperture: the generating row of the circulant system matrix.
 
-    values : entries in [0, 1], length n >= 1
+    values : entries in [0, 1], length n >= 1; only 0s and 1s for the
+        pinhole, mls and mura families
     family : which generator produced it (CUSTOM for user-supplied rows)
-    seed   : RNG seed (an int >= 0) for the random families, None otherwise
+    seed   : RNG seed for the random families, None otherwise
+        (model.check_seed, with None allowed)
     metadata : generator-specific record (polynomial taps, measured
         spectral levels, nominal p, ...)
 
-    The fields cannot be rebound.  lambda_sq is taken from values on first
-    use and kept, so it does not see a later in-place edit of values
-    (load_pattern sets it by theorem for a row that proves its mls or mura
-    label).
+    A bad value raises InvalidArgumentError, so every pattern that is made
+    can be saved and loaded back.  The fields cannot be rebound.  lambda_sq
+    is taken from values on first use and kept, so it does not see a later
+    in-place edit of values (load_pattern sets it by theorem for a row that
+    proves its mls or mura label).
     """
 
     values: np.ndarray
@@ -92,12 +95,16 @@ class AperturePattern:
         a = np.asarray(self.values, dtype=float)
         if a.ndim != 1 or a.size < 1:
             raise InvalidArgumentError("pattern must be a nonempty 1D vector")
-        if not np.all(np.isfinite(a)):
+        if self.family in _ZERO_ONE_FAMILIES:  # 0/1 implies finite and in [0, 1]
+            if np.count_nonzero(a == 0.0) + np.count_nonzero(a == 1.0) != a.size:
+                raise InvalidArgumentError(f"family {PatternFamily(self.family).value!r} "
+                                           "needs a row of only 0s and 1s")
+        elif not np.all(np.isfinite(a)):
             raise InvalidArgumentError("pattern entries must be finite")
-        if a.min() < 0.0 or a.max() > 1.0:
+        elif a.min() < 0.0 or a.max() > 1.0:
             raise InvalidArgumentError("pattern entries must lie in [0, 1]")
         object.__setattr__(self, "values", a)
-        _check_seed(self.seed)
+        check_seed(self.seed, none=True)
 
     @cached_property
     def lambda_sq(self) -> np.ndarray:
@@ -304,7 +311,7 @@ def _qr_row(n: int) -> np.ndarray:
 def _proven_spectrum(pattern: AperturePattern) -> np.ndarray | None:
     """|lambda_k|^2 of an mls- or mura-labelled row by theorem, DC first; None
     for any other label or a row that does not prove its label.  Such a row
-    holds only 0s and 1s (load_pattern checks it for these labels).
+    holds only 0s and 1s (AperturePattern's rule for these families).
 
     An mls row of length n = 2^m - 1 proves it by being nonzero and
     satisfying, cyclically, the recurrence of MLS_POLYNOMIALS[m],
@@ -362,8 +369,7 @@ def _draw(family: str, n: int, seed: int, p: float | None = None) -> np.ndarray:
     """The RANDOM_DRAWS[family] row of numpy's default generator at seed, as a mask at p."""
     if n < 1:
         raise InvalidArgumentError(f"need n >= 1, got {n}")
-    if seed < 0:
-        raise InvalidArgumentError(f"need seed >= 0, got {seed}")
+    check_seed(seed)
     method, mask = RANDOM_DRAWS[family]
     return mask(getattr(np.random.default_rng(seed), method)(n), p)
 
@@ -491,13 +497,15 @@ def load_pattern(txt_path: str) -> AperturePattern:
     The file is read once.  A file of only "0" and "1" lines is decoded from
     its bytes; any other file is parsed line by line in the locale's encoding,
     with the same values.  If a sibling .json descriptor exists its
-    family/seed are restored; otherwise the pattern is loaded as CUSTOM.  The descriptor must be strict JSON (no NaN, Infinity
-    or number that overflows a float), its seed null or an integer >= 0, its
-    n, if given, the number of entries, and a pinhole, mls or mura family
-    must label a row of only 0s and 1s; else InvalidArgumentError.  The
-    descriptor's rho is not read: the pattern's rho is the realized mean of
-    its values.  A row that proves its mls or mura label gets its lambda_sq
-    by theorem (_proven_spectrum) and makes no FFT.
+    family/seed are restored; otherwise the pattern is loaded as CUSTOM.
+    The descriptor must be strict JSON (no NaN, Infinity or number that
+    overflows a float), its seed null or an integer >= 0, its n, if given,
+    the number of entries, and a pinhole, mls or mura family must label a
+    row of only 0s and 1s (AperturePattern's rule); else InvalidArgumentError
+    naming the descriptor.  The descriptor's rho is not read: the pattern's
+    rho is the realized mean of its values.  A row that proves its mls or
+    mura label gets its lambda_sq by theorem (_proven_spectrum) and makes no
+    FFT.
     """
     with open(txt_path, "rb") as fh:
         data = fh.read()
@@ -520,27 +528,23 @@ def load_pattern(txt_path: str) -> AperturePattern:
             if not isinstance(desc, dict) or not isinstance(desc.get("metadata", {}), dict):
                 raise ValueError("expected an object whose metadata, if any, is an object")
             family = PatternFamily(desc.get("family", "custom"))
-            if family in _ZERO_ONE_FAMILIES and not np.all((vals == 0) | (vals == 1)):
-                raise ValueError(f"family {family.value!r} needs a row of only 0s and 1s")
-            seed = _check_seed(desc.get("seed"))
+            seed = check_seed(desc.get("seed"), none=True)
             if "n" in desc and not (type(desc["n"]) is int and desc["n"] == vals.size):
                 raise ValueError(f"n must be {vals.size}, the number of entries "
                                  f"in {txt_path}, got {desc['n']!r}")
         except ValueError as exc:  # JSONDecodeError and UnicodeDecodeError included
             raise InvalidArgumentError(f"{json_path}: bad descriptor: {exc}") from None
         meta = desc.get("metadata", {})
-    pattern = AperturePattern(vals, family, seed=seed, metadata=meta)
+    try:
+        pattern = AperturePattern(vals, family, seed=seed, metadata=meta)
+    except InvalidArgumentError as exc:  # a 0/1 family's only error: its label misfits the row
+        if family not in _ZERO_ONE_FAMILIES:
+            raise
+        raise InvalidArgumentError(f"{json_path}: bad descriptor: {exc}") from None
     spectrum = _proven_spectrum(pattern)
     if spectrum is not None:  # into lambda_sq's cache slot, as __post_init__ sets values
         object.__setattr__(pattern, "lambda_sq", spectrum)
     return pattern
-
-
-def _check_seed(seed):
-    """The one seed rule of a pattern and its descriptor: None or an int >= 0, not a bool."""
-    if seed is not None and not (type(seed) is int and seed >= 0):
-        raise InvalidArgumentError(f"seed must be None/null or an integer >= 0, got {seed!r}")
-    return seed
 
 
 def _reject_constant(name: str):

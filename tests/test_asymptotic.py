@@ -36,6 +36,7 @@ from apmi import (
     predict_gaussian_onef,
     predict_pinhole,
     predict_uniform_iid,
+    spectral_weights,
 )
 
 
@@ -506,6 +507,35 @@ class TestBernoulliOneF:
         assert math.isfinite(res.value) and 0 < res.est_abs_error < 1e-7
         assert abs(res.value - exact) <= res.est_abs_error
 
+
+@pytest.mark.xfail(strict=True, raises=AssertionError, reason=(
+    "ROADMAP item 14: the 1/f predictors sum the bulk pairs k = 2..(n-1)/2, while "
+    "spectral_weights pairs k = 2..(n+1)/2; fixing the range moves golden bytes"))
+@pytest.mark.parametrize("n", [5, 21, 101])
+@pytest.mark.parametrize("which", ["flat-1f", "gaussian-1f", "bernoulli-1f"])
+def test_onef_predictors_sum_the_model_weights(which, n):
+    """Each 1/f predictor equals its DC term plus its own bulk term at
+    gamma * d_k, summed over every d_k of spectral_weights(ONE_OVER_F, n)[1:],
+    within its est_abs_error and 4 ulp (flat-1f, exact up to rounding: 1e-13
+    relative).  W = 0.01, J = 1; gaussian-1f at rho*J = 1, bernoulli-1f at p = 0.3."""
+    W, J, p = 0.01, 1.0, 0.3
+    d = spectral_weights(ScenePrior.ONE_OVER_F, n)[1:]
+    if which == "flat-1f":
+        g = 1.0 / (W + J / 2.0)
+        res = predict_flat_onef(n, W, J)
+        parts = [math.log1p(g * n / 4.0), *np.log1p(g / 4.0 * d).tolist()]
+    elif which == "gaussian-1f":
+        g = 1.0 / (W + J)
+        res = predict_gaussian_onef(n, W, J)
+        parts = [asymptotic._normal_expect_log(g, 1.0, 0.0)[0], *explog_exp1(g * d).tolist()]
+    else:
+        g, var = 1.0 / (W + p * J), p * (1.0 - p)
+        res = predict_bernoulli_onef(n, p, W, J)
+        parts = [asymptotic._normal_expect_log(g, math.sqrt(var), p * math.sqrt(n))[0],
+                 *explog_exp1(var * g * d).tolist()]
+    reference = math.fsum(parts)
+    tol = 1e-13 * reference if which == "flat-1f" else res.est_abs_error + 4 * math.ulp(reference)
+    assert abs(res.value - reference) <= tol
 
 
 def dc_quad_reference(gamma_, sd, mean):

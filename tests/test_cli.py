@@ -504,6 +504,26 @@ class TestConfigFile:
                         "--family", "pinhole", "--n", "4", "--W", "0.01")
         assert json.loads(out)["W"] == 0.01
 
+    @pytest.mark.parametrize("flag, value, W", [("--W", "0.25", 0.25), ("--W-db", "-20", 0.01)])
+    @pytest.mark.parametrize("key", ["W = 0.5", "W-db = -3"])
+    def test_flag_under_either_w_spelling_wins(self, capsys, tmp_path, key, flag, value, W):
+        """--W and --W-db set one value, so a flag under either spelling
+        overrides a config key under either spelling."""
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text(key + "\n")
+        code, _, err = run(capsys, "mi", "--family", "pinhole", "--n", "5", flag, value,
+                           "--config", str(cfg), "--out", str(tmp_path / "mi.json"))
+        assert code == 0, err
+        manifest = json.loads((tmp_path / "mi.manifest.json").read_text())
+        assert manifest["parameters"]["W"] == W
+
+    def test_both_w_keys_without_a_flag_exit_2(self, capsys, tmp_path):
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text("W = 0.5\nW-db = -3\n")
+        code, out, err = run(capsys, "mi", "--family", "pinhole", "--n", "5",
+                             "--config", str(cfg))
+        assert (code, out, err) == (2, "", "error: give either --W or --W-db, not both\n")
+
     def test_unknown_key(self, capsys, tmp_path):
         cfg = tmp_path / "run.cfg"
         cfg.write_text("zoom = 3\n")
@@ -837,15 +857,15 @@ def test_predictions_call_module_predictors(capsys, tmp_path, monkeypatch):
 
 
 @pytest.mark.parametrize("argv, err", [
-    (("reproduce", "fig3", "--metric", "per_pixel"),
-     "warning: n reduced to 249 (odd-n formula)\n"
-     "error: metric kind mismatch: ensemble 'per_pixel' vs prediction 'total'\n"),
+    (("sweep", "--prior", "1f", "--metric", "per_pixel", "--W", "0.01"),
+     "error: the 1/f prior does not read --metric\n"),
     (("sweep", "--prior", "iid", "--metric", "total", "--W", "0.01"),
      "error: metric kind mismatch: ensemble 'total' vs prediction 'per_pixel'\n"),
 ])
 def test_metric_mismatch_fails_before_any_trial(capsys, tmp_path, monkeypatch, argv, err):
     """A metric its predictor cannot pair with is rejected before the first
-    trial is drawn, with the message compare gives."""
+    trial is drawn: at the 1/f prior, whose one metric is total MI, --metric
+    is not read; at the IID prior, with the message compare gives."""
     from apmi import ensemble
     evaluated = []
     monkeypatch.setattr(ensemble, "_eval_range", lambda *a: evaluated.append(a))

@@ -94,7 +94,7 @@ def noise(j=True):
 PATTERN_OPTIONS = {name for names, _ in PATTERNS.values() for name in names}
 PREDICTOR_OPTIONS = {name for names, _ in PREDICTORS.values() for name in names} - {"W"}
 ENSEMBLE = (always("n", size(-2, 64)), always("trials", size(-1, 8)),
-            always("p-grid", grids), maybe("seed", seeds), maybe("metric", choice(*METRICS)),
+            always("p-grid", grids), maybe("seed", seeds),
             maybe("rho-mode", choice(*RHO_MODES)), st.just("--workers=1"))
 PRIOR = maybe("prior", choice("iid", "1f"))
 
@@ -127,7 +127,7 @@ ARGV = st.one_of(
               unread((), ("n", "tol")), *noise()),
     st.tuples(st.just("optimize-p"), always("prior", choice("1f", "1/f")),
               always("n", size(-2, 64)), maybe("tol", numbers), *noise()),
-    st.tuples(st.just("sweep"), PRIOR, *ENSEMBLE, *noise()),
+    st.tuples(st.just("sweep"), PRIOR, *ENSEMBLE, maybe("metric", choice(*METRICS)), *noise()),
     st.tuples(st.just("reproduce"), st.just("fig2"), always("points", st.integers(-1, 50)),
               unread((), ("W", "trials", "seed")), *noise()[2:]),
     st.tuples(st.just("reproduce"), st.just("fig3"), *ENSEMBLE, unread((), ("points",)),

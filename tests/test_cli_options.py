@@ -5,8 +5,9 @@ with each variant of that command (pattern family, --pattern-file,
 predictor, prior, reproduce target).  A given option is either read, so that
 a value other than the base run's changes some stdout byte or written file,
 or an argument error: exit 2, one `error:` line naming it, empty stdout and
-no file.  A new option, family, predictor or target enters the table by
-itself; one without an entry in VARIANTS or ALT fails it."""
+no file.  An option with choices must have some choice that changes the
+run, or reject every choice.  A new option, family, predictor or target
+enters the tables by itself; one without an entry in VARIANTS or ALT fails."""
 
 import json
 from pathlib import Path
@@ -48,6 +49,7 @@ VARIANTS = {
     ("optimize-p", "--prior", "iid"): W,
     ("optimize-p", "--prior", "1f"): {"--n": "5", **W},
     ("sweep",): {**ENSEMBLE, **W},
+    ("sweep", "--prior", "1f"): {**ENSEMBLE, **W},
     ("reproduce", "fig2"): {"--points": "2"},
     ("reproduce", "fig3"): ENSEMBLE,
     ("reproduce", "selftest"): {},
@@ -99,8 +101,10 @@ def _run(capsys, monkeypatch, run_dir, argv):
     return code, out, err, files
 
 
-@pytest.mark.parametrize("prefix, option", PAIRS, ids=[" ".join(p[:2]) + f" {o}" for p, o in PAIRS])
-def test_each_given_option_is_read_or_rejected(capsys, tmp_path, monkeypatch, prefix, option):
+@pytest.fixture
+def argv(tmp_path, capsys):
+    """argv(prefix, options): the variant's tokens and the options, with {mask}
+    naming a generated MLS mask and {config} a config file that sets --out."""
     assert main(["generate", "--family", "mls", "--degree", "3",
                  "--out", str(tmp_path / "mask")]) == 0
     config = tmp_path / "run.cfg"
@@ -108,17 +112,22 @@ def test_each_given_option_is_read_or_rejected(capsys, tmp_path, monkeypatch, pr
     fields = {"mask": str(tmp_path / "mask.txt"), "config": str(config)}
     capsys.readouterr()
 
-    def argv(options):
+    def make(prefix, options):
         tokens = [*prefix, *(t for kv in options.items() for t in kv)]
         return [token.format(**fields) for token in tokens]
+    return make
 
+
+@pytest.mark.parametrize("prefix, option", PAIRS, ids=[" ".join(p[:2]) + f" {o}" for p, o in PAIRS])
+def test_each_given_option_is_read_or_rejected(capsys, tmp_path, monkeypatch, argv,
+                                               prefix, option):
     base = VARIANTS[prefix]
-    code, *base_run = _run(capsys, monkeypatch, tmp_path / "base", argv(base))
+    code, *base_run = _run(capsys, monkeypatch, tmp_path / "base", argv(prefix, base))
     assert code == 0, base_run
     # --W and --W-db are exclusive: the dB value takes the place of --W
     options = {k: v for k, v in base.items() if not (option == "--W-db" and k == "--W")}
     code, out, err, files = _run(capsys, monkeypatch, tmp_path / "alt",
-                                 argv({**options, option: ALT[option]}))
+                                 argv(prefix, {**options, option: ALT[option]}))
     if code == 0:
         assert (out, files) != (base_run[0], base_run[2]), "given but not read"
     else:
@@ -127,13 +136,35 @@ def test_each_given_option_is_read_or_rejected(capsys, tmp_path, monkeypatch, pr
         assert option.lstrip("-") in err, err
 
 
+CHOICES = [(prefix, action.option_strings[-1], action.choices) for prefix in VARIANTS
+           for action in _parser_of(prefix)._actions
+           if action.choices and action.option_strings and action.option_strings[-1] not in prefix]
+
+
+@pytest.mark.parametrize("prefix, option, choices", CHOICES,
+                         ids=[" ".join(p).format(mask="FILE") + f" {o}" for p, o, _ in CHOICES])
+def test_each_choice_option_can_change_the_run(capsys, tmp_path, monkeypatch, argv,
+                                               prefix, option, choices):
+    """An option with choices is offered only where it can change the run:
+    some choice exits 0 and changes the output, or every choice exits 2."""
+    code, *base_run = _run(capsys, monkeypatch, tmp_path / "base", argv(prefix, VARIANTS[prefix]))
+    assert code == 0, base_run
+    codes, changed = [], False
+    for i, choice in enumerate(choices):
+        code, out, _, files = _run(capsys, monkeypatch, tmp_path / f"choice{i}",
+                                   argv(prefix, {**VARIANTS[prefix], option: choice}))
+        codes.append(code)
+        changed |= code == 0 and (out, files) != (base_run[0], base_run[2])
+    assert changed or codes == [2] * len(choices), dict(zip(choices, codes))
+
+
 # Options that a reproduce target's parser does not have: what the shared
 # parser of every target accepted and dropped.
 NOT_ACCEPTED = [
     ("fig2", "--W", "0.5"), ("fig2", "--W-db", "-3"), ("fig2", "--n", "9"),
     ("fig2", "--trials", "5"), ("fig2", "--p-grid", "0.5"), ("fig2", "--seed", "7"),
     ("fig2", "--metric", "total"), ("fig2", "--rho-mode", "nominal"), ("fig2", "--workers", "3"),
-    ("fig3", "--points", "3"),
+    ("fig3", "--points", "3"), ("fig3", "--metric", "total"),
     ("selftest", "--W", "3"), ("selftest", "--trials", "5"), ("selftest", "--points", "9"),
     ("selftest", "--config", "run.cfg"), ("selftest", "--out", "x.csv"),
     *(("selftest", "--out", out) for out in ("", ".", "..", "sub/", "sub/.")),

@@ -186,6 +186,25 @@ def test_one_home_per_rule():
     assert set(re.findall(r"(?m)^from \.(\w+) import", source)) == {"errors", "model"}
 
 
+def test_one_home_per_rule_round_three():
+    """model.check_seed is the one seed rule, called by every entry that takes a
+    seed; the 0/1 rule of pinhole, mls and mura rows is raised only in
+    AperturePattern; --W and --W-db are named as one pair once in cli.py; and
+    fig3, whose 1/f prior records total MI only, offers no --metric."""
+    assert occurrences(r"(?m)^def check_seed\b") == {"model.py": 1}
+    assert occurrences(r"seed\s*<\s*0|_check_seed\b") == {}
+    for entry in (patterns._draw, patterns.AperturePattern.__post_init__, patterns.load_pattern,
+                  ensemble.EnsembleConfig.__post_init__, ensemble.trial_seed):
+        assert "check_seed(" in inspect.getsource(entry), entry.__qualname__
+    assert occurrences("needs a row of only 0s and 1s") == {"patterns.py": 1}
+    assert "needs a row of only 0s and 1s" in inspect.getsource(patterns.AperturePattern)
+    assert occurrences(r"""["']W["'], ["']W-db["']""") == {"cli.py": 1}
+    assert "W_SPELLINGS" in inspect.getsource(cli._inject_config)
+    reproduce = cli._build_parser()._subparsers._group_actions[0].choices["reproduce"]
+    fig3 = reproduce._subparsers._group_actions[0].choices["fig3"]
+    assert "--metric" not in [flag for action in fig3._actions for flag in action.option_strings]
+
+
 def test_numpy_only_in_the_array_layers():
     """Only the layers that are all arrays import numpy at module level, so
     the CLI and the scalar predictors start without it; no module imports

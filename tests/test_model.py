@@ -1,5 +1,6 @@
-"""Scene priors, noise model, and the gamma/dB helpers."""
+"""Scene priors, noise model, the gamma/dB helpers and the seed rule."""
 
+import json
 import math
 import re
 import warnings
@@ -9,13 +10,19 @@ import pytest
 from hypothesis import given, strategies as st
 
 from apmi import (
-    InvalidArgumentError,
+    AperturePattern,
     DegenerateNoiseError,
+    EnsembleConfig,
+    InvalidArgumentError,
     NoiseModel,
     ScenePrior,
     db_to_linear,
     gamma,
+    gen_bernoulli,
+    gen_uniform,
+    load_pattern,
     spectral_weights,
+    trial_seed,
 )
 from apmi.model import LN2, degenerate_noise, effective_n, inverse_noise, to_log_base
 
@@ -190,3 +197,47 @@ class TestToLogBase:
     def test_unknown_base_rejected(self):
         with pytest.raises(InvalidArgumentError, match="log_base"):
             to_log_base(1.0, "decibans")
+
+
+def _load_with_seed(seed, tmp_path):
+    (tmp_path / "m.txt").write_text("0\n1\n1\n")
+    (tmp_path / "m.json").write_text(json.dumps({"seed": seed}))
+    return load_pattern(str(tmp_path / "m.txt"))
+
+
+# Every entry that takes a seed, and whether it allows None.
+SEED_ENTRIES = {
+    "gen_bernoulli": (lambda seed, _: gen_bernoulli(5, 0.5, seed), False),
+    "gen_uniform": (lambda seed, _: gen_uniform(5, seed), False),
+    "EnsembleConfig": (lambda seed, _: EnsembleConfig(
+        n=5, trials=2, family="bernoulli", prior=ScenePrior.IID, noise=NoiseModel(0.01, 1.0),
+        master_seed=seed, p=0.5), False),
+    "trial_seed": (lambda seed, _: trial_seed(seed, 0), False),
+    "trial_seed index": (lambda seed, _: trial_seed(0, seed), False),
+    "AperturePattern": (lambda seed, _: AperturePattern(np.array([0.0, 1.0, 1.0]), seed=seed),
+                        True),
+    "descriptor": (_load_with_seed, True),
+}
+
+
+class TestSeedRule:
+    """One seed rule (model.check_seed) for every entry that takes a seed: an
+    int >= 0, not a bool, a float or a string, and None only where a pattern
+    has no seed.  A bad seed raises InvalidArgumentError before any draw."""
+
+    @pytest.mark.parametrize("entry, seed", [
+        (entry, seed) for entry, (_, none_allowed) in SEED_ENTRIES.items()
+        for seed in (-1, True, 2.5, "3", None) if not (seed is None and none_allowed)])
+    def test_bad_seed_rejected_before_any_draw(self, monkeypatch, tmp_path, entry, seed):
+        def no_draw(*_args, **_kwargs):
+            raise AssertionError("drew before checking the seed")
+        monkeypatch.setattr(np.random, "default_rng", no_draw)
+        monkeypatch.setattr(np.random, "SeedSequence", no_draw)
+        with pytest.raises(InvalidArgumentError,
+                           match=r"(seed|index) must be (None/null or )?an integer >= 0, got "):
+            SEED_ENTRIES[entry][0](seed, tmp_path)
+
+    @pytest.mark.parametrize("seed", [0, 2**64 - 1])
+    @pytest.mark.parametrize("entry", SEED_ENTRIES)
+    def test_every_int_seed_accepted(self, tmp_path, entry, seed):
+        SEED_ENTRIES[entry][0](seed, tmp_path)

@@ -351,6 +351,13 @@ class TestAperturePattern:
         with pytest.raises(InvalidArgumentError):
             AperturePattern(np.array([np.nan, 0.0]), PatternFamily.CUSTOM)
 
+    @pytest.mark.parametrize("row", [[0.5, 1.0, 0.0], [1.0, 2.0], [np.nan, 1.0], [np.inf, 0.0]])
+    @pytest.mark.parametrize("family", ["pinhole", "mls", "mura"])
+    def test_zero_one_family_holds_only_0s_and_1s(self, family, row):
+        with pytest.raises(InvalidArgumentError,
+                           match=rf"^family '{family}' needs a row of only 0s and 1s$"):
+            AperturePattern(np.array(row), PatternFamily(family))
+
     @given(st.integers(min_value=1, max_value=400),
            st.integers(min_value=0, max_value=2 ** 32 - 1))
     @settings(max_examples=25, deadline=None)
@@ -368,6 +375,20 @@ class TestSerialization:
         loaded = load_pattern(txt)
         np.testing.assert_array_equal(loaded.values, pattern.values)
         assert loaded.family is PatternFamily.MLS
+
+    @pytest.mark.parametrize("row", [[0.0, 1.0, 1.0], [0.0, 0.5, 1.0]], ids=["zero-one", "gray"])
+    @pytest.mark.parametrize("family", list(PatternFamily), ids=lambda f: f.value)
+    def test_every_pattern_made_loads_back(self, tmp_path, family, row):
+        """Every pattern the constructor accepts saves and loads back with its
+        family and values; a pinhole, mls or mura pattern is made of 0/1 rows only."""
+        try:
+            pattern = AperturePattern(np.array(row), family)
+        except InvalidArgumentError:
+            assert family.value in ("pinhole", "mls", "mura") and 0.5 in row
+            return
+        loaded = load_pattern(save_pattern(pattern, str(tmp_path / "mask"))[0])
+        assert loaded.family is family
+        np.testing.assert_array_equal(loaded.values, pattern.values)
 
     def test_round_trip_gray(self, tmp_path):
         pattern = gen_uniform(33, seed=9)
