@@ -25,7 +25,7 @@ import warnings
 from dataclasses import dataclass
 
 from .errors import InvalidArgumentError
-from .model import NoiseModel, ScenePrior, check_odd_n, check_p, inverse_noise
+from .model import NoiseModel, ScenePrior, check_int, check_odd_n, check_p, inverse_noise
 
 __all__ = [
     "PredictionResult", "PREDICTORS", "BERNOULLI_PREDICTOR", "predict", "explog_exp1",
@@ -123,8 +123,7 @@ def _explog_identity(arr: np.ndarray) -> np.ndarray:
 def predict_pinhole(n: int, W: float, J: float) -> PredictionResult:
     """Exact per-pixel MI of the n-element pinhole: log(1/(n W + J) + 1)."""
     NoiseModel(W, J)
-    if n < 1:
-        raise InvalidArgumentError(f"need n >= 1, got {n}")
+    check_int(n, "n", 1)
     return PredictionResult(math.log1p(inverse_noise(n * W + J, "n*W + J")),
                             "per_pixel", "closed_form")
 

@@ -49,8 +49,8 @@ from pathlib import Path
 from . import __version__
 from .asymptotic import BERNOULLI_PREDICTOR, PREDICTORS, optimal_p_iid, optimal_p_onef, predict
 from .errors import InvalidArgumentError, NumericalError
-from .model import (METRICS, PATTERN_FAMILIES, RHO_MODES, NoiseModel, ScenePrior, db_to_linear,
-                    effective_n, to_log_base, write_atomic)
+from .model import (METRICS, PATTERN_FAMILIES, RHO_MODES, NoiseModel, ScenePrior, check_int,
+                    db_to_linear, effective_n, to_log_base, write_atomic)
 
 CSV_HEADER = ("p,n,W,J,prior,family,trials,seed,mi_mean,mi_std,mi_stderr,"
               "mi_predicted,relative_gap,log_base")
@@ -102,10 +102,8 @@ def _resolve_workers(args) -> int:
     try:
         value = int(raw)
     except ValueError as exc:
-        raise InvalidArgumentError(
-            f"APMI_WORKERS must be an integer, got {raw!r}") from exc
-    _require(value >= 1, f"APMI_WORKERS must be >= 1, got {value}")
-    return value
+        raise InvalidArgumentError(f"APMI_WORKERS must be an integer, got {raw!r}") from exc
+    return check_int(value, "APMI_WORKERS", 1)
 
 
 W_SPELLINGS = {"W", "W-db"}  # two spellings of one value, W
@@ -523,7 +521,7 @@ def _cmd_fig2(args) -> int:
         ("bernoulli-pstar", "bernoulli-iid", "p*"),
     )
     J = args.J
-    _require(args.points >= 2, f"--points must be >= 2, got {args.points}")
+    check_int(args.points, "--points", 2)
     _require(args.points <= MAX_GRID_POINTS,
              f"--points must be <= {MAX_GRID_POINTS}, got {args.points}")
     # W = 10**y over y = linspace(-3, 3, points) (k*step - 3, the last one 3),

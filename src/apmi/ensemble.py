@@ -38,7 +38,7 @@ import numpy as np
 
 from .asymptotic import BERNOULLI_PREDICTOR, PredictionResult, predict
 from .errors import InvalidArgumentError, NumericalError
-from .model import (METRICS, RHO_MODES, NoiseModel, ScenePrior, check_p, check_seed,
+from .model import (METRICS, RHO_MODES, NoiseModel, ScenePrior, check_int, check_p,
                     degenerate_noise, effective_n, noise_level, spectral_weights)
 from .patterns import RANDOM_DRAWS, SEED_POLICY
 from .spectral import mi_sums, power_spectrum
@@ -80,8 +80,8 @@ def trial_seed(master_seed: int, trial_index: int) -> int:
     np.random.default_rng makes from trial_seed(master_seed, t), and that
     checks itself against it at run time.
     """
-    check_seed(master_seed, "master_seed")
-    check_seed(trial_index, "trial_index")
+    check_int(master_seed, "master_seed")
+    check_int(trial_index, "trial_index")
     ss = np.random.SeedSequence((master_seed, trial_index))
     return int(ss.generate_state(1, np.uint64)[0])
 
@@ -182,7 +182,10 @@ def _trial_states(master_seed: int, start: int, stop: int):
 
 @dataclass(frozen=True)
 class EnsembleConfig:
-    n: int                            # system size
+    """One ensemble's settings, checked when made: its ints by model.check_int;
+    prior must be a ScenePrior member and noise a NoiseModel (never converted)."""
+
+    n: int                            # system size, >= 2
     trials: int                       # number of random apertures, >= 2
     family: str                       # "bernoulli" | "uniform" | "gaussian"
     prior: ScenePrior
@@ -191,14 +194,15 @@ class EnsembleConfig:
     p: float | None = None            # open fraction (bernoulli only)
     metric: str | None = None         # default: per_pixel_excl_dc (IID) / total (1/f)
     rho_mode: str = "realized"        # gamma from realized mask mean, or nominal
-    workers: int = 1
+    workers: int = 1                  # >= 1
 
     def __post_init__(self):
-        if self.n < 2:
-            raise InvalidArgumentError(f"need n >= 2, got {self.n}")
-        if self.trials < 2:
-            raise InvalidArgumentError(f"need trials >= 2, got {self.trials}")
-        check_seed(self.master_seed, "master_seed")
+        check_int(self.n, "n", 2)
+        check_int(self.trials, "trials", 2)
+        check_int(self.master_seed, "master_seed")
+        for name, kind in (("prior", ScenePrior), ("noise", NoiseModel)):
+            if not isinstance(value := getattr(self, name), kind):
+                raise InvalidArgumentError(f"{name} must be a {kind.__name__}, got {value!r}")
         if self.family not in FAMILIES:
             raise InvalidArgumentError(f"family must be one of {FAMILIES}, got {self.family!r}")
         if self.metric is not None and self.metric not in METRICS:
@@ -208,8 +212,7 @@ class EnsembleConfig:
             raise InvalidArgumentError(f"rho_mode must be one of {RHO_MODES}, got {self.rho_mode!r}")
         if self.family == "bernoulli":
             check_p(self.p)
-        if self.workers < 1:
-            raise InvalidArgumentError(f"need workers >= 1, got {self.workers}")
+        check_int(self.workers, "workers", 1)
 
     @property
     def resolved_metric(self) -> str:

@@ -7,10 +7,11 @@ combines a thermal floor W with signal-dependent shot noise rho*J.
 Everything downstream (exact MI, asymptotic predictors, ensembles) consumes
 the two quantities defined here: the per-frequency weight vector d and the
 inverse noise power gamma = 1/(W + rho*J).  The odd-n policy of the 1/f
-formulas, the open-fraction check, the one seed rule, the one raise for a
-noise power without a finite inverse, the nats-to-bits conversion, the mask
-family names and the atomic file writer (the CLI needs both without the
-pattern layer) live here too.  numpy is imported only where an array is made.
+formulas, the open-fraction check, the one integer rule of seeds and sizes
+(check_int), the one raise for a noise power without a finite inverse, the
+nats-to-bits conversion, the mask family names and the atomic file writer
+(the CLI needs both without the pattern layer) live here too.  numpy is
+imported only where an array is made.
 """
 
 from __future__ import annotations
@@ -103,12 +104,13 @@ def check_p(p) -> None:
         raise InvalidArgumentError(f"p must lie in [0, 1], got {p}")
 
 
-def check_seed(seed, what: str = "seed", none: bool = False):
-    """The one seed rule: an int >= 0, not a bool (or None, if `none`).  Returns the seed."""
-    if not (type(seed) is int and seed >= 0 or none and seed is None):
-        raise InvalidArgumentError(
-            f"{what} must be {'None/null or ' if none else ''}an integer >= 0, got {seed!r}")
-    return seed
+def check_int(value, what: str, least: int = 0, none: bool = False):
+    """The one rule of seeds and sizes: an int >= least (a size's smallest valid
+    value), not a bool or a numpy integer, or None if `none`.  Returns the value."""
+    if not (type(value) is int and value >= least or none and value is None):
+        raise InvalidArgumentError(f"{what} must be {'None/null or ' if none else ''}"
+                                   f"an integer >= {least}, got {value!r}")
+    return value
 
 
 def spectral_weights(prior: ScenePrior, n: int) -> np.ndarray:
@@ -132,9 +134,8 @@ def spectral_weights(prior: ScenePrior, n: int) -> np.ndarray:
     -------
     np.ndarray of shape (n,), entries in (0, 1], d[0] == 1.
     """
+    check_int(n, "n", 2)
     import numpy as np
-    if n < 2:
-        raise InvalidArgumentError(f"need n >= 2, got {n}")
     if prior is ScenePrior.IID:
         return np.ones(n)
     if prior is ScenePrior.ONE_OVER_F:
@@ -205,9 +206,10 @@ def db_to_linear(x_db: float) -> float:
 
 
 def check_odd_n(n: int) -> None:
-    """The 1/f-prior formulas need an odd n >= 5 (effective_n gives one)."""
-    if n < 5 or n % 2 == 0:
+    """The 1/f formulas need an odd n >= 5 (effective_n gives one); a non-int fails check_int."""
+    if type(n) is int and (n < 5 or n % 2 == 0):
         raise InvalidArgumentError(f"the 1/f-prior formulas need odd n >= 5, got {n}")
+    check_int(n, "n", 5)
 
 
 def effective_n(prior: ScenePrior, n: int) -> int:

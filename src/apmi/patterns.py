@@ -20,7 +20,7 @@ from functools import cached_property
 import numpy as np
 
 from .errors import FlatnessCheckError, InvalidArgumentError
-from .model import PATTERN_FAMILIES, check_p, check_seed, write_atomic
+from .model import PATTERN_FAMILIES, check_int, check_p, write_atomic
 from .spectral import power_spectrum
 
 __all__ = [
@@ -73,9 +73,10 @@ class AperturePattern:
 
     values : entries in [0, 1], length n >= 1; only 0s and 1s for the
         pinhole, mls and mura families
-    family : which generator produced it (CUSTOM for user-supplied rows)
+    family : which generator produced it (CUSTOM for user-supplied rows); a
+        PatternFamily member, not its string value
     seed   : RNG seed for the random families, None otherwise
-        (model.check_seed, with None allowed)
+        (model.check_int, with None allowed)
     metadata : generator-specific record (polynomial taps, measured
         spectral levels, nominal p, ...)
 
@@ -95,16 +96,18 @@ class AperturePattern:
         a = np.asarray(self.values, dtype=float)
         if a.ndim != 1 or a.size < 1:
             raise InvalidArgumentError("pattern must be a nonempty 1D vector")
+        if not isinstance(self.family, PatternFamily):
+            raise InvalidArgumentError(f"family must be a PatternFamily, got {self.family!r}")
         if self.family in _ZERO_ONE_FAMILIES:  # 0/1 implies finite and in [0, 1]
             if np.count_nonzero(a == 0.0) + np.count_nonzero(a == 1.0) != a.size:
-                raise InvalidArgumentError(f"family {PatternFamily(self.family).value!r} "
+                raise InvalidArgumentError(f"family {self.family.value!r} "
                                            "needs a row of only 0s and 1s")
         elif not np.all(np.isfinite(a)):
             raise InvalidArgumentError("pattern entries must be finite")
         elif a.min() < 0.0 or a.max() > 1.0:
             raise InvalidArgumentError("pattern entries must lie in [0, 1]")
         object.__setattr__(self, "values", a)
-        check_seed(self.seed, none=True)
+        check_int(self.seed, "seed", none=True)
 
     @cached_property
     def lambda_sq(self) -> np.ndarray:
@@ -154,9 +157,7 @@ def _check_spectrum(pattern: AperturePattern, where: str, per_bin: bool) -> None
 
 def gen_pinhole(n: int) -> AperturePattern:
     """Single open element out of n; transmissivity 1/n."""
-    if n < 1:
-        raise InvalidArgumentError(f"need n >= 1, got {n}")
-    a = np.zeros(n)
+    a = np.zeros(check_int(n, "n", 1))
     a[0] = 1.0
     return AperturePattern(a, PatternFamily.PINHOLE)
 
@@ -206,7 +207,7 @@ def gen_mls(degree: int, seed_state: int | None = None) -> AperturePattern:
         cyclically rotates the sequence; the spectrum magnitudes do not
         depend on it.  Defaults to the all-ones state.
     """
-    if degree not in MLS_POLYNOMIALS:
+    if check_int(degree, "degree", min(MLS_POLYNOMIALS)) not in MLS_POLYNOMIALS:
         raise InvalidArgumentError(
             f"degree {degree} not in the shipped polynomial table "
             f"({min(MLS_POLYNOMIALS)}..{max(MLS_POLYNOMIALS)})")
@@ -214,7 +215,7 @@ def gen_mls(degree: int, seed_state: int | None = None) -> AperturePattern:
     n = (1 << m) - 1
     if seed_state is None:
         seed_state = n  # all ones
-    if not 1 <= seed_state <= n:
+    if not check_int(seed_state, "seed_state", 1) <= n:
         raise InvalidArgumentError(
             f"seed_state must lie in [1, {n}], got {seed_state}")
     taps = MLS_POLYNOMIALS[m]
@@ -286,7 +287,7 @@ def gen_mura(n: int) -> AperturePattern:
     exact bulk mean (n+1)/4 are enforced here; the measured bulk levels are
     recorded in the metadata.
     """
-    if n >= MURA_MAX_N:
+    if check_int(n, "n", 5) >= MURA_MAX_N:
         raise InvalidArgumentError(
             f"n={n} is too large for a quadratic-residue mask (limit {MURA_MAX_N})")
     if not _is_prime(n) or n % 4 != 1:
@@ -367,9 +368,8 @@ RANDOM_DRAWS = {
 
 def _draw(family: str, n: int, seed: int, p: float | None = None) -> np.ndarray:
     """The RANDOM_DRAWS[family] row of numpy's default generator at seed, as a mask at p."""
-    if n < 1:
-        raise InvalidArgumentError(f"need n >= 1, got {n}")
-    check_seed(seed)
+    check_int(n, "n", 1)
+    check_int(seed, "seed")
     method, mask = RANDOM_DRAWS[family]
     return mask(getattr(np.random.default_rng(seed), method)(n), p)
 
@@ -502,10 +502,11 @@ def load_pattern(txt_path: str) -> AperturePattern:
     overflows a float), its seed null or an integer >= 0, its n, if given,
     the number of entries, and a pinhole, mls or mura family must label a
     row of only 0s and 1s (AperturePattern's rule); else InvalidArgumentError
-    naming the descriptor.  The descriptor's rho is not read: the pattern's
-    rho is the realized mean of its values.  A row that proves its mls or
-    mura label gets its lambda_sq by theorem (_proven_spectrum) and makes no
-    FFT.
+    naming the descriptor.  Any other row error (an entry that is not finite
+    or not in [0, 1]) names the text file.  The descriptor's rho is not read:
+    the pattern's rho is the realized mean of its values.  A row that proves
+    its mls or mura label gets its lambda_sq by theorem (_proven_spectrum)
+    and makes no FFT.
     """
     with open(txt_path, "rb") as fh:
         data = fh.read()
@@ -528,7 +529,7 @@ def load_pattern(txt_path: str) -> AperturePattern:
             if not isinstance(desc, dict) or not isinstance(desc.get("metadata", {}), dict):
                 raise ValueError("expected an object whose metadata, if any, is an object")
             family = PatternFamily(desc.get("family", "custom"))
-            seed = check_seed(desc.get("seed"), none=True)
+            seed = check_int(desc.get("seed"), "seed", none=True)
             if "n" in desc and not (type(desc["n"]) is int and desc["n"] == vals.size):
                 raise ValueError(f"n must be {vals.size}, the number of entries "
                                  f"in {txt_path}, got {desc['n']!r}")
@@ -537,10 +538,9 @@ def load_pattern(txt_path: str) -> AperturePattern:
         meta = desc.get("metadata", {})
     try:
         pattern = AperturePattern(vals, family, seed=seed, metadata=meta)
-    except InvalidArgumentError as exc:  # a 0/1 family's only error: its label misfits the row
-        if family not in _ZERO_ONE_FAMILIES:
-            raise
-        raise InvalidArgumentError(f"{json_path}: bad descriptor: {exc}") from None
+    except InvalidArgumentError as exc:  # a 0/1 family's only error is a label that misfits
+        where = f"{json_path}: bad descriptor" if family in _ZERO_ONE_FAMILIES else txt_path
+        raise InvalidArgumentError(f"{where}: {exc}") from None
     spectrum = _proven_spectrum(pattern)
     if spectrum is not None:  # into lambda_sq's cache slot, as __post_init__ sets values
         object.__setattr__(pattern, "lambda_sq", spectrum)

@@ -16,8 +16,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import InvalidArgumentError
-from .model import NoiseModel, ScenePrior, gamma, spectral_weights
+from .model import NoiseModel, ScenePrior, check_int, gamma, spectral_weights
 
 __all__ = [
     "MIResult",
@@ -113,8 +112,6 @@ def jensen_bound(pattern, noise: NoiseModel) -> float:
     when all off-DC eigenvalue magnitudes are equal (spectrally flat masks).
     """
     g = gamma(noise, pattern.rho)
-    n = pattern.n
-    if n < 2:
-        raise InvalidArgumentError("bound needs n >= 2")
+    n = check_int(pattern.n, "n", 2)
     s = float(pattern.lambda_sq[1:].sum())
     return (n - 1) / n * math.log1p(g * s / ((n - 1) * n))

@@ -222,6 +222,20 @@ class TestMi:
         assert err == ("error: " + str(tmp_path / "m.json") + ": bad descriptor: "
                        "family 'mls' needs a row of only 0s and 1s\n")
 
+    @pytest.mark.parametrize("descriptor", [None, '{"family": "bernoulli"}'])
+    @pytest.mark.parametrize("entry, message", [
+        ("2", "pattern entries must lie in [0, 1]"), ("nan", "pattern entries must be finite")])
+    def test_bad_row_names_its_file(self, capsys, tmp_path, descriptor, entry, message):
+        """A row entry that no pattern may hold is a usage error naming the mask
+        file, whether or not a descriptor labels the row."""
+        (tmp_path / "m.txt").write_text(f"0\n{entry}\n1\n")
+        if descriptor is not None:
+            (tmp_path / "m.json").write_text(descriptor)
+        code, out, err = run(capsys, "mi", "--pattern-file", str(tmp_path / "m.txt"),
+                             "--W", "0.1")
+        assert code == 2 and out == ""
+        assert err == f"error: {tmp_path / 'm.txt'}: {message}\n"
+
     def test_noise_flag_rules(self, capsys):
         code, _, err = run(capsys, "mi", "--family", "pinhole", "--n", "4",
                            "--W", "0.01", "--W-db", "-20")

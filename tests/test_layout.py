@@ -9,7 +9,7 @@ import re
 from pathlib import Path
 
 import apmi
-from apmi import asymptotic, cli, ensemble, errors, model, patterns
+from apmi import asymptotic, cli, ensemble, errors, model, patterns, spectral
 
 PACKAGE = Path(apmi.__file__).resolve().parent
 
@@ -187,15 +187,15 @@ def test_one_home_per_rule():
 
 
 def test_one_home_per_rule_round_three():
-    """model.check_seed is the one seed rule, called by every entry that takes a
+    """model.check_int is the one seed rule, called by every entry that takes a
     seed; the 0/1 rule of pinhole, mls and mura rows is raised only in
     AperturePattern; --W and --W-db are named as one pair once in cli.py; and
     fig3, whose 1/f prior records total MI only, offers no --metric."""
-    assert occurrences(r"(?m)^def check_seed\b") == {"model.py": 1}
+    assert occurrences(r"(?m)^def check_int\b") == {"model.py": 1}
     assert occurrences(r"seed\s*<\s*0|_check_seed\b") == {}
     for entry in (patterns._draw, patterns.AperturePattern.__post_init__, patterns.load_pattern,
                   ensemble.EnsembleConfig.__post_init__, ensemble.trial_seed):
-        assert "check_seed(" in inspect.getsource(entry), entry.__qualname__
+        assert "check_int(" in inspect.getsource(entry), entry.__qualname__
     assert occurrences("needs a row of only 0s and 1s") == {"patterns.py": 1}
     assert "needs a row of only 0s and 1s" in inspect.getsource(patterns.AperturePattern)
     assert occurrences(r"""["']W["'], ["']W-db["']""") == {"cli.py": 1}
@@ -203,6 +203,32 @@ def test_one_home_per_rule_round_three():
     reproduce = cli._build_parser()._subparsers._group_actions[0].choices["reproduce"]
     fig3 = reproduce._subparsers._group_actions[0].choices["fig3"]
     assert "--metric" not in [flag for action in fig3._actions for flag in action.option_strings]
+
+
+def test_one_home_per_rule_round_four():
+    """model.check_int is the one integer rule of seeds and sizes, called by every
+    entry that takes a size, with no hand-written size check beside it; a
+    pattern's family and an ensemble's prior and noise are checked as members
+    of their types where they are held; and load_pattern has one except clause
+    for a row's errors, which names a file for each and re-raises none bare."""
+    assert occurrences(r"(?m)^def check_int\b") == {"model.py": 1}
+    assert occurrences(r"need n >=|need trials|need workers|bound needs|check_seed"
+                       r"|APMI_WORKERS must be >=|points must be >=") == {}
+    for entry in (patterns.gen_pinhole, patterns.gen_mls, patterns.gen_mura, patterns._draw,
+                  model.spectral_weights, model.check_odd_n, asymptotic.predict_pinhole,
+                  spectral.jensen_bound, ensemble.EnsembleConfig.__post_init__,
+                  cli._resolve_workers, cli._cmd_fig2):
+        assert "check_int(" in inspect.getsource(entry), entry.__qualname__
+    for entry in (asymptotic.predict_flat_onef, asymptotic.predict_gaussian_onef,
+                  asymptotic.predict_bernoulli_onef, asymptotic.optimal_p_onef):
+        assert "check_odd_n(" in inspect.getsource(entry), entry.__qualname__
+    assert re.search(r"isinstance\(self\.family, PatternFamily\)",
+                     inspect.getsource(patterns.AperturePattern))
+    config = inspect.getsource(ensemble.EnsembleConfig)
+    assert "isinstance(" in config and '("prior", ScenePrior), ("noise", NoiseModel)' in config
+    loader = inspect.getsource(patterns.load_pattern)
+    assert loader.count("except InvalidArgumentError") == 1
+    assert not re.search(r"(?m)^\s*raise\s*$", loader)
 
 
 def test_numpy_only_in_the_array_layers():

@@ -1,4 +1,5 @@
-"""Scene priors, noise model, the gamma/dB helpers and the seed rule."""
+"""Scene priors, noise model, the gamma/dB helpers, the integer rule of seeds
+and sizes, and the enum-typed fields."""
 
 import json
 import math
@@ -7,7 +8,7 @@ import warnings
 
 import numpy as np
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
 from apmi import (
     AperturePattern,
@@ -15,12 +16,22 @@ from apmi import (
     EnsembleConfig,
     InvalidArgumentError,
     NoiseModel,
+    PatternFamily,
     ScenePrior,
     db_to_linear,
     gamma,
     gen_bernoulli,
+    gen_mls,
+    gen_mura,
+    gen_pinhole,
     gen_uniform,
+    jensen_bound,
     load_pattern,
+    optimal_p_onef,
+    predict_bernoulli_onef,
+    predict_flat_onef,
+    predict_gaussian_onef,
+    predict_pinhole,
     spectral_weights,
     trial_seed,
 )
@@ -205,39 +216,136 @@ def _load_with_seed(seed, tmp_path):
     return load_pattern(str(tmp_path / "m.txt"))
 
 
-# Every entry that takes a seed, and whether it allows None.
-SEED_ENTRIES = {
-    "gen_bernoulli": (lambda seed, _: gen_bernoulli(5, 0.5, seed), False),
-    "gen_uniform": (lambda seed, _: gen_uniform(5, seed), False),
-    "EnsembleConfig": (lambda seed, _: EnsembleConfig(
-        n=5, trials=2, family="bernoulli", prior=ScenePrior.IID, noise=NoiseModel(0.01, 1.0),
-        master_seed=seed, p=0.5), False),
-    "trial_seed": (lambda seed, _: trial_seed(seed, 0), False),
-    "trial_seed index": (lambda seed, _: trial_seed(0, seed), False),
+NOISE = NoiseModel(0.01, 1.0)
+
+
+def _config(**fields):
+    return EnsembleConfig(**{"n": 5, "trials": 2, "family": "bernoulli", "prior": ScenePrior.IID,
+                             "noise": NOISE, "p": 0.5, **fields})
+
+
+# Every entry that takes a seed or a size: (the call on one value, the least
+# valid value, whether it allows None).  A seed's least is 0; a size's is its
+# smallest valid value, and its entry is named "<call> <argument>".
+INT_ENTRIES = {
+    "gen_bernoulli": (lambda seed, _: gen_bernoulli(5, 0.5, seed), 0, False),
+    "gen_uniform": (lambda seed, _: gen_uniform(5, seed), 0, False),
+    "EnsembleConfig": (lambda seed, _: _config(master_seed=seed), 0, False),
+    "trial_seed": (lambda seed, _: trial_seed(seed, 0), 0, False),
+    "trial_seed index": (lambda seed, _: trial_seed(0, seed), 0, False),
     "AperturePattern": (lambda seed, _: AperturePattern(np.array([0.0, 1.0, 1.0]), seed=seed),
-                        True),
-    "descriptor": (_load_with_seed, True),
+                        0, True),
+    "descriptor": (_load_with_seed, 0, True),
+    "gen_pinhole n": (lambda n, _: gen_pinhole(n), 1, False),
+    "gen_bernoulli n": (lambda n, _: gen_bernoulli(n, 0.5, 0), 1, False),
+    "gen_uniform n": (lambda n, _: gen_uniform(n, 0), 1, False),
+    "gen_mura n": (lambda n, _: gen_mura(n), 5, False),
+    "gen_mls degree": (lambda degree, _: gen_mls(degree), 2, False),
+    "gen_mls seed_state": (lambda state, _: gen_mls(3, state), 1, False),
+    "spectral_weights n": (lambda n, _: spectral_weights(ScenePrior.IID, n), 2, False),
+    "predict_pinhole n": (lambda n, _: predict_pinhole(n, 0.1, 1.0), 1, False),
+    "predict_flat_onef n": (lambda n, _: predict_flat_onef(n, 0.1, 1.0), 5, False),
+    "predict_gaussian_onef n": (lambda n, _: predict_gaussian_onef(n, 0.1, 1.0), 5, False),
+    "predict_bernoulli_onef n": (lambda n, _: predict_bernoulli_onef(n, 0.5, 0.1, 1.0), 5, False),
+    "optimal_p_onef n": (lambda n, _: optimal_p_onef(n, 0.1, 1.0), 5, False),
+    # a pattern's n is its length, so only n = 1 reaches jensen_bound's own check
+    "jensen_bound n": (lambda n, _: jensen_bound(gen_pinhole(n), NOISE), 2, False),
+    "EnsembleConfig n": (lambda n, _: _config(n=n), 2, False),
+    "EnsembleConfig trials": (lambda trials, _: _config(trials=trials), 2, False),
+    "EnsembleConfig workers": (lambda workers, _: _config(workers=workers), 1, False),
 }
+SEED_ENTRIES = [entry for entry, (_, least, _) in INT_ENTRIES.items() if least == 0]
+SIZE_ENTRIES = [entry for entry, (_, least, _) in INT_ENTRIES.items() if least > 0]
+ODD_N_ENTRIES = [entry for entry in SIZE_ENTRIES if "onef" in entry]
+
+
+def _forbid_work(monkeypatch):
+    """Make every draw, FFT and numpy array constructor that an entry uses
+    after its checks raise AssertionError."""
+    def no_work(*_args, **_kwargs):
+        raise AssertionError("worked before checking the integer")
+    for module, name in ((np.random, "default_rng"), (np.random, "SeedSequence"),
+                         (np.fft, "fft"), (np, "empty"), (np, "ones"), (np, "arange")):
+        monkeypatch.setattr(module, name, no_work)
 
 
 class TestSeedRule:
-    """One seed rule (model.check_seed) for every entry that takes a seed: an
-    int >= 0, not a bool, a float or a string, and None only where a pattern
-    has no seed.  A bad seed raises InvalidArgumentError before any draw."""
+    """One integer rule (model.check_int) for every entry that takes a seed or a
+    size: an int >= the entry's least, not a bool, a float, a string or a numpy
+    integer, and None only where a pattern has no seed.  A bad value raises
+    InvalidArgumentError before any draw, FFT or array."""
 
     @pytest.mark.parametrize("entry, seed", [
-        (entry, seed) for entry, (_, none_allowed) in SEED_ENTRIES.items()
-        for seed in (-1, True, 2.5, "3", None) if not (seed is None and none_allowed)])
+        (entry, seed) for entry in SEED_ENTRIES
+        for seed in (-1, True, 2.5, "3", None) if not (seed is None and INT_ENTRIES[entry][2])])
     def test_bad_seed_rejected_before_any_draw(self, monkeypatch, tmp_path, entry, seed):
-        def no_draw(*_args, **_kwargs):
-            raise AssertionError("drew before checking the seed")
-        monkeypatch.setattr(np.random, "default_rng", no_draw)
-        monkeypatch.setattr(np.random, "SeedSequence", no_draw)
+        _forbid_work(monkeypatch)
         with pytest.raises(InvalidArgumentError,
                            match=r"(seed|index) must be (None/null or )?an integer >= 0, got "):
-            SEED_ENTRIES[entry][0](seed, tmp_path)
+            INT_ENTRIES[entry][0](seed, tmp_path)
 
     @pytest.mark.parametrize("seed", [0, 2**64 - 1])
     @pytest.mark.parametrize("entry", SEED_ENTRIES)
     def test_every_int_seed_accepted(self, tmp_path, entry, seed):
-        SEED_ENTRIES[entry][0](seed, tmp_path)
+        INT_ENTRIES[entry][0](seed, tmp_path)
+
+    @pytest.mark.parametrize("kind", ["least - 1", "True", "float", "str", "numpy"])
+    @pytest.mark.parametrize("entry", SIZE_ENTRIES)
+    def test_bad_size_rejected_before_any_work(self, monkeypatch, tmp_path, entry, kind):
+        call, least, _ = INT_ENTRIES[entry]
+        value = {"least - 1": least - 1, "True": True, "float": float(least), "str": "3",
+                 "numpy": np.int64(least)}[kind]
+        if kind == "least - 1" and entry in ODD_N_ENTRIES:  # every int keeps the odd-n text
+            message = f"^the 1/f-prior formulas need odd n >= 5, got {value}$"
+        else:
+            name = entry.split()[-1]
+            message = rf"^{name} must be an integer >= \d+, got {re.escape(repr(value))}$"
+        _forbid_work(monkeypatch)
+        with pytest.raises(InvalidArgumentError, match=message):
+            call(value, tmp_path)
+
+    @pytest.mark.parametrize("entry", SIZE_ENTRIES)
+    def test_least_size_accepted(self, tmp_path, entry):
+        call, least, _ = INT_ENTRIES[entry]
+        call(least, tmp_path)
+
+
+@pytest.mark.parametrize("make, message", [
+    (lambda: AperturePattern(np.array([0.0, 1.0, 1.0]), "mls"),
+     "family must be a PatternFamily, got 'mls'"),
+    (lambda: AperturePattern(np.array([0.0, 1.0, 1.0]), "bogus"),
+     "family must be a PatternFamily, got 'bogus'"),
+    (lambda: _config(prior="iid"), "prior must be a ScenePrior, got 'iid'"),
+    (lambda: _config(noise=(0.01, 1.0)), r"noise must be a NoiseModel, got \(0\.01, 1\.0\)"),
+], ids=["pattern family value", "pattern family unknown", "config prior", "config noise"])
+def test_enum_field_holds_its_member(make, message):
+    """An enum-typed field holds a member of its enum (and noise a NoiseModel):
+    any other value, its member's string value included, is rejected, not converted."""
+    with pytest.raises(InvalidArgumentError, match=f"^{message}$"):
+        make()
+
+
+# The entries above that take a Python value (the descriptor's seed comes from
+# JSON), each enum-typed field, and values of every kind a caller may pass:
+# ints and numpy ints up to 64 (a valid size stays small), floats, bools,
+# short strings, None and the fields' own members.
+CONTRACT_ENTRIES = {
+    **{entry: call for entry, (call, _, _) in INT_ENTRIES.items() if entry != "descriptor"},
+    "AperturePattern family": lambda family, _: AperturePattern(np.array([0.0, 1.0]), family),
+    "EnsembleConfig prior": lambda prior, _: _config(prior=prior),
+    "EnsembleConfig noise": lambda noise, _: _config(noise=noise),
+}
+VALUES = st.one_of(st.integers(-3, 64), st.integers(-3, 64).map(np.int64), st.floats(),
+                   st.booleans(), st.text(max_size=3), st.none(),
+                   st.sampled_from([*PatternFamily, *ScenePrior, NOISE]))
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.sampled_from(sorted(CONTRACT_ENTRIES)), VALUES)
+def test_library_error_contract(entry, value):
+    """Whatever value an entry is given, it returns or raises
+    InvalidArgumentError: no numpy TypeError, KeyError or AttributeError escapes."""
+    try:
+        CONTRACT_ENTRIES[entry](value, None)
+    except InvalidArgumentError:
+        pass
