@@ -25,7 +25,7 @@ import warnings
 from dataclasses import dataclass
 
 from .errors import InvalidArgumentError
-from .model import NoiseModel, ScenePrior, check_int, check_odd_n, check_p, inverse_noise
+from .model import NoiseModel, ScenePrior, check_int, check_odd_n, check_real, inverse_noise
 
 __all__ = [
     "PredictionResult", "PREDICTORS", "BERNOULLI_PREDICTOR", "predict", "explog_exp1",
@@ -80,7 +80,7 @@ def explog_exp1(c: float | np.ndarray) -> float | np.ndarray:
     each element's operations in the same order (_explog_series is the one series
     body), so an array element is bitwise the scalar result; tests pin it.
     """
-    if isinstance(c, (int, float)) or isinstance(c, numbers.Real):  # the ABC check is slower
+    if (isinstance(c, (int, float)) or isinstance(c, numbers.Real)) and not isinstance(c, bool):
         c = float(c) + 0.0  # -0.0 becomes 0.0, as in the array path
         if not 0.0 <= c < math.inf:
             raise InvalidArgumentError(f"need finite c >= 0, got {c}")
@@ -89,6 +89,8 @@ def explog_exp1(c: float | np.ndarray) -> float | np.ndarray:
             return math.exp(1.0 / c) * float(special.exp1(1.0 / c))
         return _explog_series(c)
     import numpy as np
+    if np.asarray(c).dtype.kind not in "iuf":  # a bool, str or object array is no c
+        raise InvalidArgumentError(f"need finite c >= 0, got {c!r}")
     arr = np.asarray(c, dtype=float)
     if arr.size and not (arr.min() >= 0 and arr.max() < math.inf):  # min and max propagate NaN
         bad = ~np.isfinite(arr) | (arr < 0)
@@ -146,7 +148,7 @@ def predict_bernoulli_iid(p: float, W: float, J: float) -> PredictionResult:
     per-pixel MI tends to explog_exp1(p(1-p) / (W + p J)).
     """
     NoiseModel(W, J)
-    check_p(p)
+    check_real(p, "p", "in [0, 1]")
     c = inverse_noise(W + p * J, "W + p*J", p * (1.0 - p))
     return PredictionResult(explog_exp1(c), "per_pixel", "quadrature",
                             est_abs_error=EXPLOG_ABS_TOL)
@@ -178,9 +180,7 @@ def predict_uniform_iid(W: float, J: float, bulk_variance: float = 1.0 / 24.0) -
     1/12 (the value the simulations in the acceptance suite validate).
     """
     NoiseModel(W, J)
-    if not (math.isfinite(bulk_variance) and bulk_variance > 0):
-        raise InvalidArgumentError(
-            f"bulk_variance must be finite and positive, got {bulk_variance}")
+    check_real(bulk_variance, "bulk_variance", "positive")
     c = inverse_noise(W + J / 2.0, "W + J/2", bulk_variance)
     return PredictionResult(explog_exp1(c), "per_pixel", "quadrature",
                             est_abs_error=EXPLOG_ABS_TOL)
@@ -382,7 +382,7 @@ def predict_gaussian_onef(n: int, W: float, rho_j_product: float) -> PredictionR
 
         E_G[log(gamma G^2 + 1)] + 2 sum_{k=2}^{(n-1)/2} explog_exp1(gamma / k)
     """
-    NoiseModel(W, rho_j_product)
+    NoiseModel(W, check_real(rho_j_product, "rho_j", "nonnegative"))
     check_odd_n(n)
     return _random_onef(n, inverse_noise(W + rho_j_product, "W + rho_j"), 1.0, 0.0)
 
@@ -397,7 +397,7 @@ def predict_bernoulli_onef(n: int, p: float, W: float, J: float) -> PredictionRe
     """
     NoiseModel(W, J)
     check_odd_n(n)
-    check_p(p)
+    check_real(p, "p", "in [0, 1]")
     return _random_onef(n, inverse_noise(W + p * J, "W + p*J"), p * (1.0 - p), p * math.sqrt(n))
 
 
@@ -431,8 +431,7 @@ def optimal_p_onef(n: int, W: float, J: float, tol: float = 1e-4) -> float:
     1/f prior, by golden-section search over p in (0.005, 0.995)."""
     NoiseModel(W, J)
     check_odd_n(n)
-    if not (math.isfinite(tol) and tol > 0):
-        raise InvalidArgumentError(f"tol must be finite and positive, got {tol}")
+    check_real(tol, "tol", "positive")
     return _golden_max(lambda p: predict_bernoulli_onef(n, p, W, J).value, 0.005, 0.995, tol)
 
 
@@ -458,5 +457,9 @@ BERNOULLI_PREDICTOR = {ScenePrior.IID: "bernoulli-iid", ScenePrior.ONE_OVER_F: "
 
 def predict(which: str, **params) -> PredictionResult:
     """Call PREDICTORS[which] on the params it lists, by name; others are ignored."""
+    if which not in tuple(PREDICTORS):  # a tuple: an unhashable name is unknown, not a TypeError
+        raise InvalidArgumentError(f"unknown predictor {which!r}; known: {', '.join(PREDICTORS)}")
     names, call = PREDICTORS[which]
+    if missing := [name for name in names if name not in params]:
+        raise InvalidArgumentError(f"predictor {which!r} needs {', '.join(missing)}")
     return call(*(params[name] for name in names))

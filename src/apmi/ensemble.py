@@ -38,7 +38,7 @@ import numpy as np
 
 from .asymptotic import BERNOULLI_PREDICTOR, PredictionResult, predict
 from .errors import InvalidArgumentError, NumericalError
-from .model import (METRICS, RHO_MODES, NoiseModel, ScenePrior, check_int, check_p,
+from .model import (METRICS, RHO_MODES, NoiseModel, ScenePrior, check_int, check_real,
                     degenerate_noise, effective_n, noise_level, spectral_weights)
 from .patterns import RANDOM_DRAWS, SEED_POLICY
 from .spectral import mi_sums, power_spectrum
@@ -182,8 +182,8 @@ def _trial_states(master_seed: int, start: int, stop: int):
 
 @dataclass(frozen=True)
 class EnsembleConfig:
-    """One ensemble's settings, checked when made: its ints by model.check_int;
-    prior must be a ScenePrior member and noise a NoiseModel (never converted)."""
+    """One ensemble's settings, checked when made: ints by model.check_int, a bernoulli
+    p by model.check_real, prior and noise as a ScenePrior and a NoiseModel (never converted)."""
 
     n: int                            # system size, >= 2
     trials: int                       # number of random apertures, >= 2
@@ -203,15 +203,12 @@ class EnsembleConfig:
         for name, kind in (("prior", ScenePrior), ("noise", NoiseModel)):
             if not isinstance(value := getattr(self, name), kind):
                 raise InvalidArgumentError(f"{name} must be a {kind.__name__}, got {value!r}")
-        if self.family not in FAMILIES:
-            raise InvalidArgumentError(f"family must be one of {FAMILIES}, got {self.family!r}")
-        if self.metric is not None and self.metric not in METRICS:
-            raise InvalidArgumentError(
-                f"metric must be one of {tuple(METRICS)}, got {self.metric!r}")
-        if self.rho_mode not in RHO_MODES:
-            raise InvalidArgumentError(f"rho_mode must be one of {RHO_MODES}, got {self.rho_mode!r}")
+        for name, choices in (("family", FAMILIES), ("metric", (None, *METRICS)),
+                              ("rho_mode", RHO_MODES)):  # tuples: an unhashable value is in none
+            if (value := getattr(self, name)) not in choices:
+                raise InvalidArgumentError(f"{name} must be one of {choices}, got {value!r}")
         if self.family == "bernoulli":
-            check_p(self.p)
+            check_real(self.p, "p", "in [0, 1]")
         check_int(self.workers, "workers", 1)
 
     @property
@@ -357,9 +354,7 @@ def sweep_p(config: EnsembleConfig, p_grid) -> list[SweepRow]:
     """
     if config.family != "bernoulli":
         raise InvalidArgumentError("sweep_p requires the bernoulli family")
-    grid = [float(p) for p in p_grid]
-    for p in grid:
-        check_p(p)
+    grid = [check_real(p, "p", "in [0, 1]") for p in p_grid]
     if not grid:
         return []
     n = effective_n(config.prior, config.n)

@@ -7,17 +7,18 @@ combines a thermal floor W with signal-dependent shot noise rho*J.
 Everything downstream (exact MI, asymptotic predictors, ensembles) consumes
 the two quantities defined here: the per-frequency weight vector d and the
 inverse noise power gamma = 1/(W + rho*J).  The odd-n policy of the 1/f
-formulas, the open-fraction check, the one integer rule of seeds and sizes
-(check_int), the one raise for a noise power without a finite inverse, the
-nats-to-bits conversion, the mask family names and the atomic file writer
-(the CLI needs both without the pattern layer) live here too.  numpy is
-imported only where an array is made.
+formulas, the one integer rule of seeds and sizes (check_int), the one rule of
+real arguments such as W, J and p (check_real), the one raise for a noise power
+without a finite inverse, the nats-to-bits conversion, the mask family names and
+the atomic file writer (the CLI needs both without the pattern layer) live here
+too.  numpy is imported only where an array is made.
 """
 
 from __future__ import annotations
 
 import enum
 import math
+import numbers
 import os
 import warnings
 from dataclasses import dataclass
@@ -60,7 +61,7 @@ class ScenePrior(enum.Enum):
 
     @classmethod
     def parse(cls, text: str) -> "ScenePrior":
-        key = text.strip().lower()
+        key = text.strip().lower() if isinstance(text, str) else None
         aliases = {
             "iid": cls.IID,
             "1f": cls.ONE_OVER_F,
@@ -90,18 +91,10 @@ class NoiseModel:
     J: float
 
     def __post_init__(self):
-        if not (math.isfinite(self.W) and math.isfinite(self.J)):
-            raise InvalidArgumentError("noise powers must be finite")
-        if self.W < 0 or self.J < 0:
-            raise InvalidArgumentError("noise powers must be nonnegative")
+        check_real(self.W, "W", "nonnegative")
+        check_real(self.J, "J", "nonnegative")
         if self.W == 0 and self.J == 0:
             raise InvalidArgumentError("W and J cannot both be zero")
-
-
-def check_p(p) -> None:
-    """An open fraction must be given and lie in [0, 1]."""
-    if p is None or not 0.0 <= p <= 1.0:
-        raise InvalidArgumentError(f"p must lie in [0, 1], got {p}")
 
 
 def check_int(value, what: str, least: int = 0, none: bool = False):
@@ -110,6 +103,20 @@ def check_int(value, what: str, least: int = 0, none: bool = False):
     if not (type(value) is int and value >= least or none and value is None):
         raise InvalidArgumentError(f"{what} must be {'None/null or ' if none else ''}"
                                    f"an integer >= {least}, got {value!r}")
+    return value
+
+
+_SPANS = {"real": lambda x: True, "nonnegative": lambda x: x >= 0,
+          "positive": lambda x: x > 0, "in [0, 1]": lambda x: 0 <= x <= 1}
+
+
+def check_real(value, what: str, span: str = "real"):
+    """The one rule of real arguments: an int, a float or another numbers.Real (numpy's
+    included), not a bool, finite and in `span`, a key of _SPANS that its error prints
+    (`p must be finite and in [0, 1], got 1.5`).  Returns the value unchanged."""
+    if not ((isinstance(value, (int, float)) or isinstance(value, numbers.Real))  # ABC: slower
+            and not isinstance(value, bool) and math.isfinite(value) and _SPANS[span](value)):
+        raise InvalidArgumentError(f"{what} must be finite and {span}, got {value!r}")
     return value
 
 
@@ -189,20 +196,15 @@ def inverse_noise(total: float, what: str = "W + rho*J", numerator: float = 1.0)
 def gamma(noise: NoiseModel, rho: float) -> float:
     """Inverse total noise power 1/(W + rho*J) at transmissivity rho; a
     degenerate W + rho*J raises DegenerateNoiseError (inverse_noise)."""
-    if not 0.0 <= rho <= 1.0:
-        raise InvalidArgumentError(f"transmissivity must lie in [0, 1], got {rho}")
-    return inverse_noise(noise.W + rho * noise.J)
+    return inverse_noise(noise.W + check_real(rho, "rho", "in [0, 1]") * noise.J)
 
 
 def db_to_linear(x_db: float) -> float:
     """Convert a power ratio in dB to linear units (10^(x/10))."""
     try:
-        value = float(10.0 ** (x_db / 10.0))
+        return math.pow(10.0, check_real(x_db, "x_db") / 10.0)
     except OverflowError:
-        value = math.inf
-    if not math.isfinite(value):
-        raise InvalidArgumentError(f"{x_db} dB has no finite linear value")
-    return value
+        raise InvalidArgumentError(f"{x_db} dB has no finite linear value") from None
 
 
 def check_odd_n(n: int) -> None:

@@ -20,7 +20,7 @@ from functools import cached_property
 import numpy as np
 
 from .errors import FlatnessCheckError, InvalidArgumentError
-from .model import PATTERN_FAMILIES, check_int, check_p, write_atomic
+from .model import PATTERN_FAMILIES, check_int, check_real, write_atomic
 from .spectral import power_spectrum
 
 __all__ = [
@@ -376,7 +376,7 @@ def _draw(family: str, n: int, seed: int, p: float | None = None) -> np.ndarray:
 
 def gen_bernoulli(n: int, p: float, seed: int) -> AperturePattern:
     """Random on-off mask: each element open independently with probability p."""
-    check_p(p)
+    check_real(p, "p", "in [0, 1]")
     return AperturePattern(_draw("bernoulli", n, seed, p), PatternFamily.BERNOULLI,
                            seed=seed, metadata={"p": p})
 

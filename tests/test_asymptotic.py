@@ -154,13 +154,22 @@ class TestExplogKernel:
     @pytest.mark.parametrize("c, bits", [
         (np.float32(0.3), "0x1.ec3fb5b5c441cp-3"), (np.float32(1e-4), "0x1.a36371c549ff3p-14"),
         (np.float64(1e-4), "0x1.a36372770518cp-14"), (np.int64(3), "0x1.282470be325a2p+0"),
-        (True, "0x1.3154710477ccbp-1"), (7, "0x1.bceb910423458p+0"),
+        (7, "0x1.bceb910423458p+0"),
     ])
     def test_scalar_types_keep_their_bits(self, c, bits):
-        """numpy ints and floats, bools and ints are scalars (numbers.Real) and
-        take the math path: each returns a Python float with these pinned bits."""
+        """numpy ints and floats and ints are scalars (numbers.Real) and take
+        the math path: each returns a Python float with these pinned bits."""
         value = explog_exp1(c)
         assert type(value) is float and value.hex() == bits
+
+    @pytest.mark.parametrize("bad", [True, np.bool_(False), "1", ["1", "2"], np.array([True]),
+                                     [0.5, None]], ids=repr)
+    def test_bool_str_and_object_rejected(self, bad):
+        """A bool is no scalar, and an array that is not ints or floats is no c,
+        though a bool or a numeric string would convert to a float."""
+        with pytest.raises(InvalidArgumentError,
+                           match=f"^need finite c >= 0, got {re.escape(repr(bad))}$"):
+            explog_exp1(bad)
 
     @pytest.mark.parametrize("bad, shown", [(math.nan, "nan"), (math.inf, "inf"),
                                             (-math.inf, "-inf"), (-1, "-1.0")])
@@ -1085,6 +1094,17 @@ class TestPredictorRegistry:
                             lambda *a: calls.append(a) or original(*a))
         asymptotic.predict("flat-iid", W=0.01, J=1.0)
         assert calls == [(0.01, 1.0)]
+
+    @pytest.mark.parametrize("which, params, message", [
+        ("bogus", dict(W=0.1, J=1.0), "unknown predictor 'bogus'; known: pinhole, flat-iid, "
+         "bernoulli-iid, uniform-iid, flat-1f, gaussian-1f, bernoulli-1f"),
+        (["flat-iid"], dict(W=0.1, J=1.0), r"unknown predictor \['flat-iid'\]; known: "),
+        ("flat-iid", dict(W=0.1), "predictor 'flat-iid' needs J"),
+        ("bernoulli-1f", dict(W=0.1), "predictor 'bernoulli-1f' needs n, p, J"),
+    ])
+    def test_unknown_name_or_missing_option_rejected(self, which, params, message):
+        with pytest.raises(InvalidArgumentError, match=f"^{message}"):
+            asymptotic.predict(which, **params)
 
     def test_bernoulli_predictor_per_prior(self):
         assert asymptotic.BERNOULLI_PREDICTOR == {ScenePrior.IID: "bernoulli-iid",

@@ -1045,6 +1045,21 @@ def test_uniform_iid_rejects_non_finite_bulk_variance(capsys, variance):
     assert err == f"error: bulk_variance must be finite and positive, got {variance}\n"
 
 
+@pytest.mark.parametrize("argv, message", [
+    (("predict", "gaussian-1f", "--n", "5", "--rho-j", "-1", "--W", "0.01"),
+     "rho_j must be finite and nonnegative, got -1.0"),
+    (("predict", "flat-iid", "--W", "0.01", "--J", "-1"),
+     "J must be finite and nonnegative, got -1.0"),
+    (("predict", "flat-iid", "--W", "nan"), "W must be finite and nonnegative, got nan"),
+    (("mi", "--family", "pinhole", "--n", "4", "--W-db", "inf"),
+     "x_db must be finite and real, got inf"),
+])
+def test_bad_real_option_named_in_one_line(capsys, argv, message):
+    """A real option outside its range is named in one line: a noise power or
+    rho_j as the predictor names it, a --W-db value as db_to_linear's x_db."""
+    assert run(capsys, *argv) == (2, "", f"error: {message}\n")
+
+
 def test_negative_closed_form_points_to_midsum(capsys):
     code, out, err = run(capsys, "predict", "flat-1f", "--n", "5", "--W", "100",
                          "--form", "closed")

@@ -165,7 +165,7 @@ def test_one_home_for_mask_families():
     assert occurrences(r"(?m)^\w*DRAWS\w* = ") == {"patterns.py": 1}
     assert "ensemble.py" not in occurrences(r"standard_normal|\(u < p\)")
     assert ensemble.FAMILIES == tuple(patterns.RANDOM_DRAWS)
-    assert occurrences(r"p must lie in") == {"model.py": 1}
+    assert occurrences(r"must be finite and \{") == {"model.py": 1}
     assert occurrences(r"\bDRAWS\b|\b_check_p\b|_eval_range_star") == {}
     assert occurrences(r"default_rng\(") == {"ensemble.py": 1, "patterns.py": 1}
 
@@ -229,6 +229,24 @@ def test_one_home_per_rule_round_four():
     loader = inspect.getsource(patterns.load_pattern)
     assert loader.count("except InvalidArgumentError") == 1
     assert not re.search(r"(?m)^\s*raise\s*$", loader)
+
+
+def test_one_home_per_rule_round_five():
+    """model.check_real is the one rule of real arguments: W and J, every open
+    fraction p, gamma's rho, rho_j, tol, bulk_variance and a dB value go through
+    it, with no check_p and no hand-written finiteness or range raise beside it."""
+    assert occurrences(r"(?m)^def check_real\b") == {"model.py": 1}
+    assert occurrences(r"\bcheck_p\b|noise powers must|transmissivity must"
+                       r"|must lie in \[0, 1\], got|must be finite and positive") == {}
+    assert occurrences(r"\bfloat\(p\)") == {}
+    for entry in (model.NoiseModel.__post_init__, model.gamma, model.db_to_linear,
+                  patterns.gen_bernoulli, asymptotic.predict_bernoulli_iid,
+                  asymptotic.predict_uniform_iid, asymptotic.predict_gaussian_onef,
+                  asymptotic.predict_bernoulli_onef, asymptotic.optimal_p_onef,
+                  ensemble.EnsembleConfig.__post_init__, ensemble.sweep_p):
+        assert "check_real(" in inspect.getsource(entry), entry.__qualname__
+    assert "isfinite" not in inspect.getsource(model.NoiseModel)
+    assert "no finite linear value" in inspect.getsource(model.db_to_linear)
 
 
 def test_numpy_only_in_the_array_layers():

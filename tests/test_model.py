@@ -1,10 +1,11 @@
 """Scene priors, noise model, the gamma/dB helpers, the integer rule of seeds
-and sizes, and the enum-typed fields."""
+and sizes, the rule of real arguments, and the enum-typed fields."""
 
 import json
 import math
 import re
 import warnings
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -28,14 +29,18 @@ from apmi import (
     jensen_bound,
     load_pattern,
     optimal_p_onef,
+    predict,
+    predict_bernoulli_iid,
     predict_bernoulli_onef,
     predict_flat_onef,
     predict_gaussian_onef,
     predict_pinhole,
+    predict_uniform_iid,
     spectral_weights,
+    sweep_p,
     trial_seed,
 )
-from apmi.model import LN2, degenerate_noise, effective_n, inverse_noise, to_log_base
+from apmi.model import LN2, check_real, degenerate_noise, effective_n, inverse_noise, to_log_base
 
 
 class TestSpectralWeights:
@@ -181,9 +186,15 @@ class TestDbToLinear:
         assert db_to_linear(a + b) == pytest.approx(
             db_to_linear(a) * db_to_linear(b), rel=1e-12)
 
-    @pytest.mark.parametrize("x_db", [4000.0, math.inf, math.nan])
-    def test_no_finite_value_rejected(self, x_db):
-        with pytest.raises(InvalidArgumentError, match="no finite linear value"):
+    @pytest.mark.parametrize("x_db, message", [
+        (4000.0, "4000.0 dB has no finite linear value"),
+        (math.inf, "x_db must be finite and real, got inf"),
+        (math.nan, "x_db must be finite and real, got nan"),
+    ], ids=["4000.0", "inf", "nan"])
+    def test_no_finite_value_rejected(self, x_db, message):
+        """A finite dB value that overflows has no linear value; a non-finite
+        one fails the rule of real arguments first."""
+        with pytest.raises(InvalidArgumentError, match=f"^{re.escape(message)}$"):
             db_to_linear(x_db)
 
 
@@ -325,12 +336,91 @@ def test_enum_field_holds_its_member(make, message):
         make()
 
 
+# Every entry that takes a real argument: (the call on one value, the start of
+# the error the rule of real arguments (model.check_real) gives for a bad value).
+REAL_ENTRIES = {
+    "NoiseModel W": (lambda W, _: NoiseModel(W, 1.0), "W must be finite and nonnegative"),
+    "NoiseModel J": (lambda J, _: NoiseModel(0.1, J), "J must be finite and nonnegative"),
+    "gen_bernoulli p": (lambda p, _: gen_bernoulli(5, p, 0), "p must be finite and in [0, 1]"),
+    "predict_bernoulli_iid p": (lambda p, _: predict_bernoulli_iid(p, 0.1, 1.0),
+                                "p must be finite and in [0, 1]"),
+    "predict_bernoulli_onef p": (lambda p, _: predict_bernoulli_onef(5, p, 0.1, 1.0),
+                                 "p must be finite and in [0, 1]"),
+    "EnsembleConfig p": (lambda p, _: _config(p=p), "p must be finite and in [0, 1]"),
+    "sweep_p grid": (lambda p, _: sweep_p(_config(), [0.5, p]), "p must be finite and in [0, 1]"),
+    "optimal_p_onef tol": (lambda tol, _: optimal_p_onef(5, 0.1, 1.0, tol=tol),
+                           "tol must be finite and positive"),
+    "predict_uniform_iid bulk_variance": (lambda v, _: predict_uniform_iid(0.1, 1.0, v),
+                                          "bulk_variance must be finite and positive"),
+    "predict_gaussian_onef rho_j": (lambda rho_j, _: predict_gaussian_onef(5, 0.1, rho_j),
+                                    "rho_j must be finite and nonnegative"),
+    "gamma rho": (lambda rho, _: gamma(NOISE, rho), "rho must be finite and in [0, 1]"),
+    "db_to_linear": (lambda x_db, _: db_to_linear(x_db), "x_db must be finite and real"),
+}
+# Entries that look a name up: the predictor, the scene prior and the metric.
+NAME_ENTRIES = {
+    "predict name": lambda which, _: predict(which, n=5, p=0.5, W=0.1, J=1.0, rho_j=1.0,
+                                             bulk_variance=0.05, form="midsum"),
+    "ScenePrior.parse": lambda text, _: ScenePrior.parse(text),
+    "EnsembleConfig metric": lambda metric, _: _config(metric=metric),
+}
+
+
+class TestRealRule:
+    """One rule (model.check_real) for every real argument: an int, a float or
+    another numbers.Real, numpy's included, not a bool, finite and in the
+    entry's range; the value is returned unchanged."""
+
+    # any finite dB value is real, so -1.0 is bad everywhere but at db_to_linear
+    @pytest.mark.parametrize("entry, value", [
+        (entry, value) for entry in sorted(REAL_ENTRIES)
+        for value in (True, "0.3", None, math.nan, math.inf, -1.0)
+        if (entry, value) != ("db_to_linear", -1.0)], ids=repr)
+    def test_bad_value_rejected_with_its_name_and_range(self, entry, value):
+        call, message = REAL_ENTRIES[entry]
+        with pytest.raises(InvalidArgumentError,
+                           match=f"^{re.escape(message)}, got {re.escape(repr(value))}$"):
+            call(value, None)
+
+    @pytest.mark.parametrize("entry, value", [
+        (entry, value) for entry in sorted(NAME_ENTRIES) for value in (True, "0.3", None)
+        if (entry, value) != ("EnsembleConfig metric", None)], ids=repr)  # None: its default
+    def test_bad_name_rejected(self, entry, value):
+        with pytest.raises(InvalidArgumentError):
+            NAME_ENTRIES[entry](value, None)
+
+    @pytest.mark.parametrize("value", [0, 1, 0.25, np.float64(0.5), np.float32(0.5), np.int64(1),
+                                       Fraction(1, 3)], ids=repr)
+    def test_every_real_in_range_returned_unchanged(self, value):
+        assert check_real(value, "p", "in [0, 1]") is value
+
+    @pytest.mark.parametrize("span, inside, outside", [
+        ("real", [-1e308, 0.0, 1e308], []), ("nonnegative", [0, 0.0, 1e308], [-5e-324]),
+        ("positive", [5e-324, 1e308], [0, 0.0, -1.0]), ("in [0, 1]", [0, 1.0], [-5e-324, 1.5]),
+    ])
+    def test_span_bounds(self, span, inside, outside):
+        for value in inside:
+            assert check_real(value, "x", span) is value
+        for value in outside:
+            with pytest.raises(InvalidArgumentError,
+                               match=f"^x must be finite and {re.escape(span)}, got "):
+                check_real(value, "x", span)
+
+    def test_no_output_type_moves(self):
+        """A valid value is not converted: a generator records p as given, and
+        a sweep row holds the grid's own p."""
+        assert gen_bernoulli(5, 1, 0).metadata == {"p": 1}
+        assert type(sweep_p(_config(), [np.float64(0.5)])[0].p) is np.float64
+
+
 # The entries above that take a Python value (the descriptor's seed comes from
 # JSON), each enum-typed field, and values of every kind a caller may pass:
 # ints and numpy ints up to 64 (a valid size stays small), floats, bools,
 # short strings, None and the fields' own members.
 CONTRACT_ENTRIES = {
     **{entry: call for entry, (call, _, _) in INT_ENTRIES.items() if entry != "descriptor"},
+    **{entry: call for entry, (call, _) in REAL_ENTRIES.items()},
+    **NAME_ENTRIES,
     "AperturePattern family": lambda family, _: AperturePattern(np.array([0.0, 1.0]), family),
     "EnsembleConfig prior": lambda prior, _: _config(prior=prior),
     "EnsembleConfig noise": lambda noise, _: _config(noise=noise),
