@@ -17,7 +17,7 @@ __version__ = "0.1.0"
 
 # Each module comes after every module it imports, so looking a name up
 # loads no module that the name's own module does not load.
-_MODULES = ("errors", "model", "spectral", "patterns", "asymptotic", "ensemble")
+_MODULES = ("errors", "model", "asymptotic", "spectral", "patterns", "ensemble")
 
 
 def __getattr__(name):

@@ -13,7 +13,8 @@ All predictor values are in nats.  Per-pixel predictors describe the bulk
 include the DC term explicitly.  Their bulk sums over k = 2..(n-1)/2 share one
 engine, _bulk_sum: an exact head of at most 63 terms past n = 8193 and closed
 Euler-Maclaurin sums past it, so their cost grows neither with n nor with the SNR s.
-numpy is imported only where an array is made.
+The exact MI of an MLS mask is a closed form of the same kind (mls_mi_sums), and
+shares flat-1f's body.  numpy is imported only where an array is made.
 """
 
 from __future__ import annotations
@@ -31,7 +32,7 @@ __all__ = [
     "PredictionResult", "PREDICTORS", "BERNOULLI_PREDICTOR", "predict", "explog_exp1",
     "predict_pinhole", "predict_flat_iid", "predict_bernoulli_iid", "optimal_p_iid",
     "predict_uniform_iid", "predict_flat_onef", "predict_gaussian_onef",
-    "predict_bernoulli_onef", "optimal_p_onef",
+    "predict_bernoulli_onef", "optimal_p_onef", "mls_mi_sums",
 ]
 
 # Documented numerical contract of the kernel and the Gaussian quadrature.
@@ -205,10 +206,7 @@ def predict_flat_onef(n: int, W: float, J: float, form: str = "midsum") -> Predi
     check_odd_n(n)
     g = inverse_noise(W + J / 2.0, "W + J/2")
     if form == "midsum":
-        value = math.log1p(g * n / 4.0)  # an infinite DC term needs no bulk sum
-        if math.isfinite(value):
-            import numpy as np
-            value += 2.0 * _bulk_sum(np.log1p, _LOG1P_SERIES, g / 4.0, n, _log1p_ends)
+        value = _flat_onef(g * n / 4.0, g / 4.0, n)
     elif form == "closed":
         value = math.log(g * n / 4.0) + g / 2.0 * (math.log(n / 2.0) - 1.0)
         if value < 0:
@@ -218,6 +216,46 @@ def predict_flat_onef(n: int, W: float, J: float, form: str = "midsum") -> Predi
     else:
         raise InvalidArgumentError(f"form must be 'midsum' or 'closed', got {form!r}")
     return PredictionResult(value, "total", "closed_form")
+
+
+def _flat_onef(dc: float, level: float, n: int) -> float:
+    """Total MI of a spectrally flat mask under the 1/f prior: log1p(dc) + 2 sum_{k=2}^{(n-1)/2}
+    log1p(level / k), the bulk by _bulk_sum at n.  The one body of predict_flat_onef's
+    midsum and of mls_mi_sums; an infinite DC term needs no bulk sum."""
+    value = math.log1p(dc)
+    if math.isfinite(value):
+        import numpy as np
+        value += 2.0 * _bulk_sum(np.log1p, _LOG1P_SERIES, level, n, _log1p_ends)
+    return value
+
+
+def mls_mi_sums(n: int, prior: ScenePrior, gamma_: float) -> tuple[float, float]:
+    """Exact total MI in nats of an MLS row of length n = 2^m - 1 at inverse noise gamma_,
+    and the same total with the DC term removed: spectral.mi_sums's pair, by theorem.
+
+    The row is an m-sequence, so |lambda_0|^2 = ((n+1)/2)^2 and |lambda_k|^2 = (n+1)/4 for
+    every k >= 1 (Golomb, Shift Register Sequences, 1967), and no row, FFT or n-sized array
+    is needed.  With dc = gamma_ ((n+1)/2)^2 / n and level = gamma_ ((n+1)/4) / n, the
+    per-bin arguments of mi_sums in its order of operations:
+
+        IID: log1p(dc) + (n-1) log1p(level)
+        1/f: log1p(dc) + 2 sum_{k=2}^{(n+1)/2} log1p(level / k)   (_flat_onef at n + 2)
+
+    the second over the pairs of model.spectral_weights.  The row's transmissivity, which
+    gamma_ depends on, is ((n+1)/2)/n, with the bits of values.mean().  The DC-free total
+    is the total minus the DC term, so an infinite DC term leaves neither finite.
+    """
+    if check_int(n, "n", 3) & (n + 1):
+        raise InvalidArgumentError(f"an MLS row has length 2^m - 1, got n={n}")
+    check_real(gamma_, "gamma", "positive")
+    dc, level = gamma_ * ((n + 1) / 2) ** 2 / n, gamma_ * ((n + 1) / 4) / n
+    if prior is ScenePrior.IID:
+        total = math.log1p(dc) + (n - 1) * math.log1p(level)
+    elif prior is ScenePrior.ONE_OVER_F:
+        total = _flat_onef(dc, level, n + 2)
+    else:
+        raise InvalidArgumentError(f"unknown prior {prior!r}")
+    return total, total - math.log1p(dc)
 
 
 @functools.cache
@@ -457,7 +495,7 @@ BERNOULLI_PREDICTOR = {ScenePrior.IID: "bernoulli-iid", ScenePrior.ONE_OVER_F: "
 
 def predict(which: str, **params) -> PredictionResult:
     """Call PREDICTORS[which] on the params it lists, by name; others are ignored."""
-    if which not in tuple(PREDICTORS):  # a tuple: an unhashable name is unknown, not a TypeError
+    if not isinstance(which, str) or which not in PREDICTORS:  # an array is no name
         raise InvalidArgumentError(f"unknown predictor {which!r}; known: {', '.join(PREDICTORS)}")
     names, call = PREDICTORS[which]
     if missing := [name for name in names if name not in params]:

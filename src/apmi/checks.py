@@ -58,7 +58,7 @@ def _reloaded(pattern, folder: str):
     """The pattern saved into folder and loaded back, as `mi --pattern-file` reads it."""
     txt_path, _ = save_pattern(pattern, os.path.join(folder, f"{pattern.family.value}{pattern.n}"))
     loaded = load_pattern(txt_path)
-    _check("lambda_sq" in vars(loaded),
+    _check(loaded._proven,
            f"reloaded {pattern.family.value} row of n={pattern.n} "
            "did not take its theorem spectrum")
     return loaded
@@ -211,7 +211,8 @@ def _dense_total(pattern, prior: ScenePrior, noise: NoiseModel) -> float:
 def dense_logdet() -> tuple[float, float]:
     """Exact MI against _dense_total at W=0.01, J=1: within 1e-13 relative for
     pinhole, MLS (degree 5), MURA (13, 29), Bernoulli and uniform rows and a
-    reloaded MLS and MURA row (theorem spectra), under both priors at odd n.
+    reloaded MLS and MURA row (the MLS theorem MI and the MURA theorem
+    spectrum), under both priors at odd n.
     At even n under 1/f the two differ by the documented even-n convention;
     for the n=8 Bernoulli row here that offset is pinned at 2.5426e-3
     relative (its size depends on the row).  Returns the worst odd-n

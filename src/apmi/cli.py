@@ -47,10 +47,12 @@ from datetime import datetime, timezone
 from pathlib import Path
 
 from . import __version__
-from .asymptotic import BERNOULLI_PREDICTOR, PREDICTORS, optimal_p_iid, optimal_p_onef, predict
+from .asymptotic import (BERNOULLI_PREDICTOR, PREDICTORS, mls_mi_sums, optimal_p_iid,
+                         optimal_p_onef, predict)
 from .errors import InvalidArgumentError, NumericalError
-from .model import (METRICS, PATTERN_FAMILIES, RHO_MODES, NoiseModel, ScenePrior, check_int,
-                    db_to_linear, effective_n, to_log_base, write_atomic)
+from .model import (METRICS, PATTERN_FAMILIES, PATTERN_OPTIONS, RHO_MODES, NoiseModel, ScenePrior,
+                    check_int, check_real, db_to_linear, effective_n, gamma, mls_length,
+                    to_log_base, write_atomic)
 
 CSV_HEADER = ("p,n,W,J,prior,family,trials,seed,mi_mean,mi_std,mi_stderr,"
               "mi_predicted,relative_gap,log_base")
@@ -115,7 +117,7 @@ def _resolve_w(args, default: float | None = None) -> float:
     if args.W is None and args.W_db is None:
         _require(default is not None, "one of --W or --W-db is required")
         return default
-    return float(args.W) if args.W_db is None else db_to_linear(args.W_db)
+    return float(args.W) if args.W_db is None else db_to_linear(check_real(args.W_db, "--W-db"))
 
 
 def _parse_p_grid(text: str) -> list[float]:
@@ -354,11 +356,17 @@ def _build_parser() -> argparse.ArgumentParser:
 
 ####################### command handlers #######################
 
+def _pattern_args(args) -> list:
+    """The options of args.family's generator, in call order; any other
+    pattern option given is an argument error."""
+    names = PATTERN_OPTIONS[args.family]
+    _require_options(args, names, args.family, *PATTERN_OPTIONS.values())
+    return [getattr(args, name) for name in names]
+
+
 def _build_pattern(args):
     from .patterns import PATTERNS  # the pattern layer (and its arrays) loads here
-    names, generate = PATTERNS[args.family]
-    _require_options(args, names, args.family, *(o for o, _ in PATTERNS.values()))
-    return generate(*(getattr(args, name) for name in names))
+    return PATTERNS[args.family][1](*_pattern_args(args))
 
 
 def _cmd_generate(args) -> int:
@@ -383,34 +391,44 @@ def _cmd_generate(args) -> int:
 
 
 def _cmd_mi(args) -> int:
-    from .patterns import PATTERNS, load_pattern
-    from .spectral import mutual_information
     if args.pattern_file:
         _require(args.family is None,
                  "give --pattern-file or --family, not both")
-        _require_options(args, (), "--pattern-file", *(o for o, _ in PATTERNS.values()))
-        pattern = load_pattern(args.pattern_file)
+        _require_options(args, (), "--pattern-file", *PATTERN_OPTIONS.values())
     else:
         _require(args.family is not None,
                  "give --pattern-file or --family")
-        pattern = _build_pattern(args)
+    mls = args.family == "mls"  # its MI is a theorem (mls_mi_sums): no row, no FFT
+    if mls:
+        n = mls_length(*_pattern_args(args))
+        family, rho = "mls", (n + 1) / 2 / n  # (n+1)/2 open entries, values.mean()'s bits
+    else:
+        from .patterns import load_pattern
+        pattern = load_pattern(args.pattern_file) if args.pattern_file else _build_pattern(args)
+        family, n, rho = pattern.family.value, pattern.n, pattern.rho
     prior = ScenePrior.parse(args.prior)
     noise = NoiseModel(_resolve_w(args), args.J)
-    result = mutual_information(pattern, prior, noise)
+    if mls:
+        total, excl = mls_mi_sums(n, prior, gamma(noise, rho))
+        per_pixel, excl = total / n, excl / n  # as mutual_information divides
+    else:
+        from .spectral import mutual_information
+        result = mutual_information(pattern, prior, noise)
+        total, per_pixel, excl = result.total, result.per_pixel, result.per_pixel_excl_dc
     payload = {
         "command": "mi",
-        "family": pattern.family.value,
-        "n": pattern.n,
+        "family": family,
+        "n": n,
         "prior": prior.value,
         "W": noise.W,
         "J": noise.J,
-        "rho": pattern.rho,
-        "total": to_log_base(result.total, args.log_base),
-        "per_pixel": to_log_base(result.per_pixel, args.log_base),
+        "rho": rho,
+        "total": to_log_base(total, args.log_base),
+        "per_pixel": to_log_base(per_pixel, args.log_base),
         "log_base": args.log_base,
     }
     if prior is ScenePrior.IID:
-        payload["per_pixel_excl_dc"] = to_log_base(result.per_pixel_excl_dc, args.log_base)
+        payload["per_pixel_excl_dc"] = to_log_base(excl, args.log_base)
     return _emit_scalar(payload, args)
 
 

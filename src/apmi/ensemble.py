@@ -204,8 +204,9 @@ class EnsembleConfig:
             if not isinstance(value := getattr(self, name), kind):
                 raise InvalidArgumentError(f"{name} must be a {kind.__name__}, got {value!r}")
         for name, choices in (("family", FAMILIES), ("metric", (None, *METRICS)),
-                              ("rho_mode", RHO_MODES)):  # tuples: an unhashable value is in none
-            if (value := getattr(self, name)) not in choices:
+                              ("rho_mode", RHO_MODES)):
+            value = getattr(self, name)
+            if not (value is None or isinstance(value, str)) or value not in choices:  # no array
                 raise InvalidArgumentError(f"{name} must be one of {choices}, got {value!r}")
         if self.family == "bernoulli":
             check_real(self.p, "p", "in [0, 1]")

@@ -9,9 +9,9 @@ the two quantities defined here: the per-frequency weight vector d and the
 inverse noise power gamma = 1/(W + rho*J).  The odd-n policy of the 1/f
 formulas, the one integer rule of seeds and sizes (check_int), the one rule of
 real arguments such as W, J and p (check_real), the one raise for a noise power
-without a finite inverse, the nats-to-bits conversion, the mask family names and
-the atomic file writer (the CLI needs both without the pattern layer) live here
-too.  numpy is imported only where an array is made.
+without a finite inverse, the nats-to-bits conversion, the mask families with
+their options, the MLS polynomial table and the atomic file writer (the CLI
+needs them without the pattern layer) live here too.  numpy is imported only where an array is made.
 """
 
 from __future__ import annotations
@@ -48,9 +48,41 @@ METRICS = {"per_pixel": ("per_pixel", 0), "per_pixel_excl_dc": ("per_pixel", 1),
            "total": ("total", 0)}
 RHO_MODES = ("realized", "nominal")
 
-# The mask families that patterns.PATTERNS generates, in its order.  The CLI
-# offers them as --family choices without loading the pattern layer.
-PATTERN_FAMILIES = ("pinhole", "mls", "mura", "bernoulli", "uniform")
+# Mask family -> its generator's options, in call order: the families that
+# patterns.PATTERNS generates, in its order.  The CLI offers and checks them,
+# and checks an MLS degree, without loading the pattern layer.
+PATTERN_OPTIONS = {"pinhole": ("n",), "mls": ("degree",), "mura": ("n",),
+                   "bernoulli": ("n", "p", "seed"), "uniform": ("n", "seed")}
+PATTERN_FAMILIES = tuple(PATTERN_OPTIONS)
+
+# One fixed primitive polynomial over GF(2) per degree, lowest-weight taps:
+# x^m + sum(x^t for t in taps) + 1.  Each entry is proven primitive
+# (x has order exactly 2^m - 1 modulo it) by
+# tests/test_patterns.py::TestMLS::test_polynomials_are_primitive_by_order;
+# patterns.gen_mls re-verifies spectral flatness at every call, and the exact
+# MI of an MLS row (asymptotic.mls_mi_sums) and the spectrum of a loaded mls
+# row that proves its label rest on this primitivity.
+MLS_POLYNOMIALS: dict[int, tuple[int, ...]] = {
+    2: (1,),
+    3: (1,),
+    4: (1,),
+    5: (2,),
+    6: (1,),
+    7: (1,),
+    8: (4, 3, 2),
+    9: (4,),
+    10: (3,),
+    11: (2,),
+    12: (6, 4, 1),
+    13: (4, 3, 1),
+    14: (10, 6, 1),
+    15: (1,),
+    16: (12, 3, 1),
+    17: (3,),
+    18: (7,),
+    19: (5, 2, 1),
+    20: (3,),
+}
 
 
 class ScenePrior(enum.Enum):
@@ -205,6 +237,16 @@ def db_to_linear(x_db: float) -> float:
         return math.pow(10.0, check_real(x_db, "x_db") / 10.0)
     except OverflowError:
         raise InvalidArgumentError(f"{x_db} dB has no finite linear value") from None
+
+
+def mls_length(degree: int) -> int:
+    """The length 2**degree - 1 of an MLS row; the degree must be a key of
+    MLS_POLYNOMIALS, else InvalidArgumentError."""
+    if check_int(degree, "degree", min(MLS_POLYNOMIALS)) not in MLS_POLYNOMIALS:
+        raise InvalidArgumentError(
+            f"degree {degree} not in the shipped polynomial table "
+            f"({min(MLS_POLYNOMIALS)}..{max(MLS_POLYNOMIALS)})")
+    return (1 << degree) - 1
 
 
 def check_odd_n(n: int) -> None:

@@ -20,7 +20,8 @@ from functools import cached_property
 import numpy as np
 
 from .errors import FlatnessCheckError, InvalidArgumentError
-from .model import PATTERN_FAMILIES, check_int, check_real, write_atomic
+from .model import (MLS_POLYNOMIALS, PATTERN_OPTIONS, check_int, check_real, mls_length,
+                    write_atomic)
 from .spectral import power_spectrum
 
 __all__ = [
@@ -82,15 +83,18 @@ class AperturePattern:
 
     A bad value raises InvalidArgumentError, so every pattern that is made
     can be saved and loaded back.  The fields cannot be rebound.  lambda_sq
-    is taken from values on first use and kept, so it does not see a later
-    in-place edit of values (load_pattern sets it by theorem for a row that
-    proves its mls or mura label).
+    is taken on first use and kept, so it does not see a later in-place edit
+    of values: by theorem for a row whose mls or mura label load_pattern
+    proved, else from values by FFT.
     """
 
     values: np.ndarray
     family: PatternFamily = PatternFamily.CUSTOM
     seed: int | None = None
     metadata: dict = field(default_factory=dict)
+    # Not a field: load_pattern sets it on a row that proves its mls or mura label
+    # (_proves_label), whose spectrum, and for mls exact MI, then follow by theorem.
+    _proven = False
 
     def __post_init__(self):
         a = np.asarray(self.values, dtype=float)
@@ -112,7 +116,7 @@ class AperturePattern:
     @cached_property
     def lambda_sq(self) -> np.ndarray:
         """Power spectrum |lambda_k|^2 of the row, k = 0..n-1, DC first."""
-        return power_spectrum(self.values)
+        return _theorem_spectrum(self) if self._proven else power_spectrum(self.values)
 
     @property
     def n(self) -> int:
@@ -162,35 +166,6 @@ def gen_pinhole(n: int) -> AperturePattern:
     return AperturePattern(a, PatternFamily.PINHOLE)
 
 
-# One fixed primitive polynomial over GF(2) per degree, lowest-weight taps:
-# x^m + sum(x^t for t in taps) + 1.  Each entry is proven primitive
-# (x has order exactly 2^m - 1 modulo it) by
-# tests/test_patterns.py::TestMLS::test_polynomials_are_primitive_by_order;
-# gen_mls re-verifies spectral flatness at every call, and a loaded mls row
-# gets its spectrum by theorem from this primitivity (_proven_spectrum).
-MLS_POLYNOMIALS: dict[int, tuple[int, ...]] = {
-    2: (1,),
-    3: (1,),
-    4: (1,),
-    5: (2,),
-    6: (1,),
-    7: (1,),
-    8: (4, 3, 2),
-    9: (4,),
-    10: (3,),
-    11: (2,),
-    12: (6, 4, 1),
-    13: (4, 3, 1),
-    14: (10, 6, 1),
-    15: (1,),
-    16: (12, 3, 1),
-    17: (3,),
-    18: (7,),
-    19: (5, 2, 1),
-    20: (3,),
-}
-
-
 def gen_mls(degree: int, seed_state: int | None = None) -> AperturePattern:
     """Binary maximum-length sequence of length 2**degree - 1.
 
@@ -207,12 +182,7 @@ def gen_mls(degree: int, seed_state: int | None = None) -> AperturePattern:
         cyclically rotates the sequence; the spectrum magnitudes do not
         depend on it.  Defaults to the all-ones state.
     """
-    if check_int(degree, "degree", min(MLS_POLYNOMIALS)) not in MLS_POLYNOMIALS:
-        raise InvalidArgumentError(
-            f"degree {degree} not in the shipped polynomial table "
-            f"({min(MLS_POLYNOMIALS)}..{max(MLS_POLYNOMIALS)})")
-    m = degree
-    n = (1 << m) - 1
+    m, n = degree, mls_length(degree)
     if seed_state is None:
         seed_state = n  # all ones
     if not check_int(seed_state, "seed_state", 1) <= n:
@@ -309,41 +279,46 @@ def _qr_row(n: int) -> np.ndarray:
     return a
 
 
-def _proven_spectrum(pattern: AperturePattern) -> np.ndarray | None:
-    """|lambda_k|^2 of an mls- or mura-labelled row by theorem, DC first; None
-    for any other label or a row that does not prove its label.  Such a row
-    holds only 0s and 1s (AperturePattern's rule for these families).
+def _proves_label(pattern: AperturePattern) -> bool:
+    """Whether an mls- or mura-labelled row proves its label, so that its
+    spectrum follows by theorem (_theorem_spectrum); False for any other
+    label.  Such a row holds only 0s and 1s (AperturePattern's rule for
+    these families).
 
     An mls row of length n = 2^m - 1 proves it by being nonzero and
     satisfying, cyclically, the recurrence of MLS_POLYNOMIALS[m],
     a[j+m] = XOR of a[j+t] over t in taps and 0.  The polynomial is primitive,
-    so the row is a rotation of the m-sequence: |lambda_0|^2 = ((n+1)/2)^2
-    and |lambda_k|^2 = (n+1)/4 for k >= 1 (Golomb, Shift Register Sequences,
-    1967).  A mura row proves it by being _qr_row(n) of a prime n = 1 mod 4
-    below MURA_MAX_N; gen_mura gives its lambda_k.
+    so the row is a rotation of the m-sequence.  A mura row proves it by
+    being _qr_row(n) of a prime n = 1 mod 4 below MURA_MAX_N.
     """
     a, n = pattern.values, pattern.n
     if pattern.family is PatternFamily.MLS:
         m = n.bit_length()
         if n != (1 << m) - 1 or m not in MLS_POLYNOMIALS:
-            return None
+            return False
         bits = a == 1.0
         if not bits.any():
-            return None
+            return False
         wrapped = np.concatenate((bits, bits[:m]))
         feedback = bits.copy()  # the x^0 term
         for t in MLS_POLYNOMIALS[m]:
             feedback ^= wrapped[t:t + n]
-        if not np.array_equal(feedback, wrapped[m:]):
-            return None
+        return bool(np.array_equal(feedback, wrapped[m:]))
+    if pattern.family is PatternFamily.MURA:
+        return n < MURA_MAX_N and n % 4 == 1 and _is_prime(n) and np.array_equal(a, _qr_row(n))
+    return False
+
+
+def _theorem_spectrum(pattern: AperturePattern) -> np.ndarray:
+    """|lambda_k|^2 of a row that proves its mls or mura label, DC first:
+    ((n+1)/2)^2 at DC, and (n+1)/4 at every k >= 1 for an m-sequence (Golomb,
+    Shift Register Sequences, 1967) or, for a mura row, the two levels gen_mura
+    gives."""
+    n = pattern.n
+    if pattern.family is PatternFamily.MLS:
         spectrum = np.full(n, (n + 1) / 4)
-    elif pattern.family is PatternFamily.MURA:
-        if not (n < MURA_MAX_N and n % 4 == 1 and _is_prime(n)
-                and np.array_equal(a, _qr_row(n))):
-            return None
-        spectrum = np.square(1.0 + (2.0 * a - 1.0) * math.sqrt(n)) / 4
     else:
-        return None
+        spectrum = np.square(1.0 + (2.0 * pattern.values - 1.0) * math.sqrt(n)) / 4
     spectrum[0] = ((n + 1) / 2) ** 2
     return spectrum
 
@@ -386,15 +361,15 @@ def gen_uniform(n: int, seed: int) -> AperturePattern:
     return AperturePattern(_draw("uniform", n, seed), PatternFamily.UNIFORM, seed=seed)
 
 
-# Mask family (model.PATTERN_FAMILIES, in order) -> (its generator's options, in call
-# order; the call), late-bound like asymptotic.PREDICTORS so a patched generator is called.
-PATTERNS = dict(zip(PATTERN_FAMILIES, (
-    (("n",), lambda *a: gen_pinhole(*a)),
-    (("degree",), lambda *a: gen_mls(*a)),
-    (("n",), lambda *a: gen_mura(*a)),
-    (("n", "p", "seed"), lambda *a: gen_bernoulli(*a)),
-    (("n", "seed"), lambda *a: gen_uniform(*a)),
-), strict=True))
+# Mask family -> (its generator's options, model.PATTERN_OPTIONS, in call order; the
+# call), late-bound like asymptotic.PREDICTORS so a patched generator is called.
+PATTERNS = {family: (names, call) for (family, names), call in zip(PATTERN_OPTIONS.items(), (
+    lambda *a: gen_pinhole(*a),
+    lambda *a: gen_mls(*a),
+    lambda *a: gen_mura(*a),
+    lambda *a: gen_bernoulli(*a),
+    lambda *a: gen_uniform(*a),
+), strict=True)}
 
 
 ####################### serialization #######################
@@ -505,8 +480,8 @@ def load_pattern(txt_path: str) -> AperturePattern:
     naming the descriptor.  Any other row error (an entry that is not finite
     or not in [0, 1]) names the text file.  The descriptor's rho is not read:
     the pattern's rho is the realized mean of its values.  A row that proves
-    its mls or mura label gets its lambda_sq by theorem (_proven_spectrum)
-    and makes no FFT.
+    its mls or mura label (_proves_label) gets its lambda_sq by theorem and
+    makes no FFT, and an mls one its exact MI too (spectral.mutual_information).
     """
     with open(txt_path, "rb") as fh:
         data = fh.read()
@@ -541,9 +516,8 @@ def load_pattern(txt_path: str) -> AperturePattern:
     except InvalidArgumentError as exc:  # a 0/1 family's only error is a label that misfits
         where = f"{json_path}: bad descriptor" if family in _ZERO_ONE_FAMILIES else txt_path
         raise InvalidArgumentError(f"{where}: {exc}") from None
-    spectrum = _proven_spectrum(pattern)
-    if spectrum is not None:  # into lambda_sq's cache slot, as __post_init__ sets values
-        object.__setattr__(pattern, "lambda_sq", spectrum)
+    if _proves_label(pattern):  # the instance is frozen, as in __post_init__
+        object.__setattr__(pattern, "_proven", True)
     return pattern
 
 

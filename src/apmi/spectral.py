@@ -8,7 +8,8 @@ the Gaussian channel splits into one log term per frequency:
 with lambda = DFT of the aperture row (unnormalized, DC at index 0),
 d the scene prior weights and gamma the inverse noise power.  Every exact MI
 goes through mi_sums, on power_spectrum (the package's one FFT) or, for a
-loaded MLS or MURA row that proves its label, a theorem spectrum.  In nats.
+loaded MURA row that proves its label, a theorem spectrum; a loaded MLS row
+that proves its label sums by theorem in asymptotic.mls_mi_sums.  In nats.
 """
 
 import math
@@ -16,6 +17,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .asymptotic import mls_mi_sums
 from .model import NoiseModel, ScenePrior, check_int, gamma, spectral_weights
 
 __all__ = [
@@ -85,11 +87,15 @@ def mutual_information(pattern, prior: ScenePrior, noise: NoiseModel) -> MIResul
     -------
     MIResult with the total over all n frequencies, the per-pixel value
     total/n and the bulk per-pixel value with the DC term removed, all in
-    nats from the pattern's one power spectrum.
+    nats from the pattern's one power spectrum, or, for a loaded MLS row that
+    proves its label, from mls_mi_sums, with no n-sized array.
     """
     n = pattern.n
-    total, bulk = mi_sums(pattern.lambda_sq, spectral_weights(prior, n),
-                          gamma(noise, pattern.rho))
+    if pattern._proven and pattern.family == "mls":
+        total, bulk = mls_mi_sums(n, prior, gamma(noise, pattern.rho))
+    else:
+        total, bulk = mi_sums(pattern.lambda_sq, spectral_weights(prior, n),
+                              gamma(noise, pattern.rho))
     return MIResult(total=total, per_pixel=total / n, per_pixel_excl_dc=bulk / n)
 
 

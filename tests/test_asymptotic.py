@@ -10,6 +10,7 @@ import functools
 import itertools
 import math
 import re
+import sys
 import warnings
 
 import numpy as np
@@ -17,12 +18,13 @@ import pytest
 from hypothesis import given, settings, strategies as st
 from scipy import integrate, special
 
-from apmi import asymptotic
+from apmi import asymptotic, checks
 from apmi import (
     InvalidArgumentError,
     NoiseModel,
     ScenePrior,
     explog_exp1,
+    gamma,
     gen_mls,
     gen_mura,
     mi_excluding_dc,
@@ -453,6 +455,100 @@ class TestFlatOneF:
             predict_flat_onef(3, 0.01, 1.0)
         with pytest.raises(InvalidArgumentError):
             predict_flat_onef(257, 0.01, 1.0, form="exact")
+
+
+@functools.cache
+def _mls(degree):
+    return gen_mls(degree)
+
+
+def _theorem(pattern, prior, noise):
+    """mls_mi_sums at the pattern's own n and gamma, as mutual_information's MIResult fields."""
+    total, excl = asymptotic.mls_mi_sums(pattern.n, prior, gamma(noise, pattern.rho))
+    return total, total / pattern.n, excl / pattern.n
+
+
+class TestMLSTheorem:
+    """asymptotic.mls_mi_sums, the exact MI of an MLS row from its flat spectrum alone,
+    against the FFT path, the dense log det and mpmath."""
+
+    @pytest.mark.parametrize("degree", range(2, 21))
+    def test_within_4_ulp_of_the_fft(self, degree):
+        """Total, per-pixel and DC-free per-pixel MI within 4 ulp relative of
+        mutual_information on gen_mls's FFT spectrum, at both priors and W over seven
+        decades; the DC-free value to 4 ulp of the total it is taken from.  The gap is
+        the FFT path's rounding: 3.9 ulp at degree 19, where mpmath puts it 4.6 ulp off."""
+        pattern = _mls(degree)
+        assert pattern.rho == (pattern.n + 1) / 2 / pattern.n  # the rho the CLI prints
+        for prior, W in itertools.product(ScenePrior, (1e-5, 0.01, 1.0, 100.0)):
+            noise = NoiseModel(W, 1.0)
+            fft = mutual_information(pattern, prior, noise)
+            total, per_pixel, excl = _theorem(pattern, prior, noise)
+            tol = 4 * sys.float_info.epsilon
+            assert abs(total - fft.total) <= tol * fft.total, (prior, W)
+            assert abs(per_pixel - fft.per_pixel) <= tol * fft.per_pixel, (prior, W)
+            assert abs(excl - fft.per_pixel_excl_dc) <= tol * fft.per_pixel, (prior, W)
+
+    @pytest.mark.parametrize("degree", range(2, 9))
+    @pytest.mark.parametrize("prior", list(ScenePrior))
+    def test_against_the_dense_log_det(self, degree, prior):
+        """The total against log det(I + (gamma/n) A Sigma A^T), which involves no FFT
+        and no theorem (checks.dense_logdet's reference), within 1e-13 relative."""
+        noise = NoiseModel(0.01, 1.0)
+        total, _, _ = _theorem(_mls(degree), prior, noise)
+        dense = checks._dense_total(_mls(degree), prior, noise)
+        assert abs(total - dense) <= 1e-13 * dense
+
+    @pytest.mark.parametrize("degree", range(2, 21))
+    def test_within_2_ulp_of_mpmath(self, degree):
+        """Within 2 ulp of 30-digit mpmath at the same gamma, at both priors and W over
+        seven decades (the FFT path is up to 5 ulp off at degree 19); the 1/f bulk
+        sum_{k=2}^{(n+1)/2} log1p(s/k) = log prod (k+s)/k is a ratio of gamma functions."""
+        mpmath = pytest.importorskip("mpmath")
+        n = (1 << degree) - 1
+        for prior, W in itertools.product(ScenePrior, (1e-5, 0.01, 1.0, 100.0)):
+            g = gamma(NoiseModel(W, 1.0), (n + 1) / 2 / n)
+            total, excl = asymptotic.mls_mi_sums(n, prior, g)
+            with mpmath.workdps(30):
+                gm = mpmath.mpf(g)
+                dc, s = mpmath.log1p(gm * (n + 1) ** 2 / (4 * n)), gm * (n + 1) / (4 * n)
+                if prior is ScenePrior.IID:
+                    exact = dc + (n - 1) * mpmath.log1p(s)
+                else:
+                    top = (n + 1) // 2
+                    exact = dc + 2 * (mpmath.loggamma(top + 1 + s) - mpmath.loggamma(2 + s)
+                                      - mpmath.loggamma(top + 1))
+                assert_within_ulps(total, exact, 2)
+                assert abs(excl - (exact - dc)) <= 2 * math.ulp(float(exact)), (prior, W)
+
+    def test_flat_onef_body_at_the_predictor_and_the_theorem(self):
+        """predict_flat_onef's midsum is _flat_onef at n (its bits, item 14's range
+        unchanged), and the 1/f theorem total is _flat_onef at n + 2."""
+        n, W, J = 1023, 0.01, 1.0
+        g = 1.0 / (W + J / 2.0)
+        assert predict_flat_onef(n, W, J).value == asymptotic._flat_onef(g * n / 4.0, g / 4.0, n)
+        g = gamma(NoiseModel(W, J), (n + 1) / 2 / n)
+        dc, level = g * ((n + 1) / 2) ** 2 / n, g * ((n + 1) / 4) / n
+        total, excl = asymptotic.mls_mi_sums(n, ScenePrior.ONE_OVER_F, g)
+        assert total == asymptotic._flat_onef(dc, level, n + 2)
+        assert excl == total - math.log1p(dc)
+
+    def test_infinite_dc_term_leaves_no_finite_sum(self):
+        """An overflowing DC term makes the total infinite and the DC-free total NaN,
+        as mi_sums's total minus DC term does, at both priors."""
+        for prior in ScenePrior:
+            total, excl = asymptotic.mls_mi_sums(31, prior, 1e307)
+            assert total == math.inf and math.isnan(excl)
+
+    @pytest.mark.parametrize("args, message", [
+        ((30, ScenePrior.IID, 1.0), "an MLS row has length 2^m - 1, got n=30"),
+        ((1, ScenePrior.IID, 1.0), "n must be an integer >= 3, got 1"),
+        ((31, ScenePrior.IID, 0.0), "gamma must be finite and positive, got 0.0"),
+        ((31, "iid", 1.0), "unknown prior 'iid'"),
+    ])
+    def test_rejects_bad_arguments(self, args, message):
+        with pytest.raises(InvalidArgumentError, match=f"^{re.escape(message)}$"):
+            asymptotic.mls_mi_sums(*args)
 
 
 class TestGaussianOneF:

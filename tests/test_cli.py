@@ -1,6 +1,7 @@
 """Command-line interface: exit codes, output schema, reproducibility."""
 
 import csv
+import functools
 import json
 import math
 import os
@@ -812,6 +813,57 @@ def test_flat_onef_infinite_dc_skips_the_bulk_sum(capsys, monkeypatch):
     assert err == "error: value not finite: the noise power is too small\n"
 
 
+# mi --family mls over degrees, priors, W, J and log bases: 608 commands.
+MLS_MI_GRID = [("mi", "--family", "mls", "--degree", str(degree), "--prior", prior, "--W", W,
+                "--J", J, "--log-base", base)
+               for degree in range(2, 21) for prior in ("iid", "1f")
+               for W in ("1e-5", "0.01", "1", "100") for J in ("0", "1")
+               for base in ("nats", "bits")]
+
+
+def test_mls_mi_by_theorem_prints_the_fft_bytes(capsys, monkeypatch):
+    """mi --family mls prints, byte for byte, what it printed from gen_mls's FFT
+    spectrum (mi_sums at the same gamma: the row's mean has the theorem rho's bits)."""
+    from apmi import gen_mls
+    from apmi.model import spectral_weights
+    from apmi.spectral import mi_sums
+    theorem = [run(capsys, *argv) for argv in MLS_MI_GRID]
+    assert len(theorem) == 608 and {(code, err) for code, _, err in theorem} == {(0, "")}
+
+    @functools.cache
+    def row(n):
+        pattern = gen_mls(n.bit_length())
+        assert pattern.rho == (n + 1) / 2 / n
+        return pattern
+
+    monkeypatch.setattr(cli_module, "mls_mi_sums", lambda n, prior, g: mi_sums(
+        row(n).lambda_sq, spectral_weights(prior, n), g))
+    assert [run(capsys, *argv) for argv in MLS_MI_GRID] == theorem
+
+
+def test_mls_mi_overflow_names_every_non_finite_value(capsys):
+    """An overflowing DC term leaves the total and, taken from it, the DC-free
+    value non-finite, as on the FFT path: one line, exit 2."""
+    assert run(capsys, "mi", "--family", "mls", "--degree", "5", "--W", "1e-307", "--J", "0") == (
+        2, "", "error: per_pixel, per_pixel_excl_dc, total not finite: "
+               "the noise power is too small\n")
+
+
+@pytest.mark.parametrize("prior", ["iid", "1f"])
+def test_mls_mi_builds_no_row_and_makes_no_fft(capsys, monkeypatch, prior):
+    """mi --family mls takes its MI from the theorem: it calls no generator and
+    makes no FFT."""
+    import numpy as np
+    from apmi import patterns
+    calls = []
+    monkeypatch.setattr(np.fft, "fft", lambda *a, **k: calls.append("fft"))
+    monkeypatch.setattr(patterns, "gen_mls", lambda *a: calls.append("gen_mls"))
+    code, out, err = run(capsys, "mi", "--family", "mls", "--degree", "20", "--prior", prior,
+                         "--W", "0.01")
+    assert (code, err, calls) == (0, "", [])
+    assert json.loads(out)["n"] == (1 << 20) - 1
+
+
 @pytest.mark.parametrize("argv, W, J", [
     (("optimize-p", "--W", "1e-320", "--J", "1"), 1e-320, 1.0),
 ])
@@ -928,7 +980,8 @@ COLD_LOADS = (
     (("predict", "flat-1f", "--n", "101", "--W", "0.01", "--form", "closed"), ()),
     (("predict", "flat-iid", "--W", "0.01", "--out", "{tmp}/flat.json"), ()),
     (("predict", "flat-iid"), ()),  # an argument error
-    (("mi", "--family", "mls", "--degree", "5", "--W", "0.01"), ("numpy",)),
+    (("mi", "--family", "mls", "--degree", "5", "--W", "0.01"), ()),
+    (("mi", "--family", "mls", "--degree", "5", "--W", "0.01", "--prior", "1f"), ("numpy",)),
     (("predict", "bernoulli-1f", "--n", "11", "--p", "0.3", "--W", "0.01"), ("numpy", "scipy")),
     (("predict", "gaussian-1f", "--n", "101", "--rho-j", "0.5", "--W", "0.01"), ("numpy", "scipy")),
     (("optimize-p", "--prior", "1f", "--n", "1001", "--W", "0.01"), ("numpy", "scipy")),
@@ -1052,11 +1105,11 @@ def test_uniform_iid_rejects_non_finite_bulk_variance(capsys, variance):
      "J must be finite and nonnegative, got -1.0"),
     (("predict", "flat-iid", "--W", "nan"), "W must be finite and nonnegative, got nan"),
     (("mi", "--family", "pinhole", "--n", "4", "--W-db", "inf"),
-     "x_db must be finite and real, got inf"),
+     "--W-db must be finite and real, got inf"),
 ])
 def test_bad_real_option_named_in_one_line(capsys, argv, message):
     """A real option outside its range is named in one line: a noise power or
-    rho_j as the predictor names it, a --W-db value as db_to_linear's x_db."""
+    rho_j as the predictor names it, a --W-db value as the option the user typed."""
     assert run(capsys, *argv) == (2, "", f"error: {message}\n")
 
 

@@ -249,6 +249,24 @@ def test_one_home_per_rule_round_five():
     assert "no finite linear value" in inspect.getsource(model.db_to_linear)
 
 
+def test_one_flat_mask_mi_body():
+    """The 1/f MI of a flat mask has one body, asymptotic._flat_onef, which
+    predict_flat_onef's midsum and the MLS theorem (mls_mi_sums) both call.
+    The theorem is the one MLS MI of mi --family mls and of a proven loaded mls
+    row, and the CLI names no generator and no MLS spectrum level on that path."""
+    assert occurrences(r"_bulk_sum\(np\.log1p") == {"asymptotic.py": 1}
+    assert "_bulk_sum(np.log1p" in inspect.getsource(asymptotic._flat_onef)
+    for entry in (asymptotic.predict_flat_onef, asymptotic.mls_mi_sums):
+        assert "_flat_onef(" in inspect.getsource(entry), entry.__qualname__
+    for entry in (cli._cmd_mi, spectral.mutual_information):
+        assert "mls_mi_sums(" in inspect.getsource(entry), entry.__qualname__
+    assert occurrences(r"\(n \+ 1\) / 4\) / n") == {"asymptotic.py": 1}
+    assert "gen_mls" not in inspect.getsource(cli)
+    assert occurrences(r"(?m)^MLS_POLYNOMIALS\b") == {"model.py": 1}
+    assert "MLS_POLYNOMIALS" in inspect.getsource(model.mls_length)
+    assert "mls_length(" in inspect.getsource(patterns.gen_mls)
+
+
 def test_numpy_only_in_the_array_layers():
     """Only the layers that are all arrays import numpy at module level, so
     the CLI and the scalar predictors start without it; no module imports

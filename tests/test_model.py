@@ -362,7 +362,9 @@ NAME_ENTRIES = {
     "predict name": lambda which, _: predict(which, n=5, p=0.5, W=0.1, J=1.0, rho_j=1.0,
                                              bulk_variance=0.05, form="midsum"),
     "ScenePrior.parse": lambda text, _: ScenePrior.parse(text),
+    "EnsembleConfig family": lambda family, _: _config(family=family),
     "EnsembleConfig metric": lambda metric, _: _config(metric=metric),
+    "EnsembleConfig rho_mode": lambda rho_mode, _: _config(rho_mode=rho_mode),
 }
 
 
@@ -383,9 +385,11 @@ class TestRealRule:
             call(value, None)
 
     @pytest.mark.parametrize("entry, value", [
-        (entry, value) for entry in sorted(NAME_ENTRIES) for value in (True, "0.3", None)
-        if (entry, value) != ("EnsembleConfig metric", None)], ids=repr)  # None: its default
+        (entry, value) for entry in sorted(NAME_ENTRIES)
+        for value in (True, "0.3", None, np.array(["a", "b"]), np.array(["bernoulli"]))
+        if not (entry == "EnsembleConfig metric" and value is None)], ids=repr)  # its default
     def test_bad_name_rejected(self, entry, value):
+        """A name that is not a str, an array of names included, is no name."""
         with pytest.raises(InvalidArgumentError):
             NAME_ENTRIES[entry](value, None)
 
@@ -416,7 +420,7 @@ class TestRealRule:
 # The entries above that take a Python value (the descriptor's seed comes from
 # JSON), each enum-typed field, and values of every kind a caller may pass:
 # ints and numpy ints up to 64 (a valid size stays small), floats, bools,
-# short strings, None and the fields' own members.
+# short strings, arrays of them, None and the fields' own members.
 CONTRACT_ENTRIES = {
     **{entry: call for entry, (call, _, _) in INT_ENTRIES.items() if entry != "descriptor"},
     **{entry: call for entry, (call, _) in REAL_ENTRIES.items()},
@@ -427,6 +431,7 @@ CONTRACT_ENTRIES = {
 }
 VALUES = st.one_of(st.integers(-3, 64), st.integers(-3, 64).map(np.int64), st.floats(),
                    st.booleans(), st.text(max_size=3), st.none(),
+                   st.lists(st.text(max_size=3), min_size=1, max_size=3).map(np.array),
                    st.sampled_from([*PatternFamily, *ScenePrior, NOISE]))
 
 

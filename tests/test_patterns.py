@@ -31,9 +31,11 @@ from apmi import (
     mutual_information,
     save_pattern,
 )
-from apmi import patterns
+from apmi import patterns, spectral
+from apmi.asymptotic import mls_mi_sums
+from apmi.model import gamma
 from apmi.patterns import IO_CHUNK, MLS_POLYNOMIALS, MURA_MAX_N
-from apmi.spectral import power_spectrum
+from apmi.spectral import MIResult, jensen_bound, power_spectrum
 
 
 def mls_loop_reference(degree, seed_state=None):
@@ -681,6 +683,32 @@ class TestProvenSpectrum:
         assert fft_calls == []
         np.testing.assert_allclose(loaded.lambda_sq, power_spectrum(loaded.values),
                                    rtol=1e-13, atol=0)
+
+    @pytest.mark.parametrize("make", [
+        lambda: gen_mls(20),
+        lambda: gen_mls(12, seed_state=1234),
+    ], ids=["mls20", "mls12-seed-state"])
+    def test_proven_mls_row_sums_by_theorem(self, tmp_path, fft_calls, monkeypatch, make):
+        """A proven mls row's MI is mls_mi_sums's, bit for bit, with no FFT, no
+        spectral_weights and no n-sized log1p array; its lambda_sq is built only
+        when read, by theorem (here by jensen_bound), still with no FFT."""
+        txt_path, _ = save_pattern(make(), str(tmp_path / "mask"))
+        loaded = load_pattern(txt_path)
+        n, log1p, sizes, weights = loaded.n, np.log1p, [], []
+        monkeypatch.setattr(np, "log1p", lambda x, *a, **k: sizes.append(np.size(x)) or log1p(
+            x, *a, **k))
+        monkeypatch.setattr(spectral, "spectral_weights", lambda *a: weights.append(a))
+        fft_calls.clear()
+        for prior in ScenePrior:
+            total, excl = mls_mi_sums(n, prior, gamma(self.NOISE, loaded.rho))
+            assert mutual_information(loaded, prior, self.NOISE) == MIResult(
+                total, total / n, excl / n)
+        assert (fft_calls, weights, "lambda_sq" in vars(loaded)) == ([], [], False)
+        assert max(sizes) <= (63 if n > 8193 else (n - 1) // 2)  # the 1/f head of _bulk_sum
+        bulk = (n + 1) / 4 * (n - 1)
+        assert jensen_bound(loaded, self.NOISE) == (n - 1) / n * math.log1p(
+            gamma(self.NOISE, loaded.rho) * bulk / ((n - 1) * n))
+        assert fft_calls == [] and loaded._proven
 
     @pytest.mark.parametrize("family, make", [
         ("mls", lambda: _flipped(gen_mls(10).values, 100)),
