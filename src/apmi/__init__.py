@@ -5,10 +5,9 @@ and reproducible Monte Carlo ensembles for circulant optical systems under
 Gaussian scene priors with thermal and shot noise.
 
 The package re-exports each module's ``__all__``, the one list of its public
-names; errors.py, which defines only its public classes, needs none.  The
-re-export is lazy (PEP 562): ``import apmi`` loads no module, and the first
-use of a name loads the module that defines it, so a command loads only the
-modules it runs.
+names (errors.py defines only public classes and needs none), lazily (PEP 562):
+``import apmi`` loads no module, the first use of a name loads the module that
+defines it, and ``from apmi import cli`` loads that submodule alone.
 """
 
 from importlib import import_module
@@ -21,8 +20,10 @@ _MODULES = ("errors", "model", "asymptotic", "spectral", "patterns", "ensemble")
 
 
 def __getattr__(name):
-    """The public name `name` of the module in _MODULES that lists it;
-    "__all__" is the list of every public name."""
+    """The submodule `name`, loaded alone, or the public name `name` of the module
+    in _MODULES that lists it; "__all__" is the list of every public name."""
+    if name in (*_MODULES, "checks", "cli"):
+        return import_module(f"{__name__}.{name}")
     names = []
     for module_name in _MODULES:
         module = import_module(f"{__name__}.{module_name}")

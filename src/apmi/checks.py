@@ -164,9 +164,9 @@ def flat_beats_half() -> None:
 
 
 def _check_frobenius(pattern, label: str) -> None:
-    """Off-DC power of a binary mask equals n*s - s^2 within 1e-9*n^2."""
+    """Off-DC power of a binary mask's FFT equals n*s - s^2 within 1e-9*n^2."""
     n, s = pattern.n, float(pattern.values.sum())
-    power = float(pattern.lambda_sq[1:].sum())
+    power = float(power_spectrum(pattern.values)[1:].sum())
     _check(abs(power - (n * s - s * s)) <= 1e-9 * n * n, f"Frobenius identity off for {label}")
 
 

@@ -140,7 +140,7 @@ def _parse_p_grid(text: str) -> list[float]:
         grid = [round(start + k * step, 12) for k in range(math.floor(span) + 1)]
     _require(len(grid) > 0, "empty p grid")
     for p in grid:
-        _require(0.0 < p < 1.0, f"grid p values must lie in (0, 1), got {p}")
+        check_real(p, "grid p", "in (0, 1)")
     return grid
 
 

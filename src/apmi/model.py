@@ -59,9 +59,9 @@ PATTERN_FAMILIES = tuple(PATTERN_OPTIONS)
 # x^m + sum(x^t for t in taps) + 1.  Each entry is proven primitive
 # (x has order exactly 2^m - 1 modulo it) by
 # tests/test_patterns.py::TestMLS::test_polynomials_are_primitive_by_order;
-# patterns.gen_mls re-verifies spectral flatness at every call, and the exact
-# MI of an MLS row (asymptotic.mls_mi_sums) and the spectrum of a loaded mls
-# row that proves its label rest on this primitivity.
+# patterns.gen_mls re-verifies spectral flatness by FFT at every call, and the
+# exact MI (asymptotic.mls_mi_sums) and spectrum of every mls row that proves
+# its label, generated or loaded, rest on this primitivity.
 MLS_POLYNOMIALS: dict[int, tuple[int, ...]] = {
     2: (1,),
     3: (1,),
@@ -138,8 +138,8 @@ def check_int(value, what: str, least: int = 0, none: bool = False):
     return value
 
 
-_SPANS = {"real": lambda x: True, "nonnegative": lambda x: x >= 0,
-          "positive": lambda x: x > 0, "in [0, 1]": lambda x: 0 <= x <= 1}
+_SPANS = {"real": lambda x: True, "nonnegative": lambda x: x >= 0, "positive": lambda x: x > 0,
+          "in [0, 1]": lambda x: 0 <= x <= 1, "in (0, 1)": lambda x: 0 < x < 1}
 
 
 def check_real(value, what: str, span: str = "real"):

@@ -83,18 +83,15 @@ class AperturePattern:
 
     A bad value raises InvalidArgumentError, so every pattern that is made
     can be saved and loaded back.  The fields cannot be rebound.  lambda_sq
-    is taken on first use and kept, so it does not see a later in-place edit
-    of values: by theorem for a row whose mls or mura label load_pattern
-    proved, else from values by FFT.
+    and _proven are taken on first use and kept, so they do not see a later
+    in-place edit of values: lambda_sq by theorem for a row that proves its
+    mls or mura label, generated or loaded alike, else from values by FFT.
     """
 
     values: np.ndarray
     family: PatternFamily = PatternFamily.CUSTOM
     seed: int | None = None
     metadata: dict = field(default_factory=dict)
-    # Not a field: load_pattern sets it on a row that proves its mls or mura label
-    # (_proves_label), whose spectrum, and for mls exact MI, then follow by theorem.
-    _proven = False
 
     def __post_init__(self):
         a = np.asarray(self.values, dtype=float)
@@ -112,6 +109,11 @@ class AperturePattern:
             raise InvalidArgumentError("pattern entries must lie in [0, 1]")
         object.__setattr__(self, "values", a)
         check_int(self.seed, "seed", none=True)
+
+    @cached_property
+    def _proven(self) -> bool:
+        """Whether the row proves its label (_proves_label), so its spectrum is a theorem."""
+        return _proves_label(self)
 
     @cached_property
     def lambda_sq(self) -> np.ndarray:
@@ -136,7 +138,7 @@ def _check_spectrum(pattern: AperturePattern, where: str, per_bin: bool) -> None
     FLATNESS_RTOL * n (per_bin, which records bulk_max_abs_dev) or the bulk
     mean within 1e-9 * n."""
     n = pattern.n
-    bulk = pattern.lambda_sq[1:]
+    bulk = power_spectrum(pattern.values)[1:]  # measured, never the theorem's levels
     levels = {
         "lambda1": float(pattern.values.sum()),
         "bulk_mean": float(bulk.mean()),
@@ -479,9 +481,8 @@ def load_pattern(txt_path: str) -> AperturePattern:
     row of only 0s and 1s (AperturePattern's rule); else InvalidArgumentError
     naming the descriptor.  Any other row error (an entry that is not finite
     or not in [0, 1]) names the text file.  The descriptor's rho is not read:
-    the pattern's rho is the realized mean of its values.  A row that proves
-    its mls or mura label (_proves_label) gets its lambda_sq by theorem and
-    makes no FFT, and an mls one its exact MI too (spectral.mutual_information).
+    the pattern's rho is the realized mean of its values.  A loaded row proves
+    its label by its values, as a generated one does (AperturePattern._proven).
     """
     with open(txt_path, "rb") as fh:
         data = fh.read()
@@ -516,8 +517,6 @@ def load_pattern(txt_path: str) -> AperturePattern:
     except InvalidArgumentError as exc:  # a 0/1 family's only error is a label that misfits
         where = f"{json_path}: bad descriptor" if family in _ZERO_ONE_FAMILIES else txt_path
         raise InvalidArgumentError(f"{where}: {exc}") from None
-    if _proves_label(pattern):  # the instance is frozen, as in __post_init__
-        object.__setattr__(pattern, "_proven", True)
     return pattern
 
 

@@ -8,8 +8,8 @@ the Gaussian channel splits into one log term per frequency:
 with lambda = DFT of the aperture row (unnormalized, DC at index 0),
 d the scene prior weights and gamma the inverse noise power.  Every exact MI
 goes through mi_sums, on power_spectrum (the package's one FFT) or, for a
-loaded MURA row that proves its label, a theorem spectrum; a loaded MLS row
-that proves its label sums by theorem in asymptotic.mls_mi_sums.  In nats.
+MURA row that proves its label by its values, a theorem spectrum; an MLS row
+that proves it sums by theorem in asymptotic.mls_mi_sums.  In nats.
 """
 
 import math
@@ -87,7 +87,7 @@ def mutual_information(pattern, prior: ScenePrior, noise: NoiseModel) -> MIResul
     -------
     MIResult with the total over all n frequencies, the per-pixel value
     total/n and the bulk per-pixel value with the DC term removed, all in
-    nats from the pattern's one power spectrum, or, for a loaded MLS row that
+    nats from the pattern's one power spectrum, or, for an MLS row that
     proves its label, from mls_mi_sums, with no n-sized array.
     """
     n = pattern.n

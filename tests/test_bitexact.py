@@ -16,9 +16,14 @@ from apmi import (
     EnsembleStats,
     NoiseModel,
     ScenePrior,
+    gamma,
     gen_mls,
+    mi_sums,
+    mls_mi_sums,
     mutual_information,
+    power_spectrum,
     run_ensemble,
+    spectral_weights,
     sweep_p,
 )
 from apmi import ensemble
@@ -65,7 +70,13 @@ def test_ensemble_stats_bit_exact(name):
     (ScenePrior.ONE_OVER_F, "0x1.7909bfe86a289p+3"),
 ])
 def test_mls10_total_bit_exact(prior, total):
-    assert mutual_information(gen_mls(10), prior, NOISE).total.hex() == total
+    """The FFT -> log1p kernel (mi_sums on power_spectrum) on the degree-10 MLS
+    row keeps its recorded bits; the row's own MI is the theorem's, bit for bit."""
+    mask = gen_mls(10)
+    g = gamma(NOISE, mask.rho)
+    fft_total, _ = mi_sums(power_spectrum(mask.values), spectral_weights(prior, mask.n), g)
+    assert fft_total.hex() == total
+    assert mutual_information(mask, prior, NOISE).total == mls_mi_sums(mask.n, prior, g)[0]
 
 
 # name -> (config fields, p grid).  At n=4095 a block holds fewer trials than

@@ -396,11 +396,14 @@ class TestSweep:
         assert [r["p"] for r in rows] == ["0.5", "0.7", "0.9"]
 
     def test_bad_grid_value(self, capsys, tmp_path):
-        code, _, err = run(capsys, "sweep", "--n", "32", "--trials", "4",
-                           "--W", "1", "--p-grid", "0.5,1.5",
-                           "--out", str(tmp_path / "x.csv"))
-        assert code == 2
-        assert not (tmp_path / "x.csv").exists()
+        """Every grid p lies in the open interval (0, 1), by check_real's rule."""
+        for grid, bad in (("0.5,1.5", "1.5"), ("0,0.5", "0.0"), ("0.5,1", "1.0")):
+            code, _, err = run(capsys, "sweep", "--n", "32", "--trials", "4",
+                               "--W", "1", "--p-grid", grid,
+                               "--out", str(tmp_path / "x.csv"))
+            assert code == 2
+            assert err == f"error: grid p must be finite and in (0, 1), got {bad}\n"
+            assert not (tmp_path / "x.csv").exists()
 
     @pytest.mark.parametrize("grid", ["0.1:0.9:1e-12", "0.1:inf:0.1"])
     def test_oversized_grid_rejected(self, capsys, tmp_path, grid):
@@ -826,7 +829,7 @@ def test_mls_mi_by_theorem_prints_the_fft_bytes(capsys, monkeypatch):
     spectrum (mi_sums at the same gamma: the row's mean has the theorem rho's bits)."""
     from apmi import gen_mls
     from apmi.model import spectral_weights
-    from apmi.spectral import mi_sums
+    from apmi.spectral import mi_sums, power_spectrum
     theorem = [run(capsys, *argv) for argv in MLS_MI_GRID]
     assert len(theorem) == 608 and {(code, err) for code, _, err in theorem} == {(0, "")}
 
@@ -837,8 +840,22 @@ def test_mls_mi_by_theorem_prints_the_fft_bytes(capsys, monkeypatch):
         return pattern
 
     monkeypatch.setattr(cli_module, "mls_mi_sums", lambda n, prior, g: mi_sums(
-        row(n).lambda_sq, spectral_weights(prior, n), g))
+        power_spectrum(row(n).values), spectral_weights(prior, n), g))
     assert [run(capsys, *argv) for argv in MLS_MI_GRID] == theorem
+
+
+@pytest.mark.parametrize("prior", ["iid", "1f"])
+def test_generated_and_loaded_mura_print_the_same_bytes(capsys, tmp_path, prior):
+    """mi --family mura and mi --pattern-file on its generated file take one
+    theorem path and print the same bytes.  At n = 41233, W = 100, J = 0 the
+    generated row's FFT spectrum printed per_pixel 0.00260953793097, the
+    theorem ...098 (mpmath: 0.002609537930975)."""
+    argv = ("--prior", prior, "--W", "100", "--J", "0")
+    assert run(capsys, "generate", "--family", "mura", "--n", "41233",
+               "--out", str(tmp_path / "mura"))[0] == 0
+    loaded = run(capsys, "mi", "--pattern-file", str(tmp_path / "mura.txt"), *argv)
+    assert loaded[0] == 0
+    assert run(capsys, "mi", "--family", "mura", "--n", "41233", *argv) == loaded
 
 
 def test_mls_mi_overflow_names_every_non_finite_value(capsys):
@@ -1013,6 +1030,18 @@ def test_cold_commands_load_only_what_they_run(tmp_path):
     assert lines[1:-1] == [str(list(loads)) for _, loads in COLD_LOADS[1:]]
     assert lines[-1] == lines[-2]
     assert (tmp_path / "flat.json").exists()
+
+
+@pytest.mark.parametrize("name", ["cli", "model"])
+def test_from_apmi_import_loads_the_submodule_alone(name):
+    """`from apmi import <submodule>` loads what `import apmi.<submodule>` loads,
+    not every module of the package's re-export table first."""
+    code = ("import sys; {}; print([m for m in sorted(sys.modules)"
+            " if m.startswith('apmi') or m in ('numpy', 'scipy')])")
+    procs = [run_subprocess("-c", code.format(statement))
+             for statement in (f"from apmi import {name}", f"import apmi.{name}")]
+    assert procs[0].returncode == 0, procs[0].stderr
+    assert procs[0].stdout == procs[1].stdout
 
 
 @pytest.mark.parametrize("first", ["loader", "scipy.integrate"])

@@ -3,6 +3,7 @@ package once had (several FFT -> log1p sums, several nats-to-bits
 conversions, two odd-n reducers) growing back."""
 
 import ast
+import functools
 import importlib
 import inspect
 import re
@@ -30,9 +31,23 @@ def test_one_fft_call_site():
 
 def test_one_spectrum_per_pattern():
     """A pattern's power spectrum is its lambda_sq, taken once through
-    power_spectrum; no second spectrum type or helper computes it again."""
+    power_spectrum unless the row proves its label; the generators' self-check
+    measures the row's own FFT.  No second spectrum type or helper computes it."""
     assert occurrences(r"circulant_spectrum|SpectrumResult|bulk_power") == {}
-    assert occurrences(r"power_spectrum\(").get("patterns.py") == 1
+    assert occurrences(r"power_spectrum\(").get("patterns.py") == 2
+    for entry in (patterns.AperturePattern.lambda_sq.func, patterns._check_spectrum):
+        assert inspect.getsource(entry).count("power_spectrum(") == 1, entry.__qualname__
+
+
+def test_one_theorem_path_per_row():
+    """Whether a row takes its spectrum by theorem depends on its values alone:
+    _proven is a cached property of every pattern, computed by _proves_label,
+    and no code assigns it, so a loaded row and a generated one take one path."""
+    proven = vars(patterns.AperturePattern)["_proven"]
+    assert isinstance(proven, functools.cached_property)
+    assert "return _proves_label(self)" in inspect.getsource(proven.func)
+    assert occurrences(r"\b_proven\b\s*=(?!=)|[\"']_proven[\"']") == {}
+    assert "__setattr__" not in inspect.getsource(patterns.load_pattern)
 
 
 def test_one_quadratic_residue_construction():
@@ -234,16 +249,18 @@ def test_one_home_per_rule_round_four():
 def test_one_home_per_rule_round_five():
     """model.check_real is the one rule of real arguments: W and J, every open
     fraction p, gamma's rho, rho_j, tol, bulk_variance and a dB value go through
-    it, with no check_p and no hand-written finiteness or range raise beside it."""
+    it, as does every grid p of the CLI, with no check_p and no hand-written
+    finiteness or range raise beside it."""
     assert occurrences(r"(?m)^def check_real\b") == {"model.py": 1}
-    assert occurrences(r"\bcheck_p\b|noise powers must|transmissivity must"
-                       r"|must lie in \[0, 1\], got|must be finite and positive") == {}
+    assert occurrences(r"\bcheck_p\b|noise powers must|transmissivity must|\d < p < \d"
+                       r"|must lie in \[0, 1\], got|must lie in \(0, 1\)"
+                       r"|must be finite and positive") == {}
     assert occurrences(r"\bfloat\(p\)") == {}
     for entry in (model.NoiseModel.__post_init__, model.gamma, model.db_to_linear,
                   patterns.gen_bernoulli, asymptotic.predict_bernoulli_iid,
                   asymptotic.predict_uniform_iid, asymptotic.predict_gaussian_onef,
                   asymptotic.predict_bernoulli_onef, asymptotic.optimal_p_onef,
-                  ensemble.EnsembleConfig.__post_init__, ensemble.sweep_p):
+                  ensemble.EnsembleConfig.__post_init__, ensemble.sweep_p, cli._parse_p_grid):
         assert "check_real(" in inspect.getsource(entry), entry.__qualname__
     assert "isfinite" not in inspect.getsource(model.NoiseModel)
     assert "no finite linear value" in inspect.getsource(model.db_to_linear)

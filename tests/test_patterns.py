@@ -5,10 +5,12 @@ quadratic-residue mask against a Legendre-symbol oracle, and the shift
 register table against an explicit period count.
 """
 
+import itertools
 import math
 import os
 import tempfile
 import threading
+from dataclasses import astuple
 from pathlib import Path
 
 import numpy as np
@@ -664,10 +666,31 @@ def _flipped(values, i):
 
 
 class TestProvenSpectrum:
-    """A loaded row that proves its mls or mura label takes its spectrum by
-    theorem and makes no FFT; any other row makes the one FFT it always made."""
+    """A row that proves its mls or mura label, generated or loaded, takes its
+    spectrum by theorem and makes no FFT for it; any other row makes the one FFT
+    it always made."""
 
     NOISE = NoiseModel(W=0.01, J=1.0)
+
+    @pytest.mark.parametrize("family, size", [
+        *(("mls", degree) for degree in (3, 10, 16, 20)),
+        *(("mura", n) for n in (13, 29, 41233, 65537)),
+    ])
+    def test_generated_and_loaded_rows_give_the_same_bits(self, tmp_path, fft_calls,
+                                                           family, size):
+        """A generated row and its saved and reloaded copy take one theorem path:
+        bitwise-equal lambda_sq and MI at both priors over (W, J), and no FFT
+        after the generator's self-check."""
+        generated = {"mls": gen_mls, "mura": gen_mura}[family](size)
+        fft_calls.clear()
+        loaded = load_pattern(save_pattern(generated, str(tmp_path / "mask"))[0])
+        for prior, W, J in itertools.product(ScenePrior, (1e-5, 0.01, 1.0, 100.0), (0.0, 1.0)):
+            noise = NoiseModel(W, J)
+            mine, theirs = (astuple(mutual_information(p, prior, noise))
+                            for p in (generated, loaded))
+            assert [v.hex() for v in mine] == [v.hex() for v in theirs], (prior, W, J)
+        assert generated.lambda_sq.tobytes() == loaded.lambda_sq.tobytes()
+        assert fft_calls == [] and generated._proven and loaded._proven
 
     @pytest.mark.parametrize("make", [
         lambda: gen_mls(20),

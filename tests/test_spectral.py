@@ -94,8 +94,8 @@ class TestSpectrum:
             AperturePattern(np.array([]))
 
     def test_generated_mask_spectrum_is_computed_once(self, monkeypatch):
-        """A generated MLS/MURA mask carries the spectrum its self-check
-        computed: generating it and taking its MI or bound is one FFT."""
+        """Generating an MLS/MURA mask and taking its MI or bound is one FFT, the
+        self-check's: the row then proves its label and takes the theorem."""
         calls = []
         fft = np.fft.fft
 
