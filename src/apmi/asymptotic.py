@@ -10,8 +10,8 @@ expectation is routed through a single audited kernel:
 
 All predictor values are in nats.  Per-pixel predictors describe the bulk
 (DC-excluded) per-pixel MI; the 1/f-prior predictors return total MI and
-include the DC term explicitly.  Their bulk sums over k = 2..(n-1)/2 share one
-engine, _bulk_sum: an exact head of at most 63 terms past n = 8193 and closed
+include the DC term explicitly.  Their bulk sums over the pairs of model.onef_last_pair
+share one engine, _bulk_sum: an exact head of at most 63 terms past n = 8193 and closed
 Euler-Maclaurin sums past it, so their cost grows neither with n nor with the SNR s.
 The exact MI of an MLS mask is a closed form of the same kind (mls_mi_sums), and
 shares flat-1f's body.  numpy is imported only where an array is made.
@@ -26,7 +26,8 @@ import warnings
 from dataclasses import dataclass
 
 from .errors import InvalidArgumentError
-from .model import NoiseModel, ScenePrior, check_int, check_odd_n, check_real, inverse_noise
+from .model import (NoiseModel, ScenePrior, check_int, check_odd_n, check_real, inverse_noise,
+                    onef_last_pair)
 
 __all__ = [
     "PredictionResult", "PREDICTORS", "BERNOULLI_PREDICTOR", "predict", "explog_exp1",
@@ -189,12 +190,17 @@ def predict_uniform_iid(W: float, J: float, bulk_variance: float = 1.0 / 24.0) -
 
 ####################### 1/f-prior (natural scene) predictors #######################
 
+def _predicted_last_pair(n: int) -> int:
+    """The last pair k the three 1/f predictors sum: the model's less item 14's missing pair."""
+    return onef_last_pair(n) - 1
+
+
 def predict_flat_onef(n: int, W: float, J: float, form: str = "midsum") -> PredictionResult:
     """Total MI of a flat half-open mask under the 1/f prior (odd n).
 
-    form="midsum": DC term plus twice the sum over the paired bulk frequencies,
+    form="midsum": DC term plus twice the sum over the bulk pairs to K = _predicted_last_pair(n),
 
-        log((n/4)/(W+J/2) + 1) + 2 sum_{k=2}^{(n-1)/2} log((1/4)/(W+J/2)/k + 1)
+        log((n/4)/(W+J/2) + 1) + 2 sum_{k=2}^{K} log((1/4)/(W+J/2)/k + 1)
 
     form="closed": the further approximation
     log(n/4 / (W+J/2)) + (1/2)/(W+J/2) * (log(n/2) - 1), which makes the
@@ -206,7 +212,7 @@ def predict_flat_onef(n: int, W: float, J: float, form: str = "midsum") -> Predi
     check_odd_n(n)
     g = inverse_noise(W + J / 2.0, "W + J/2")
     if form == "midsum":
-        value = _flat_onef(g * n / 4.0, g / 4.0, n)
+        value = _flat_onef(g * n / 4.0, g / 4.0, _predicted_last_pair(n))
     elif form == "closed":
         value = math.log(g * n / 4.0) + g / 2.0 * (math.log(n / 2.0) - 1.0)
         if value < 0:
@@ -218,14 +224,14 @@ def predict_flat_onef(n: int, W: float, J: float, form: str = "midsum") -> Predi
     return PredictionResult(value, "total", "closed_form")
 
 
-def _flat_onef(dc: float, level: float, n: int) -> float:
-    """Total MI of a spectrally flat mask under the 1/f prior: log1p(dc) + 2 sum_{k=2}^{(n-1)/2}
-    log1p(level / k), the bulk by _bulk_sum at n.  The one body of predict_flat_onef's
-    midsum and of mls_mi_sums; an infinite DC term needs no bulk sum."""
+def _flat_onef(dc: float, level: float, top: int) -> float:
+    """Total MI of a spectrally flat mask under the 1/f prior: log1p(dc) + 2 sum_{k=2}^{top}
+    log1p(level / k), the bulk by _bulk_sum to the last pair top.  The one body of
+    predict_flat_onef's midsum and of mls_mi_sums; an infinite DC term needs no bulk sum."""
     value = math.log1p(dc)
     if math.isfinite(value):
         import numpy as np
-        value += 2.0 * _bulk_sum(np.log1p, _LOG1P_SERIES, level, n, _log1p_ends)
+        value += 2.0 * _bulk_sum(np.log1p, _LOG1P_SERIES, level, top, _log1p_ends)
     return value
 
 
@@ -239,9 +245,9 @@ def mls_mi_sums(n: int, prior: ScenePrior, gamma_: float) -> tuple[float, float]
     per-bin arguments of mi_sums in its order of operations:
 
         IID: log1p(dc) + (n-1) log1p(level)
-        1/f: log1p(dc) + 2 sum_{k=2}^{(n+1)/2} log1p(level / k)   (_flat_onef at n + 2)
+        1/f: log1p(dc) + 2 sum_{k=2}^{K} log1p(level / k),   K = model.onef_last_pair(n)
 
-    the second over the pairs of model.spectral_weights.  The row's transmissivity, which
+    the second over every pair of model.spectral_weights.  The row's transmissivity, which
     gamma_ depends on, is ((n+1)/2)/n, with the bits of values.mean().  The DC-free total
     is the total minus the DC term, so an infinite DC term leaves neither finite.
     """
@@ -252,7 +258,7 @@ def mls_mi_sums(n: int, prior: ScenePrior, gamma_: float) -> tuple[float, float]
     if prior is ScenePrior.IID:
         total = math.log1p(dc) + (n - 1) * math.log1p(level)
     elif prior is ScenePrior.ONE_OVER_F:
-        total = _flat_onef(dc, level, n + 2)
+        total = _flat_onef(dc, level, onef_last_pair(n))
     else:
         raise InvalidArgumentError(f"unknown prior {prior!r}")
     return total, total - math.log1p(dc)
@@ -377,9 +383,9 @@ def _log1p_ends(s: float, a: int, b: int):
     return whole, *ends
 
 
-def _bulk_sum(term, series: tuple, s: float, n: int, ends) -> float:
-    """sum_{k=2}^{top} f(k), f(k) = term(s / k), top = (n-1)/2, for an elementwise array
-    function term(c) equal to sum_j series[j-1] c^j for c < _SERIES_CUTOFF, and ends(s, a, b)
+def _bulk_sum(term, series: tuple, s: float, top: int, ends) -> float:
+    """sum_{k=2}^{top} f(k), f(k) = term(s / k), to the last 1/f pair top, for an elementwise
+    array function term(c) equal to sum_j series[j-1] c^j for c < _SERIES_CUTOFF, and ends(s, a, b)
     giving f's integral over [a, b] and f's values and odd derivatives at a and b.
 
     The head k <= H is one call of term: H = top up to top = 4096, else max(30, min(K, 64))
@@ -387,7 +393,6 @@ def _bulk_sum(term, series: tuple, s: float, n: int, ends) -> float:
     range through B_8, its integral kept as two doubles; past K every c is on the series:
     sum_j series[j-1] sum_{k>K} (s/k)^j (_power_tails).  One math.fsum rounds all parts."""
     import numpy as np
-    top = (n - 1) // 2
     # K, at most top + 1; float test first: s may be too large for an int
     branch = int(s / _SERIES_CUTOFF) + 1 if s < top * _SERIES_CUTOFF else top + 1
     head = max(30, min(branch, 64)) if top > 4096 else top
@@ -402,12 +407,13 @@ def _bulk_sum(term, series: tuple, s: float, n: int, ends) -> float:
 
 
 def _random_onef(n: int, g: float, var: float, mean: float) -> PredictionResult:
-    """Expected total MI under the 1/f prior (odd n), at inverse noise g, of a random
-    mask whose lambda_1/sqrt(n) tends to N(mean, var) and each bulk |lambda_k|^2/n to
-    var * Exp(1); the error estimate adds EXPLOG_ABS_TOL per bulk term to the DC's."""
+    """Expected total MI under the 1/f prior (odd n), at inverse noise g, of a random mask
+    whose lambda_1/sqrt(n) tends to N(mean, var) and each bulk |lambda_k|^2/n to var * Exp(1),
+    pairs to _predicted_last_pair(n); its error adds EXPLOG_ABS_TOL per bulk term to the DC's."""
     dc, dc_err = _normal_expect_log(g, sd=math.sqrt(var), mean=mean)
-    bulk = 2.0 * _bulk_sum(explog_exp1, _EXPLOG_SERIES, var * g, n, _e1_ends)
-    err = dc_err + 2 * ((n - 1) // 2 - 1) * EXPLOG_ABS_TOL
+    top = _predicted_last_pair(n)
+    bulk = 2.0 * _bulk_sum(explog_exp1, _EXPLOG_SERIES, var * g, top, _e1_ends)
+    err = dc_err + 2 * (top - 1) * EXPLOG_ABS_TOL
     return PredictionResult(dc + bulk, "total", "quadrature", est_abs_error=err)
 
 
@@ -415,10 +421,10 @@ def predict_gaussian_onef(n: int, W: float, rho_j_product: float) -> PredictionR
     """Expected total MI of a circulant with IID standard-Gaussian row entries
     under the 1/f prior, at fixed inverse noise gamma = 1/(W + rho_j_product).
 
-    The DC gain satisfies lambda_1^2/n ~ G^2 with G standard normal, and each
-    paired bulk frequency contributes a chi-squared(2 dof) term:
+    The DC gain satisfies lambda_1^2/n ~ G^2 with G standard normal, and each bulk
+    pair to K = _predicted_last_pair(n) contributes a chi-squared(2 dof) term:
 
-        E_G[log(gamma G^2 + 1)] + 2 sum_{k=2}^{(n-1)/2} explog_exp1(gamma / k)
+        E_G[log(gamma G^2 + 1)] + 2 sum_{k=2}^{K} explog_exp1(gamma / k)
     """
     NoiseModel(W, check_real(rho_j_product, "rho_j", "nonnegative"))
     check_odd_n(n)
@@ -430,8 +436,8 @@ def predict_bernoulli_onef(n: int, p: float, W: float, J: float) -> PredictionRe
 
     DC term: E_G[log(gamma (sqrt(p(1-p)) G + p sqrt(n))^2 + 1)] by normal
     quadrature (lambda_1/sqrt(n) is asymptotically normal with mean p sqrt(n)
-    and variance p(1-p)); bulk: 2 sum_{k=2}^{(n-1)/2}
-    explog_exp1(p(1-p) gamma / k), with gamma = 1/(W + pJ).
+    and variance p(1-p)); bulk: 2 sum_{k=2}^{K} explog_exp1(p(1-p) gamma / k), with
+    gamma = 1/(W + pJ) and K = _predicted_last_pair(n).
     """
     NoiseModel(W, J)
     check_odd_n(n)

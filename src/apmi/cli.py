@@ -51,8 +51,8 @@ from .asymptotic import (BERNOULLI_PREDICTOR, PREDICTORS, mls_mi_sums, optimal_p
                          optimal_p_onef, predict)
 from .errors import InvalidArgumentError, NumericalError
 from .model import (METRICS, PATTERN_FAMILIES, PATTERN_OPTIONS, RHO_MODES, NoiseModel, ScenePrior,
-                    check_int, check_real, db_to_linear, effective_n, gamma, mls_length,
-                    to_log_base, write_atomic)
+                    check_int, check_odd_n, check_real, db_to_linear, effective_n, gamma,
+                    mls_length, to_log_base, write_atomic)
 
 CSV_HEADER = ("p,n,W,J,prior,family,trials,seed,mi_mean,mi_std,mi_stderr,"
               "mi_predicted,relative_gap,log_base")
@@ -91,6 +91,17 @@ def _require_options(args, names, what: str, *offered) -> None:
                  f"--{name.replace('_', '-')} is required for {what}")
     for flag in sorted({name.replace("_", "-") for name in set().union(*offered) - set(names)}):
         _require(flag not in args.given, f"{what} does not read --{flag}")
+
+
+def _check_onef_n(n: int) -> None:
+    """check_odd_n on the n that effective_n makes of --n at the 1/f prior, before it warns,
+    so an --n reduced below 5 is one error line that names both."""
+    with warnings.catch_warnings(record=True):
+        odd = effective_n(ScenePrior.ONE_OVER_F, n)
+    try:
+        check_odd_n(odd)
+    except InvalidArgumentError as exc:
+        raise InvalidArgumentError(f"--n {n} reduces to {odd}: {exc}" if odd != n else exc)
 
 
 def _resolve_workers(args) -> int:
@@ -442,6 +453,7 @@ def _cmd_predict(args) -> int:
     params = {name: getattr(args, name) for name in names}
     params["W"] = _resolve_w(args)
     if which.endswith("-1f"):
+        _check_onef_n(params["n"])
         params["n"] = effective_n(ScenePrior.ONE_OVER_F, params["n"])
     result = predict(which, **params)
     return _emit_scalar({
@@ -471,6 +483,7 @@ def _cmd_optimize_p(args) -> int:
     if prior is ScenePrior.IID:
         p_star = optimal_p_iid(W, args.J)
     else:
+        _check_onef_n(args.n)
         payload["n"] = effective_n(ScenePrior.ONE_OVER_F, args.n)
         payload["tol"] = args.tol
         p_star = optimal_p_onef(payload["n"], W, args.J, tol=args.tol)
@@ -491,6 +504,8 @@ def _run_sweep(args, command: str, W: float, prior: ScenePrior, metric: str | No
         n=args.n, trials=args.trials, family="bernoulli", prior=prior,
         noise=NoiseModel(W, args.J), master_seed=args.seed, p=p_grid[0],
         metric=metric, rho_mode=args.rho_mode, workers=workers)
+    if prior is ScenePrior.ONE_OVER_F:
+        _check_onef_n(args.n)
     sweep_rows = sweep_p(config, p_grid)
     rows = [[
         _g12(row.p), str(row.n), _g12(W), _g12(args.J), prior.value, config.family,

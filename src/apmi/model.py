@@ -6,8 +6,8 @@ Gaussian with a diagonal spectral covariance d (the prior), and the noise
 combines a thermal floor W with signal-dependent shot noise rho*J.
 Everything downstream (exact MI, asymptotic predictors, ensembles) consumes
 the two quantities defined here: the per-frequency weight vector d and the
-inverse noise power gamma = 1/(W + rho*J).  The odd-n policy of the 1/f
-formulas, the one integer rule of seeds and sizes (check_int), the one rule of
+inverse noise power gamma = 1/(W + rho*J).  The odd-n policy and pair range of the
+1/f formulas, the one integer rule of seeds and sizes (check_int), the one rule of
 real arguments such as W, J and p (check_real), the one raise for a noise power
 without a finite inverse, the nats-to-bits conversion, the mask families with
 their options, the MLS polynomial table and the atomic file writer (the CLI
@@ -152,12 +152,17 @@ def check_real(value, what: str, span: str = "real"):
     return value
 
 
+def onef_last_pair(n: int) -> int:
+    """The last 1/f mirror pair k at odd n: the one home of every 1/f pair range k = 2..it."""
+    return (n + 1) // 2
+
+
 def spectral_weights(prior: ScenePrior, n: int) -> np.ndarray:
     """Per-frequency scene weights d, DC at index 0.
 
     For the IID prior every entry is 1.  For the 1/f prior the weights decay
     with frequency index away from DC.  Odd n pairs the mirror frequencies
-    (k, n+2-k) at weight 1/k for k = 2..(n+1)/2, with the DC weight 1.
+    (k, n+2-k) at weight 1/k for k = 2..onef_last_pair(n), with the DC weight 1.
     Even n uses the doubled block [1, 1/2, ..., 2/n, 1, 1/2, ..., 2/n], which
     is not Hermitian-symmetric (n = 8: d[1] = 1/2 but d[7] = 1/4), so an
     even-n 1/f MI is the MI of no real-valued scene.  That convention is
@@ -184,7 +189,7 @@ def spectral_weights(prior: ScenePrior, n: int) -> np.ndarray:
             d[:half] = 1.0 / np.arange(1, half + 1)
             d[half:] = d[:half]
         else:
-            h = (n + 1) // 2
+            h = onef_last_pair(n)
             d[0] = 1.0
             d[1:h] = 1.0 / np.arange(2, h + 1)
             d[h:] = d[1:h][::-1]

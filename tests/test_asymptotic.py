@@ -528,15 +528,17 @@ class TestMLSTheorem:
                 assert abs(excl - (exact - dc)) <= 2 * math.ulp(float(exact)), (prior, W)
 
     def test_flat_onef_body_at_the_predictor_and_the_theorem(self):
-        """predict_flat_onef's midsum is _flat_onef at n (its bits, item 14's range
-        unchanged), and the 1/f theorem total is _flat_onef at n + 2."""
+        """predict_flat_onef's midsum is _flat_onef to the last pair (n-1)/2 (its bits,
+        item 14's range unchanged), and the 1/f theorem total is _flat_onef to the last
+        pair of spectral_weights, (n+1)/2."""
         n, W, J = 1023, 0.01, 1.0
         g = 1.0 / (W + J / 2.0)
-        assert predict_flat_onef(n, W, J).value == asymptotic._flat_onef(g * n / 4.0, g / 4.0, n)
+        assert predict_flat_onef(n, W, J).value == asymptotic._flat_onef(g * n / 4.0, g / 4.0,
+                                                                         (n - 1) // 2)
         g = gamma(NoiseModel(W, J), (n + 1) / 2 / n)
         dc, level = g * ((n + 1) / 2) ** 2 / n, g * ((n + 1) / 4) / n
         total, excl = asymptotic.mls_mi_sums(n, ScenePrior.ONE_OVER_F, g)
-        assert total == asymptotic._flat_onef(dc, level, n + 2)
+        assert total == asymptotic._flat_onef(dc, level, (n + 1) // 2)
         assert excl == total - math.log1p(dc)
 
     def test_infinite_dc_term_leaves_no_finite_sum(self):
@@ -649,6 +651,28 @@ def test_onef_predictors_sum_the_model_weights(which, n):
     assert abs(res.value - reference) <= tol
 
 
+@pytest.mark.parametrize("n", [5, 7, 21, 31, 101, 127, 2**20 - 1])
+def test_onef_sums_end_at_the_model_weights_last_pair(monkeypatch, n):
+    """Every 1/f bulk sum ends at a last pair read off spectral_weights(ONE_OVER_F, n),
+    which pairs every bulk bin at weight 1/k for k = 2..last: mls_mi_sums (at n = 2^m - 1)
+    sums every pair, and each of the three 1/f predictors exactly one fewer, item 14's
+    missing pair (test_onef_predictors_sum_the_model_weights pins it as a strict xfail)."""
+    d = spectral_weights(ScenePrior.ONE_OVER_F, n)
+    last = round(1.0 / d.min())
+    pairs = np.round(1.0 / d[1:]).astype(int).tolist()
+    assert sorted(pairs) == sorted(2 * list(range(2, last + 1)))
+    tops, bulk_sum = [], asymptotic._bulk_sum
+    monkeypatch.setattr(asymptotic, "_bulk_sum", lambda *a: tops.append(a[3]) or bulk_sum(*a))
+    if n & (n + 1) == 0:
+        asymptotic.mls_mi_sums(n, ScenePrior.ONE_OVER_F, 100.0)
+        assert tops == [last]
+        tops.clear()
+    predict_flat_onef(n, 0.01, 1.0)
+    predict_gaussian_onef(n, 0.01, 1.0)
+    predict_bernoulli_onef(n, 0.3, 0.01, 1.0)
+    assert tops == [last - 1] * 3
+
+
 def dc_quad_reference(gamma_, sd, mean):
     """scipy's public integrate.quad of _normal_expect_log's integrands, with its
     limits and tolerances: (value, error, whether the log-gamma form was needed)."""
@@ -740,15 +764,14 @@ def _mpmath_head(kind, s, last):
                                     adiffs=_mpmath_e1_diffs(s, a), bdiffs=_mpmath_e1_diffs(s, b))
 
 
-def bulk_mpmath(kind, s, n):
-    """40-digit sum over k = 2..(n-1)/2 of explog_exp1(s/k) ("explog") or
+def bulk_mpmath(kind, s, top):
+    """40-digit sum over k = 2..top of explog_exp1(s/k) ("explog") or
     log1p(s/k) ("log1p"): e^x E1(x) at x = k/s (or log1p) up to k = 100 s by
     _mpmath_head, then 14 terms of the series in s/k,
     sum_j a_j s^j sum_{k>=a} k^-j, each power sum a Hurwitz zeta (digamma at j = 1).
     The first omitted series term is below 14! 100^-14 ~ 1e-17 of s/k, and the
     omitted terms add up to below 1e-17 of s, far under an ulp of the sum."""
     mpmath = pytest.importorskip("mpmath")
-    top = (n - 1) // 2
     last = min(top, math.ceil(100 * s))
     with mpmath.workdps(40):
         total, sm, a, b = _mpmath_head(kind, s, last), mpmath.mpf(s), last + 1, top + 1
@@ -788,24 +811,25 @@ ENDS = {"explog": asymptotic._e1_ends, "log1p": asymptotic._log1p_ends}
 
 
 class TestOneFBulkSums:
-    """Up to n = 8193 a 1/f bulk sum is math.fsum of its per-term values, bit
-    for bit; beyond it the Euler-Maclaurin tail keeps it within 2 ulp of mpmath."""
+    """Up to top = 4096 pairs a 1/f bulk sum is math.fsum of its per-term values, bit
+    for bit; beyond it the Euler-Maclaurin tail keeps it within 2 ulp of mpmath.  The
+    predictors' references stop at the last pair (n-1)/2, item 14's range, one pair
+    short of spectral_weights' (test_onef_predictors_sum_the_model_weights)."""
 
     @staticmethod
-    def check(value, dc, s, n):
-        if n <= 8193:  # head only
-            bulk = 2.0 * math.fsum(explog_scalar_reference(s / k)
-                                   for k in range(2, (n - 1) // 2 + 1))
+    def check(value, dc, s, top):
+        if top <= 4096:  # head only
+            bulk = 2.0 * math.fsum(explog_scalar_reference(s / k) for k in range(2, top + 1))
             assert value == dc + bulk
         else:
-            assert_within_ulps(value, dc + 2 * bulk_mpmath("explog", s, n), 2)
+            assert_within_ulps(value, dc + 2 * bulk_mpmath("explog", s, top), 2)
 
     @pytest.mark.parametrize("n", [5, 249, 8193, 100001, 1000001])
     def test_gaussian(self, n):
         W, rho_j = 0.01, 1.0
         g = 1.0 / (W + rho_j)
         dc, _ = asymptotic._normal_expect_log(g, sd=1.0, mean=0.0)
-        self.check(predict_gaussian_onef(n, W, rho_j).value, dc, g, n)
+        self.check(predict_gaussian_onef(n, W, rho_j).value, dc, g, (n - 1) // 2)
 
     @pytest.mark.parametrize("n", [5, 249, 8193, 100001, 1000001])
     def test_bernoulli(self, n):
@@ -813,7 +837,7 @@ class TestOneFBulkSums:
         g = 1.0 / (W + p * J)
         dc, _ = asymptotic._normal_expect_log(g, sd=math.sqrt(p * (1.0 - p)),
                                               mean=p * math.sqrt(n))
-        self.check(predict_bernoulli_onef(n, p, W, J).value, dc, p * (1.0 - p) * g, n)
+        self.check(predict_bernoulli_onef(n, p, W, J).value, dc, p * (1.0 - p) * g, (n - 1) // 2)
 
     def test_gaussian_range_ends_on_the_series_branch(self):
         # gamma = 1/0.012 puts c = gamma/k on the series from k = 50001 on, so the
@@ -823,7 +847,7 @@ class TestOneFBulkSums:
         g = 1.0 / (W + rho_j)
         assert 1.0 / 600.0 > g / 50001 and int(g * 600) + 1 == 50001
         dc, _ = asymptotic._normal_expect_log(g, sd=1.0, mean=0.0)
-        self.check(predict_gaussian_onef(n, W, rho_j).value, dc, g, n)
+        self.check(predict_gaussian_onef(n, W, rho_j).value, dc, g, (n - 1) // 2)
 
     @pytest.mark.parametrize("n", [249, 8193])
     def test_flat(self, n):
@@ -835,7 +859,7 @@ class TestOneFBulkSums:
     def test_flat_with_tail(self):
         W, J, n = 0.01, 1.0, 1000001
         g = 1.0 / (W + J / 2.0)
-        exact = math.log1p(g * n / 4.0) + 2 * bulk_mpmath("log1p", g / 4.0, n)
+        exact = math.log1p(g * n / 4.0) + 2 * bulk_mpmath("log1p", g / 4.0, (n - 1) // 2)
         assert_within_ulps(predict_flat_onef(n, W, J).value, exact, 2)
 
     # n = 8195 is the least n with a closed part; the widest s has a 500-term mpmath head.
@@ -845,9 +869,9 @@ class TestOneFBulkSums:
         ("log1p", np.log1p, asymptotic._LOG1P_SERIES),
     ])
     def test_against_mpmath(self, kind, term, series, s):
-        for n in (1001, 8195, 1000001, 10**9 + 1):
-            assert_within_ulps(asymptotic._bulk_sum(term, series, s, n, ENDS[kind]),
-                               bulk_mpmath(kind, s, n), 2)
+        for top in ((n - 1) // 2 for n in (1001, 8195, 1000001, 10**9 + 1)):
+            assert_within_ulps(asymptotic._bulk_sum(term, series, s, top, ENDS[kind]),
+                               bulk_mpmath(kind, s, top), 2)
 
     # At high SNR every term past the 63-term head up to K = 600 s (or to the top) is
     # one Euler-Maclaurin range.  For e^x E1 from s = 162.5 on its first end has
@@ -862,9 +886,9 @@ class TestOneFBulkSums:
                       if isinstance(v, tuple) else None))
     def test_high_snr_against_mpmath(self, kind, term, series, e1, s):
         ends = asymptotic._e1_ends if e1 else asymptotic._log1p_ends
-        for n in (8195, 1000001, 10**9 + 1):
-            assert_within_ulps(asymptotic._bulk_sum(term, series, s, n, ends),
-                               bulk_mpmath(kind, s, n), 2)
+        for top in ((n - 1) // 2 for n in (8195, 1000001, 10**9 + 1)):
+            assert_within_ulps(asymptotic._bulk_sum(term, series, s, top, ends),
+                               bulk_mpmath(kind, s, top), 2)
 
     # Sums that are nearly all one Euler-Maclaurin range, from x = 65/s < 0.4 (Ein) to
     # the top: its integral s (G(xb) - G(xa)) is about as large as the sum, so the ends'
@@ -874,9 +898,10 @@ class TestOneFBulkSums:
         (861.9163731891733, 8195), (3492.0907119915632, 16541), (9495.140976126504, 32769),
         (7021.328161668026, 8195), (6168.553268603654, 12181)])
     def test_short_e1_range_against_mpmath(self, s, n):
-        got = asymptotic._bulk_sum(explog_exp1, asymptotic._EXPLOG_SERIES, s, n,
+        top = (n - 1) // 2
+        got = asymptotic._bulk_sum(explog_exp1, asymptotic._EXPLOG_SERIES, s, top,
                                    asymptotic._e1_ends)
-        assert_within_ulps(got, bulk_mpmath("explog", s, n), 1)
+        assert_within_ulps(got, bulk_mpmath("explog", s, top), 1)
 
     def test_explog_cf_against_mpmath(self):
         """_explog_cf's cut is below 1e-21 of e^x E1(x) (run in mpmath at 40
@@ -1019,15 +1044,15 @@ class TestOneFBulkSums:
                 log_s, log_gamma = mpmath.log(s), mpmath.loggamma(top + 1)
                 explog = (top - 1) * (log_s - mpmath.euler) - log_gamma
                 log1p = (top - 1) * log_s - log_gamma + mpmath.mpf(top * (top + 1) // 2 - 1) / s
-            got = asymptotic._bulk_sum(explog_exp1, asymptotic._EXPLOG_SERIES, s, n,
+            got = asymptotic._bulk_sum(explog_exp1, asymptotic._EXPLOG_SERIES, s, top,
                                        asymptotic._e1_ends)
             assert_within_ulps(got, explog, 2)
-            got = asymptotic._bulk_sum(np.log1p, asymptotic._LOG1P_SERIES, s, n,
+            got = asymptotic._bulk_sum(np.log1p, asymptotic._LOG1P_SERIES, s, top,
                                        asymptotic._log1p_ends)
             assert_within_ulps(got, log1p, 2)
         for ends in (asymptotic._e1_ends, asymptotic._log1p_ends):
             with pytest.raises(InvalidArgumentError):
-                asymptotic._bulk_sum(explog_exp1, asymptotic._EXPLOG_SERIES, math.inf, 10001, ends)
+                asymptotic._bulk_sum(explog_exp1, asymptotic._EXPLOG_SERIES, math.inf, 5000, ends)
 
 
 class TestExactFsum:
@@ -1077,8 +1102,7 @@ class TestExactFsum:
         rng = np.random.default_rng(seed)
         v = self.adversarial(kind, rng)
         # top = v.size + 1 <= 4096: the head is every term
-        n = 2 * v.size + 3
-        got = asymptotic._bulk_sum(self.fixed_term(v), (), 1.0, n, ENDS["explog"])
+        got = asymptotic._bulk_sum(self.fixed_term(v), (), 1.0, v.size + 1, ENDS["explog"])
         assert got.hex() == math.fsum(v.tolist()).hex()
         # past top = 4096, a 63-term head and an Euler-Maclaurin range from 65 to K = 1001,
         # whose mid-point part carries one more term: (x + x) / 2 = x, and all else is 0.0
@@ -1089,7 +1113,7 @@ class TestExactFsum:
             return np.longdouble(0.0), (x, 0.0, 0.0, 0.0, 0.0), (x, 0.0, 0.0, 0.0, 0.0)
 
         got = asymptotic._bulk_sum(self.fixed_term(head), (), 1000 * asymptotic._SERIES_CUTOFF,
-                                   10001, ends)
+                                   5000, ends)
         assert got.hex() == math.fsum([*head.tolist(), x, 0.0]).hex()
 
     # size bulk terms, top = size + 1: up to 4095 the head is every term, past it
@@ -1098,19 +1122,19 @@ class TestExactFsum:
     @pytest.mark.parametrize("seed", [11, 29, 83])
     def test_chunk_sizes(self, size, seed):
         s = 10.0 ** np.random.default_rng(seed).uniform(-4.0, 0.7)
-        n = 2 * size + 3
         for kind, term, series in (("explog", explog_exp1, asymptotic._EXPLOG_SERIES),
                                    ("log1p", np.log1p, asymptotic._LOG1P_SERIES)):
-            got = asymptotic._bulk_sum(term, series, s, n, ENDS[kind])
+            got = asymptotic._bulk_sum(term, series, s, size + 1, ENDS[kind])
             if size < 4096:
                 assert got.hex() == math.fsum(term(s / np.arange(2, size + 2)).tolist()).hex()
             else:
-                assert_within_ulps(got, bulk_mpmath(kind, s, n), 2)
+                assert_within_ulps(got, bulk_mpmath(kind, s, size + 1), 2)
 
     def test_no_chunks(self):
-        """n = 1 and n = 3 have no bulk terms: the sum is math.fsum([]), +0.0."""
-        for n in (1, 3):
-            got = asymptotic._bulk_sum(explog_exp1, asymptotic._EXPLOG_SERIES, 1.0, n,
+        """top = 0 and top = 1 (n = 1 and n = 3) have no bulk terms: the sum is
+        math.fsum([]), +0.0."""
+        for top in (0, 1):
+            got = asymptotic._bulk_sum(explog_exp1, asymptotic._EXPLOG_SERIES, 1.0, top,
                                        asymptotic._e1_ends)
             assert got.hex() == math.fsum([]).hex()
 

@@ -288,6 +288,22 @@ class TestPredict:
         assert err.replace(f"wrote {tmp_path / 'out'}\n", "") == \
             "warning: n reduced to 249 (odd-n formula)\n"
 
+    @pytest.mark.parametrize("argv", [
+        ("predict", "flat-1f", "--n", "4", "--W", "0.01"),
+        ("optimize-p", "--prior", "1f", "--n", "4", "--W", "0.01"),
+        ("sweep", "--prior", "1f", "--n", "4", "--trials", "2",
+         "--p-grid", "0.3,0.5", "--W", "0.01"),
+        ("reproduce", "fig3", "--n", "4", "--trials", "2", "--p-grid", "0.3,0.5"),
+    ])
+    def test_onef_n_reduced_below_5_is_one_error_line(self, capsys, tmp_path, argv):
+        """An even --n that the odd-n reduction takes below 5 is one error line, exit 2,
+        naming the given n and the n it reduces to: no reduction warning before it, and
+        nothing printed or written."""
+        code, out, err = run(capsys, *argv, "--out", str(tmp_path / "out"))
+        assert (code, out) == (2, "")
+        assert err == "error: --n 4 reduces to 3: the 1/f-prior formulas need odd n >= 5, got 3\n"
+        assert list(tmp_path.iterdir()) == []
+
     def test_missing_p_exits_2(self, capsys):
         code, _, err = run(capsys, "predict", "bernoulli-1f", "--n", "250",
                            "--W", "0.01")

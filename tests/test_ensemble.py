@@ -199,9 +199,12 @@ class TestRunEnsemble:
         assert bulk.mean < per_pixel.mean  # DC term is nonnegative
 
     def test_even_n_one_over_f_reduced(self):
-        cfg = bernoulli_config(n=250, prior=ScenePrior.ONE_OVER_F)
-        with pytest.warns(UserWarning, match=r"n reduced to 249 \(odd-n formula\)"):
-            run_ensemble(cfg)
+        """An even 1/f n runs at n - 1 with the warning; n = 4 too, though the 1/f
+        predictors need n >= 5 (the CLI rejects --n 4 in one error line)."""
+        for n in (250, 4):
+            with pytest.warns(UserWarning, match=rf"n reduced to {n - 1} \(odd-n formula\)"):
+                reduced = run_ensemble(bernoulli_config(n=n, prior=ScenePrior.ONE_OVER_F))
+            assert reduced == run_ensemble(bernoulli_config(n=n - 1, prior=ScenePrior.ONE_OVER_F))
 
     def test_rho_mode_changes_gamma(self):
         realized = run_ensemble(bernoulli_config(n=64, rho_mode="realized"))

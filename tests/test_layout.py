@@ -150,7 +150,7 @@ def test_one_e1_head_rule():
     assert ast.get_docstring(function) and not re.search(r"\bs\s*[<>]=?\s*[\d.]", code)
     assert code.count("4096") == 1 and "top > 4096" in code
     assert code.count("max(30, min(branch, 64))") == 1 and "2.4" not in code
-    assert [a.arg for a in function.args.args] == ["term", "series", "s", "n", "ends"]
+    assert [a.arg for a in function.args.args] == ["term", "series", "s", "top", "ends"]
     assert occurrences(r"_exact_fsum|_BULK_CHUNK|\be1\b") == {}
 
 
@@ -282,6 +282,24 @@ def test_one_flat_mask_mi_body():
     assert occurrences(r"(?m)^MLS_POLYNOMIALS\b") == {"model.py": 1}
     assert "MLS_POLYNOMIALS" in inspect.getsource(model.mls_length)
     assert "mls_length(" in inspect.getsource(patterns.gen_mls)
+
+
+def test_one_home_for_the_onef_pair_range():
+    """The last 1/f mirror pair k is computed in one place, the numpy-free, non-public
+    model.onef_last_pair: spectral_weights builds its odd-n weights from it, mls_mi_sums
+    sums to it, and the three 1/f predictors stop one pair short through one expression
+    (item 14); asymptotic.py computes no pair range of its own."""
+    source = inspect.getsource(model.onef_last_pair)
+    assert "return (n + 1) // 2" in source and "np" not in re.findall(r"\b\w+\b", source)
+    assert occurrences(r"\(n \+ 1\) // 2").get("model.py") == 1
+    assert "onef_last_pair" not in model.__all__
+    assert "h = onef_last_pair(n)" in inspect.getsource(model.spectral_weights)
+    assert not re.search(r"n \+ 2|\(n [-+] 1\) // 2", (PACKAGE / "asymptotic.py").read_text())
+    assert "_flat_onef(dc, level, onef_last_pair(n))" in inspect.getsource(asymptotic.mls_mi_sums)
+    assert occurrences(r"onef_last_pair\(n\) - 1") == {"asymptotic.py": 1}
+    assert "onef_last_pair(n) - 1" in inspect.getsource(asymptotic._predicted_last_pair)
+    for entry in (asymptotic.predict_flat_onef, asymptotic._random_onef):
+        assert "_predicted_last_pair(n)" in inspect.getsource(entry), entry.__qualname__
 
 
 def test_numpy_only_in_the_array_layers():
